@@ -16,7 +16,6 @@
 #include "green/bench_util/experiment.h"
 #include "green/common/thread_pool.h"
 #include "green/data/synthetic.h"
-#include "green/ml/kernels/histogram.h"
 #include "green/ml/model_registry.h"
 #include "green/ml/models/attention_few_shot.h"
 #include "green/ml/models/decision_tree.h"
@@ -130,7 +129,7 @@ void BM_KnnPredict(benchmark::State& state) {
 BENCHMARK(BM_KnnPredict)->Arg(400)->Arg(1600);
 
 // Weighted blend across an ensemble of fitted pipelines. Arg = member
-// count; the blend accumulation itself is what the kernel path flattens.
+// count; member predicts plus the flat blend accumulation.
 void BM_BlendedPredict(benchmark::State& state) {
   const Dataset data = BenchData(400, 12, 3);
   Ctx c;
@@ -159,29 +158,6 @@ void BM_BlendedPredict(benchmark::State& state) {
                           static_cast<int64_t>(data.num_rows()));
 }
 BENCHMARK(BM_BlendedPredict)->Arg(4)->Arg(16);
-
-// The fixed-bin histogram split scan in isolation: one node's worth of
-// gathered column values and labels, scanned for the best edge.
-void BM_TreeSplitScan(benchmark::State& state) {
-  Rng rng(5);
-  const size_t n = static_cast<size_t>(state.range(0));
-  const int k = 3;
-  const int bins = 32;
-  std::vector<double> vals(n);
-  std::vector<int32_t> labels(n);
-  for (size_t i = 0; i < n; ++i) {
-    vals[i] = rng.NextDouble();
-    labels[i] = static_cast<int32_t>(rng.NextBounded(k));
-  }
-  std::vector<double> scratch((bins + 2) * k);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(HistogramSplitScanCls(
-        vals.data(), labels.data(), n, k, 0.0, 1.0, bins, 2,
-        scratch.data()));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_TreeSplitScan)->Arg(1024)->Arg(8192);
 
 void BM_RfSurrogateFit(benchmark::State& state) {
   Rng rng(1);
@@ -246,15 +222,17 @@ void BM_ExperimentSweep(benchmark::State& state) {
   config.repetitions = 2;
   config.jobs = static_cast<int>(state.range(0));
   ExperimentRunner runner(config);
+  int64_t cells = 0;
   for (auto _ : state) {
     auto records = runner.Sweep({"caml", "flaml"}, {10.0, 30.0});
     if (!records.ok() || records->empty()) {
       state.SkipWithError("sweep failed");
       return;
     }
+    cells += static_cast<int64_t>(records->size());
     benchmark::DoNotOptimize(records);
   }
-  state.SetItemsProcessed(state.iterations() * 4 * 2 * 2);  // Cells/run.
+  state.SetItemsProcessed(cells);  // One record per swept cell.
 }
 BENCHMARK(BM_ExperimentSweep)
     ->Arg(1)

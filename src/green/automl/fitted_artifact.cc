@@ -3,22 +3,24 @@
 #include "green/common/logging.h"
 #include "green/common/mathutil.h"
 #include "green/common/stringutil.h"
-#include "green/ml/kernels/kernels.h"
 
 namespace green {
 
 namespace {
 
-/// Kernel-path weighted blend: streams every member's probabilities into
-/// one flat rows x k accumulator instead of per-row vectors. Per-(row,
-/// class) adds keep member order, and zero-weight members are skipped
-/// exactly like the reference loop, so the result is bit-identical.
+/// Weighted blend of member probabilities, weights normalized to sum 1:
+/// streams every member into one flat rows x k accumulator instead of
+/// per-row vectors. Per-(row, class) adds keep member order, and
+/// non-positive normalized weights are skipped.
 ProbaMatrix BlendFlat(const std::vector<ProbaMatrix>& probas,
-                      const std::vector<double>& weights, size_t rows,
-                      size_t k) {
+                      const std::vector<FittedArtifact::Member>& members,
+                      size_t rows, size_t k) {
+  double weight_sum = 0.0;
+  for (const FittedArtifact::Member& m : members) weight_sum += m.weight;
+  if (weight_sum <= 0.0) weight_sum = 1.0;
   std::vector<double> acc(rows * k, 0.0);
   for (size_t j = 0; j < probas.size(); ++j) {
-    const double w = weights[j];
+    const double w = members[j].weight / weight_sum;
     if (w <= 0.0) continue;
     const ProbaMatrix& p = probas[j];
     for (size_t i = 0; i < rows; ++i) {
@@ -127,31 +129,7 @@ Result<ProbaMatrix> FittedArtifact::PredictProba(
   if (meta_.empty()) {
     // Weighted blend of the base layer.
     const size_t k = base_probas[0][0].size();
-    double weight_sum = 0.0;
-    for (const Member& m : base_) weight_sum += m.weight;
-    if (weight_sum <= 0.0) weight_sum = 1.0;
-    ProbaMatrix out;
-    if (KernelsEnabled()) {
-      std::vector<double> weights(base_.size());
-      for (size_t j = 0; j < base_.size(); ++j) {
-        weights[j] = base_[j].weight / weight_sum;
-      }
-      out = BlendFlat(base_probas, weights, data.num_rows(), k);
-    } else {
-      out.resize(data.num_rows());
-      for (size_t i = 0; i < data.num_rows(); ++i) {
-        out[i].assign(k, 0.0);
-      }
-      for (size_t j = 0; j < base_.size(); ++j) {
-        const double w = base_[j].weight / weight_sum;
-        if (w <= 0.0) continue;
-        for (size_t i = 0; i < data.num_rows(); ++i) {
-          for (size_t c = 0; c < out[i].size(); ++c) {
-            out[i][c] += w * base_probas[j][i][c];
-          }
-        }
-      }
-    }
+    ProbaMatrix out = BlendFlat(base_probas, base_, data.num_rows(), k);
     ctx->ChargeCpu(static_cast<double>(data.num_rows()) *
                        static_cast<double>(base_.size()) *
                        static_cast<double>(base_probas[0][0].size()),
@@ -195,29 +173,7 @@ Result<ProbaMatrix> FittedArtifact::PredictProba(
                            MemberProba(member, augmented, ctx));
     meta_probas.push_back(std::move(proba));
   }
-  double weight_sum = 0.0;
-  for (const Member& m : meta_) weight_sum += m.weight;
-  if (weight_sum <= 0.0) weight_sum = 1.0;
-  ProbaMatrix out;
-  if (KernelsEnabled()) {
-    std::vector<double> weights(meta_.size());
-    for (size_t j = 0; j < meta_.size(); ++j) {
-      weights[j] = meta_[j].weight / weight_sum;
-    }
-    out = BlendFlat(meta_probas, weights, data.num_rows(), k);
-  } else {
-    out.resize(data.num_rows());
-    for (size_t i = 0; i < data.num_rows(); ++i) out[i].assign(k, 0.0);
-    for (size_t j = 0; j < meta_.size(); ++j) {
-      const double w = meta_[j].weight / weight_sum;
-      if (w <= 0.0) continue;
-      for (size_t i = 0; i < data.num_rows(); ++i) {
-        for (size_t c = 0; c < k; ++c) {
-          out[i][c] += w * meta_probas[j][i][c];
-        }
-      }
-    }
-  }
+  ProbaMatrix out = BlendFlat(meta_probas, meta_, data.num_rows(), k);
   if (ctx->Interrupted()) {
     return Status::DeadlineExceeded("artifact: interrupted mid-predict");
   }

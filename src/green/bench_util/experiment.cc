@@ -694,7 +694,8 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
   if (watchdog_enabled) {
     const int64_t allowance_ns =
         static_cast<int64_t>(config_.cell_timeout_seconds * 1e9);
-    watchdog = std::thread([&] {
+    // allowance_ns dies with this block; the thread outlives it.
+    watchdog = std::thread([&, allowance_ns] {
       while (!watchdog_stop.load(std::memory_order_acquire)) {
         const int64_t now =
             std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -9,8 +9,8 @@
 namespace green {
 
 /// Bump allocator for per-trial kernel scratch (node row lists, presorted
-/// feature indices, histograms, distance blocks). Allocation is a pointer
-/// bump; deallocation is wholesale — either Reset() back to empty or an
+/// feature indices, distance blocks). Allocation is a pointer bump;
+/// deallocation is wholesale — either Reset() back to empty or an
 /// ArenaScope rewinding to a watermark. Blocks are retained across
 /// Reset/rewind, so repeated fits inside a search loop stop hitting the
 /// global allocator after the first trial warms the arena up.

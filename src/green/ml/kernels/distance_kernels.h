@@ -10,15 +10,13 @@ namespace green {
 /// The loop nest is j-outer / r-inner over cache-sized row blocks with an
 /// unrolled accumulate, so the inner trip vectorizes over contiguous
 /// memory — but each distance still receives its per-feature adds in
-/// j-ascending order, exactly like the row-major reference scan, so every
-/// output double is bit-identical to `for j: s += diff * diff`.
+/// j-ascending order, so every output double equals the plain row-major
+/// `for j: s += diff * diff`.
 void SquaredDistancesColMajor(const double* cols, size_t n, size_t d,
                               const double* query, double* out);
 
 /// Dense tanh projection: out[i] = tanh(dot(w_i, x)) for the h rows of
-/// the row-major h x d weight matrix. Per-output adds run j-ascending,
-/// matching the reference Project() accumulation bit-for-bit when `x` is
-/// the prenormalized feature vector.
+/// the row-major h x d weight matrix, with per-output adds j-ascending.
 void ProjectTanh(const double* w, size_t h, size_t d, const double* x,
                  double* out);
 

@@ -3,27 +3,27 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 
-#include "green/ml/kernels/histogram.h"
+#include "green/common/stringutil.h"
 
-// Bit-identity contract (see kernels.h): every loop here reproduces the
-// reference builders in decision_tree.cc / gradient_boosting.cc — same
-// RNG draws, same candidate skip conditions, same strict-improvement
-// comparisons, and the same accumulation order for every floating-point
-// sum that reaches a model output. Integer class counts are order-free,
-// so those loops may run over any enumeration of a node's rows; target
-// sums are NOT, so node-order slot lists are carried down the recursion
-// alongside the presorted per-feature lists. Work (`*flops`) is charged
-// from logical dimensions at the same program points as the reference,
-// never from what the kernel actually executes.
+// Determinism contract: the checked-in BENCH_*.json snapshots pin every
+// RNG draw, candidate skip condition, strict-improvement comparison and
+// the accumulation order of every floating-point sum that reaches a model
+// output. Integer class counts are order-free, so those loops may run
+// over any enumeration of a node's rows; target sums are NOT — they add
+// in node order (the order the node's rows were sampled, filtered down
+// the recursion), so node-order slot lists are carried alongside the
+// presorted per-feature lists. Work (`*flops`) is charged from logical
+// dimensions (a per-node sort of n rows costs n log2 n even though the
+// stripes are presorted), never from what the loops actually execute.
 
 namespace green {
 
 namespace {
 
-/// Gini impurity of a count vector with total `n` (mirrors the reference
-/// helper in decision_tree.cc bit-for-bit).
+/// Gini impurity of a count vector with total `n`.
 double Gini(const std::vector<double>& counts, double n) {
   if (n <= 0.0) return 0.0;
   double g = 1.0;
@@ -45,37 +45,29 @@ void Normalize(std::vector<double>* v) {
   for (double& x : *v) x /= sum;
 }
 
-enum class TreeMode { kExact, kApprox, kHistogram };
-
-TreeMode ModeFor(const TreeKernelParams& p) {
-  if (p.random_thresholds) return TreeMode::kApprox;
-  if (p.histogram_bins > 0) return TreeMode::kHistogram;
-  return TreeMode::kExact;
-}
-
 /// Per-tree working set. A "slot" is a position in the original row
 /// sample (duplicates from bootstrap sampling get distinct slots), so
-/// every per-slot array is immune to repeated row ids. Exact mode keeps
-/// d presorted (slot, value) stripes that are stable-partitioned down
-/// the recursion; approx/histogram modes keep the gathered column-major
-/// matrix instead and gather each node's column contiguously once.
+/// every per-slot array is immune to repeated row ids. The exact search
+/// keeps d presorted (slot, value) stripes that are stable-partitioned
+/// down the recursion; the random-threshold search keeps the gathered
+/// column-major matrix instead and gathers each node's column
+/// contiguously once.
 struct TreeWorkspace {
   size_t m = 0;
   size_t d = 0;
   uint32_t* rid = nullptr;    ///< slot -> original row id
   int32_t* lab = nullptr;     ///< slot -> label (classification)
   double* tgt = nullptr;      ///< slot -> target (regression / boosting)
-  uint32_t* nslot = nullptr;  ///< node-order slot list (all modes)
+  uint32_t* nslot = nullptr;  ///< node-order slot list
   uint8_t* flag = nullptr;    ///< per-slot left/right partition flag
   uint32_t* uscratch = nullptr;
   double* dscratch = nullptr;
-  uint32_t* spos = nullptr;  ///< d x m sorted slots (exact mode)
-  double* sval = nullptr;    ///< d x m sorted values (exact mode)
-  double* colT = nullptr;    ///< d x m column-major values (approx/hist)
+  uint32_t* spos = nullptr;  ///< d x m sorted slots (exact)
+  double* sval = nullptr;    ///< d x m sorted values (exact)
+  double* colT = nullptr;    ///< d x m column-major values (random)
   double* vals = nullptr;    ///< per-node contiguous column gather
-  int32_t* nlab = nullptr;   ///< per-node contiguous labels (approx/hist)
-  double* ntgt = nullptr;    ///< per-node contiguous targets (approx)
-  double* hist = nullptr;    ///< histogram scratch, (bins + 2) * k
+  int32_t* nlab = nullptr;   ///< per-node contiguous labels (random)
+  double* ntgt = nullptr;    ///< per-node contiguous targets (random)
 };
 
 /// One row-major pass over the sample writing the transposed d x m
@@ -88,8 +80,8 @@ void GatherTransposed(const Dataset& train, const uint32_t* rid, size_t m,
   }
 }
 
-/// Sorts each feature stripe by (value, row id) — the order std::sort on
-/// (value, row) pairs produces in the reference; slots with fully equal
+/// Sorts each feature stripe by (value, row id), the order a per-node
+/// std::sort on (value, row) pairs would produce; slots with fully equal
 /// keys are duplicates of one row and therefore interchangeable.
 void PresortStripes(const uint32_t* rid, const double* colT, size_t m,
                     size_t d, uint32_t* spos, double* sval) {
@@ -109,9 +101,8 @@ void PresortStripes(const uint32_t* rid, const double* colT, size_t m,
 }
 
 void InitWorkspace(const Dataset& train, const std::vector<size_t>& rows,
-                   TreeMode mode, bool classification,
-                   const std::vector<double>* ext_targets, int hist_bins,
-                   int k, Arena* arena, TreeWorkspace* ws) {
+                   bool random_thresholds, bool classification,
+                   Arena* arena, TreeWorkspace* ws) {
   const size_t m = rows.size();
   const size_t d = train.num_features();
   ws->m = m;
@@ -128,9 +119,7 @@ void InitWorkspace(const Dataset& train, const std::vector<size_t>& rows,
   } else {
     ws->tgt = arena->AllocArray<double>(m);
     for (size_t i = 0; i < m; ++i) {
-      ws->tgt[i] = ext_targets != nullptr
-                       ? (*ext_targets)[ws->rid[i]]
-                       : train.Target(ws->rid[i]);
+      ws->tgt[i] = train.Target(ws->rid[i]);
     }
   }
   ws->nslot = arena->AllocArray<uint32_t>(m);
@@ -139,7 +128,7 @@ void InitWorkspace(const Dataset& train, const std::vector<size_t>& rows,
   ws->uscratch = arena->AllocArray<uint32_t>(m);
   ws->dscratch = arena->AllocArray<double>(m);
 
-  if (mode == TreeMode::kExact) {
+  if (!random_thresholds) {
     ws->spos = arena->AllocArray<uint32_t>(d * m);
     ws->sval = arena->AllocArray<double>(d * m);
     // The column gather only feeds the presort here; reclaim it.
@@ -155,10 +144,6 @@ void InitWorkspace(const Dataset& train, const std::vector<size_t>& rows,
       ws->nlab = arena->AllocArray<int32_t>(m);
     } else {
       ws->ntgt = arena->AllocArray<double>(m);
-    }
-    if (mode == TreeMode::kHistogram) {
-      ws->hist = arena->AllocArray<double>(
-          (static_cast<size_t>(hist_bins) + 2) * static_cast<size_t>(k));
     }
   }
 }
@@ -213,11 +198,19 @@ void PartitionStripes(TreeWorkspace* ws, size_t lo, size_t hi) {
 
 /// Shared builder state for the three tree flavors.
 struct TreeBuilder {
-  const TreeKernelParams* params = nullptr;
-  TreeMode mode = TreeMode::kExact;
-  Rng* rng = nullptr;
-  double* flops = nullptr;
-  TreeNodeSink* sink = nullptr;
+  TreeBuilder(const TreeKernelParams& params, Rng* rng, double* flops,
+              FlatTree* tree)
+      : params(&params),
+        random_thresholds(params.random_thresholds),
+        rng(rng),
+        flops(flops),
+        tree(tree) {}
+
+  const TreeKernelParams* params;
+  const bool random_thresholds;
+  Rng* rng;
+  double* flops;
+  FlatTree* tree;
   TreeWorkspace ws;
 
   // Reused per-node scratch (consumed before recursing).
@@ -226,8 +219,8 @@ struct TreeBuilder {
   std::vector<double> right_counts;
   std::vector<size_t> features;
 
-  /// Candidate feature subset with the reference's exact RNG
-  /// consumption: the full index vector is shuffled, then truncated.
+  /// Candidate feature subset. The RNG stream is part of the snapshot
+  /// contract: the full index vector is shuffled, then truncated.
   void SelectFeatures(size_t d) {
     features.resize(d);
     std::iota(features.begin(), features.end(), size_t{0});
@@ -242,9 +235,9 @@ struct TreeBuilder {
     }
   }
 
-  /// Gathers node column `f` contiguously (the reference's first At()
-  /// scan) returning min/max; the split scan then reads the gathered
-  /// copy instead of re-fetching every value.
+  /// Gathers node column `f` contiguously, returning min/max; the split
+  /// scan then reads the gathered copy instead of re-fetching every
+  /// value.
   void GatherNodeColumn(size_t f, size_t lo, size_t hi, double* lo_v,
                         double* hi_v) {
     const double* colf = ws.colT + f * ws.m;
@@ -277,8 +270,8 @@ struct TreeBuilder {
     return nl;
   }
 
-  /// Flags + partitions for approx/histogram splits (predicate
-  /// `value <= thr`, exactly the reference's row routing).
+  /// Flags + partitions for random-threshold splits (predicate
+  /// `value <= thr`, the same routing FlatTree::Walk applies).
   size_t SplitByColumn(size_t lo, size_t hi, size_t best_feature,
                        double threshold) {
     const double* colf = ws.colT + best_feature * ws.m;
@@ -289,14 +282,20 @@ struct TreeBuilder {
     return PartitionNodeOrder(&ws, lo, hi);
   }
 
-  int BuildClsNode(int num_classes, size_t lo, size_t hi, int depth);
-  int BuildRegNode(size_t lo, size_t hi, int depth);
-  int BuildGbNode(size_t lo, size_t hi, int depth);
+  int GrowCls(int num_classes, size_t lo, size_t hi, int depth);
+  int GrowReg(size_t lo, size_t hi, int depth);
+  int GrowGb(size_t lo, size_t hi, int depth);
+
+  /// Finishes `node` as a classification leaf holding the normalized
+  /// class distribution.
+  void SetClsLeaf(int node) {
+    Normalize(&counts);
+    std::copy(counts.begin(), counts.end(), tree->leaf(node));
+  }
 };
 
-int TreeBuilder::BuildClsNode(int num_classes, size_t lo, size_t hi,
-                              int depth) {
-  const int node_index = sink->ReserveNode();
+int TreeBuilder::GrowCls(int num_classes, size_t lo, size_t hi, int depth) {
+  const int node_index = tree->AddNode();
   const TreeKernelParams& p = *params;
   const size_t len = hi - lo;
   const double n = static_cast<double>(len);
@@ -314,16 +313,14 @@ int TreeBuilder::BuildClsNode(int num_classes, size_t lo, size_t hi,
       len < 2 * static_cast<size_t>(p.min_samples_leaf) ||
       node_gini <= 1e-12;
   if (stop) {
-    std::vector<double> proba = counts;
-    Normalize(&proba);
-    sink->SetLeafProba(node_index, std::move(proba));
+    SetClsLeaf(node_index);
     return node_index;
   }
 
   SelectFeatures(ws.d);
 
-  if (mode != TreeMode::kExact) {
-    // Approx/histogram modes scan contiguous node gathers; stage the
+  if (random_thresholds) {
+    // The random-threshold scans read contiguous node gathers; stage the
     // node's labels once so every feature's pass is indirection-free.
     for (size_t i = lo; i < hi; ++i) {
       ws.nlab[i - lo] = ws.lab[ws.nslot[i]];
@@ -336,7 +333,7 @@ int TreeBuilder::BuildClsNode(int num_classes, size_t lo, size_t hi,
   left_counts.resize(kk);
 
   for (size_t f : features) {
-    if (mode == TreeMode::kApprox) {
+    if (random_thresholds) {
       // Extra-Trees: one uniformly random threshold per feature.
       double lov;
       double hiv;
@@ -372,29 +369,9 @@ int TreeBuilder::BuildClsNode(int num_classes, size_t lo, size_t hi,
       continue;
     }
 
-    if (mode == TreeMode::kHistogram) {
-      double lov;
-      double hiv;
-      GatherNodeColumn(f, lo, hi, &lov, &hiv);
-      *flops += n;
-      if (hiv - lov <= 1e-12) continue;
-      const HistogramSplit hs = HistogramSplitScanCls(
-          ws.vals, ws.nlab, len, num_classes, lov, hiv, p.histogram_bins,
-          p.min_samples_leaf, ws.hist);
-      // Logical cost: one binning pass plus the bin-edge sweep.
-      *flops += n + static_cast<double>(p.histogram_bins) *
-                        static_cast<double>(num_classes);
-      if (hs.found && hs.score < best_score - 1e-12) {
-        best_score = hs.score;
-        best_feature = static_cast<int>(f);
-        best_threshold = hs.threshold;
-      }
-      continue;
-    }
-
-    // Exact search over the presorted stripe. The reference sorts this
-    // node's rows here; the stripe already holds exactly that order, so
-    // only the sort's logical cost is charged.
+    // Exact search over the presorted stripe. The stripe already holds
+    // this node's rows in sorted order; only the sort's logical cost is
+    // charged.
     const uint32_t* sp = ws.spos + f * ws.m;
     const double* sv = ws.sval + f * ws.m;
     *flops += n * std::log2(std::max(2.0, n));
@@ -428,32 +405,30 @@ int TreeBuilder::BuildClsNode(int num_classes, size_t lo, size_t hi,
   }
 
   if (best_feature < 0) {
-    std::vector<double> proba = counts;
-    Normalize(&proba);
-    sink->SetLeafProba(node_index, std::move(proba));
+    SetClsLeaf(node_index);
     return node_index;
   }
 
   const size_t nl =
-      mode == TreeMode::kExact
-          ? SplitExact(lo, hi, static_cast<size_t>(best_feature),
-                       best_threshold)
-          : SplitByColumn(lo, hi, static_cast<size_t>(best_feature),
-                          best_threshold);
+      random_thresholds
+          ? SplitByColumn(lo, hi, static_cast<size_t>(best_feature),
+                          best_threshold)
+          : SplitExact(lo, hi, static_cast<size_t>(best_feature),
+                       best_threshold);
   const size_t mid = lo + nl;
-  const int left = BuildClsNode(num_classes, lo, mid, depth + 1);
-  const int right = BuildClsNode(num_classes, mid, hi, depth + 1);
-  sink->SetSplit(node_index, best_feature, best_threshold, left, right);
+  const int left = GrowCls(num_classes, lo, mid, depth + 1);
+  const int right = GrowCls(num_classes, mid, hi, depth + 1);
+  tree->SetSplit(node_index, best_feature, best_threshold, left, right);
   return node_index;
 }
 
-int TreeBuilder::BuildRegNode(size_t lo, size_t hi, int depth) {
-  const int node_index = sink->ReserveNode();
+int TreeBuilder::GrowReg(size_t lo, size_t hi, int depth) {
+  const int node_index = tree->AddNode();
   const TreeKernelParams& p = *params;
   const size_t len = hi - lo;
   const double n = static_cast<double>(len);
 
-  // Node-order accumulation: bit-identical to the reference's row loop.
+  // Node-order accumulation (see the determinism contract above).
   double sum = 0.0;
   double sumsq = 0.0;
   for (size_t i = lo; i < hi; ++i) {
@@ -469,13 +444,13 @@ int TreeBuilder::BuildRegNode(size_t lo, size_t hi, int depth) {
                     len < 2 * static_cast<size_t>(p.min_samples_leaf) ||
                     node_sse <= 1e-12;
   if (stop) {
-    sink->SetLeafProba(node_index, {mean});
+    tree->leaf(node_index)[0] = mean;
     return node_index;
   }
 
   SelectFeatures(ws.d);
 
-  if (mode == TreeMode::kApprox) {
+  if (random_thresholds) {
     for (size_t i = lo; i < hi; ++i) {
       ws.ntgt[i - lo] = ws.tgt[ws.nslot[i]];
     }
@@ -486,7 +461,7 @@ int TreeBuilder::BuildRegNode(size_t lo, size_t hi, int depth) {
   double best_sse = node_sse;  // Must strictly improve.
 
   for (size_t f : features) {
-    if (mode == TreeMode::kApprox) {
+    if (random_thresholds) {
       double lov;
       double hiv;
       GatherNodeColumn(f, lo, hi, &lov, &hiv);
@@ -552,25 +527,25 @@ int TreeBuilder::BuildRegNode(size_t lo, size_t hi, int depth) {
   }
 
   if (best_feature < 0) {
-    sink->SetLeafProba(node_index, {mean});
+    tree->leaf(node_index)[0] = mean;
     return node_index;
   }
 
   const size_t nl =
-      mode == TreeMode::kExact
-          ? SplitExact(lo, hi, static_cast<size_t>(best_feature),
-                       best_threshold)
-          : SplitByColumn(lo, hi, static_cast<size_t>(best_feature),
-                          best_threshold);
+      random_thresholds
+          ? SplitByColumn(lo, hi, static_cast<size_t>(best_feature),
+                          best_threshold)
+          : SplitExact(lo, hi, static_cast<size_t>(best_feature),
+                       best_threshold);
   const size_t mid = lo + nl;
-  const int left = BuildRegNode(lo, mid, depth + 1);
-  const int right = BuildRegNode(mid, hi, depth + 1);
-  sink->SetSplit(node_index, best_feature, best_threshold, left, right);
+  const int left = GrowReg(lo, mid, depth + 1);
+  const int right = GrowReg(mid, hi, depth + 1);
+  tree->SetSplit(node_index, best_feature, best_threshold, left, right);
   return node_index;
 }
 
-int TreeBuilder::BuildGbNode(size_t lo, size_t hi, int depth) {
-  const int node_index = sink->ReserveNode();
+int TreeBuilder::GrowGb(size_t lo, size_t hi, int depth) {
+  const int node_index = tree->AddNode();
   const TreeKernelParams& p = *params;
   const size_t len = hi - lo;
   const double n = static_cast<double>(len);
@@ -618,53 +593,66 @@ int TreeBuilder::BuildGbNode(size_t lo, size_t hi, int depth) {
       const size_t nl = SplitExact(lo, hi, static_cast<size_t>(best_feature),
                                    best_threshold);
       const size_t mid = lo + nl;
-      const int left = BuildGbNode(lo, mid, depth + 1);
-      const int right = BuildGbNode(mid, hi, depth + 1);
-      sink->SetSplit(node_index, best_feature, best_threshold, left, right);
+      const int left = GrowGb(lo, mid, depth + 1);
+      const int right = GrowGb(mid, hi, depth + 1);
+      tree->SetSplit(node_index, best_feature, best_threshold, left, right);
       return node_index;
     }
   }
-  sink->SetLeafValue(node_index, mean);
+  tree->leaf(node_index)[0] = mean;
   return node_index;
 }
 
 }  // namespace
 
-void KernelBuildClsTree(const Dataset& train,
-                        const std::vector<size_t>& rows,
-                        const TreeKernelParams& params, int num_classes,
-                        Rng* rng, double* flops, Arena* arena,
-                        TreeNodeSink* sink) {
-  ArenaScope scope(arena);
-  TreeBuilder b;
-  b.params = &params;
-  b.mode = ModeFor(params);
-  b.rng = rng;
-  b.flops = flops;
-  b.sink = sink;
-  InitWorkspace(train, rows, b.mode, /*classification=*/true,
-                /*ext_targets=*/nullptr, params.histogram_bins, num_classes,
-                arena, &b.ws);
-  b.BuildClsNode(num_classes, 0, rows.size(), 0);
+int FlatTree::AddNode() {
+  feature_.push_back(-1);
+  threshold_.push_back(0.0);
+  left_.push_back(-1);
+  right_.push_back(-1);
+  leaf_.resize(leaf_.size() + width_, 0.0);
+  return static_cast<int>(feature_.size() - 1);
 }
 
-void KernelBuildRegTree(const Dataset& train,
-                        const std::vector<size_t>& rows,
-                        const TreeKernelParams& params, Rng* rng,
-                        double* flops, Arena* arena, TreeNodeSink* sink) {
+void FlatTree::SetSplit(int node, int feature, double threshold, int left,
+                        int right) {
+  const size_t i = Index(node);
+  feature_[i] = feature;
+  threshold_[i] = threshold;
+  left_[i] = left;
+  right_[i] = right;
+}
+
+Status CheckTreeIndexRange(size_t num_rows, size_t sample_size) {
+  constexpr size_t kMax = std::numeric_limits<uint32_t>::max();
+  if (num_rows > kMax || sample_size > kMax) {
+    return Status::ResourceExhausted(
+        StrFormat("tree: %zu rows (%zu sampled) exceed the 32-bit row ids",
+                  num_rows, sample_size));
+  }
+  return Status::Ok();
+}
+
+void BuildClsTree(const Dataset& train, const std::vector<size_t>& rows,
+                  const TreeKernelParams& params, int num_classes, Rng* rng,
+                  double* flops, Arena* arena, FlatTree* tree) {
   ArenaScope scope(arena);
-  TreeBuilder b;
-  b.params = &params;
-  // The regression reference has no histogram path; histogram_bins only
-  // redirects classification scans.
-  b.mode = params.random_thresholds ? TreeMode::kApprox : TreeMode::kExact;
-  b.rng = rng;
-  b.flops = flops;
-  b.sink = sink;
-  InitWorkspace(train, rows, b.mode, /*classification=*/false,
-                /*ext_targets=*/nullptr, /*hist_bins=*/0, /*k=*/1, arena,
-                &b.ws);
-  b.BuildRegNode(0, rows.size(), 0);
+  *tree = FlatTree(static_cast<size_t>(num_classes));
+  TreeBuilder b(params, rng, flops, tree);
+  InitWorkspace(train, rows, params.random_thresholds,
+                /*classification=*/true, arena, &b.ws);
+  b.GrowCls(num_classes, 0, rows.size(), 0);
+}
+
+void BuildRegTree(const Dataset& train, const std::vector<size_t>& rows,
+                  const TreeKernelParams& params, Rng* rng, double* flops,
+                  Arena* arena, FlatTree* tree) {
+  ArenaScope scope(arena);
+  *tree = FlatTree(/*width=*/1);
+  TreeBuilder b(params, rng, flops, tree);
+  InitWorkspace(train, rows, params.random_thresholds,
+                /*classification=*/false, arena, &b.ws);
+  b.GrowReg(0, rows.size(), 0);
 }
 
 GbRoundPresort::GbRoundPresort(const Dataset& train,
@@ -687,18 +675,15 @@ GbRoundPresort::GbRoundPresort(const Dataset& train,
   sval_ = sval;
 }
 
-void KernelBuildGbTree(const GbRoundPresort& presort,
-                       const std::vector<double>& targets,
-                       const TreeKernelParams& params, double* flops,
-                       Arena* arena, TreeNodeSink* sink) {
+void BuildGbTree(const GbRoundPresort& presort,
+                 const std::vector<double>& targets,
+                 const TreeKernelParams& params, double* flops, Arena* arena,
+                 FlatTree* tree) {
   ArenaScope scope(arena);
   const size_t m = presort.m_;
   const size_t d = presort.d_;
-  TreeBuilder b;
-  b.params = &params;
-  b.mode = TreeMode::kExact;
-  b.flops = flops;
-  b.sink = sink;
+  *tree = FlatTree(/*width=*/1);
+  TreeBuilder b(params, /*rng=*/nullptr, flops, tree);
   b.ws.m = m;
   b.ws.d = d;
   // Working copies: the per-class trees of one round partition the same
@@ -716,7 +701,7 @@ void KernelBuildGbTree(const GbRoundPresort& presort,
   b.ws.flag = arena->AllocArray<uint8_t>(m);
   b.ws.uscratch = arena->AllocArray<uint32_t>(m);
   b.ws.dscratch = arena->AllocArray<double>(m);
-  b.BuildGbNode(0, m, 0);
+  b.GrowGb(0, m, 0);
 }
 
 }  // namespace green

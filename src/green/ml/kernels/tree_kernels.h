@@ -6,65 +6,94 @@
 
 #include "green/common/arena.h"
 #include "green/common/rng.h"
+#include "green/common/status.h"
 #include "green/table/dataset.h"
 
 namespace green {
 
-/// Split-search parameters shared by the tree learners (a superset of
-/// DecisionTreeParams' split knobs plus GradientBoosting's).
+/// Split-search parameters shared by the tree learners.
+///
+/// The paper's tuned CAML repeatedly selects decision trees because "they
+/// can be both simple (shallow and narrow) and complex (deep and wide)" —
+/// the depth/leaf knobs below span exactly that range.
 struct TreeKernelParams {
   int max_depth = 8;
   int min_samples_leaf = 2;
   /// Features examined per split: 0 = all, otherwise ceil(fraction * d).
   double max_features_fraction = 0.0;
-  /// Extra-Trees randomization: one uniform threshold per feature.
+  /// If true, thresholds are drawn uniformly at random between the
+  /// feature's node-local min/max instead of exhaustively searched —
+  /// the Extra-Trees randomization.
   bool random_thresholds = false;
-  /// > 0 selects the fixed-bin histogram split scan instead of the exact
-  /// presorted sweep (classification only). An opt-in APPROXIMATION: the
-  /// chosen split may differ from the exact scan wherever a bin holds
-  /// more than one distinct value, so no reproduced system sets it — the
-  /// GREEN_KERNELS byte-identity invariant covers the default (0) mode.
-  int histogram_bins = 0;
 };
 
-/// Receives the nodes a kernel tree build emits. Node indices are handed
-/// out in the same preorder as the reference recursive builders, so a
-/// sink writing into a flat node vector reproduces the reference layout
-/// exactly.
-class TreeNodeSink {
+/// One fitted tree in flat structure-of-arrays form, shared by every tree
+/// learner (DT/RF/ET/AdaBoost stages, gradient-boosting rounds and the BO
+/// surrogate). Nodes are numbered in preorder with the root at 0; node i
+/// is a leaf iff feature[i] < 0. Every node owns a `width`-wide stripe of
+/// leaf values (a class distribution for classification, {value} for
+/// regression and boosting), zero for internal nodes.
+class FlatTree {
  public:
-  virtual ~TreeNodeSink() = default;
-  /// Appends an empty node, returning its index (called at node entry).
-  virtual int ReserveNode() = 0;
-  /// Classification leaf (normalized class distribution) or
-  /// single-element regression leaf ({mean}).
-  virtual void SetLeafProba(int node, std::vector<double> proba) = 0;
-  /// Scalar regression leaf (gradient-boosting trees).
-  virtual void SetLeafValue(int node, double value) = 0;
-  virtual void SetSplit(int node, int feature, double threshold, int left,
-                        int right) = 0;
+  explicit FlatTree(size_t width = 1) : width_(width) {}
+
+  size_t width() const { return width_; }
+  size_t num_nodes() const { return feature_.size(); }
+  bool is_leaf(int node) const { return feature_[Index(node)] < 0; }
+  int left(int node) const { return left_[Index(node)]; }
+  int right(int node) const { return right_[Index(node)]; }
+
+  /// Appends a leaf with zeroed values, returning its index.
+  int AddNode();
+  /// The node's leaf-value stripe (`width()` doubles).
+  double* leaf(int node) { return leaf_.data() + Index(node) * width_; }
+  void SetSplit(int node, int feature, double threshold, int left,
+                int right);
+
+  /// Routes one row (`row[f]` is feature f) to its leaf and returns that
+  /// leaf's value stripe. Charges 2 flops per internal node visited.
+  const double* Walk(const double* row, double* flops) const {
+    size_t idx = 0;
+    while (feature_[idx] >= 0) {
+      *flops += 2.0;
+      idx = static_cast<size_t>(
+          row[feature_[idx]] <= threshold_[idx] ? left_[idx] : right_[idx]);
+    }
+    return leaf_.data() + idx * width_;
+  }
+
+ private:
+  static size_t Index(int node) { return static_cast<size_t>(node); }
+
+  size_t width_;
+  std::vector<int> feature_;  ///< -1 marks a leaf.
+  std::vector<double> threshold_;
+  std::vector<int> left_;
+  std::vector<int> right_;
+  std::vector<double> leaf_;  ///< num_nodes x width leaf values.
 };
+
+/// The builders store slot and row ids as uint32_t. Rejects (with
+/// ResourceExhausted) a training table or a row sample — which may repeat
+/// rows, and so outgrow the table — longer than that type can index.
+Status CheckTreeIndexRange(size_t num_rows, size_t sample_size);
 
 /// Builds a classification tree over `rows` (duplicates allowed —
-/// bootstrap samples), mirroring DecisionTree::BuildNode bit-for-bit in
-/// the default mode: identical RNG consumption, identical split choices,
-/// identical leaf distributions, identical `*flops` accumulation. The
-/// exact path presorts each feature once per tree and stable-partitions
-/// the per-feature index lists down the recursion; the random-threshold
-/// path gathers each node's column once (fixing the double At() fetch)
-/// and scans contiguous arrays. Scratch lives on `arena` inside a scope.
-void KernelBuildClsTree(const Dataset& train,
-                        const std::vector<size_t>& rows,
-                        const TreeKernelParams& params, int num_classes,
-                        Rng* rng, double* flops, Arena* arena,
-                        TreeNodeSink* sink);
+/// bootstrap samples), replacing `tree` (width = num_classes). The exact
+/// path presorts each feature once per tree and stable-partitions the
+/// per-feature index lists down the recursion; the random-threshold path
+/// gathers each node's column once and scans contiguous arrays. Scratch
+/// lives on `arena` inside a scope. Callers check CheckTreeIndexRange
+/// first.
+void BuildClsTree(const Dataset& train, const std::vector<size_t>& rows,
+                  const TreeKernelParams& params, int num_classes, Rng* rng,
+                  double* flops, Arena* arena, FlatTree* tree);
 
-/// Regression analogue of KernelBuildClsTree, mirroring
-/// DecisionTree::BuildRegNode (SSE criterion, {mean} proba leaves).
-void KernelBuildRegTree(const Dataset& train,
-                        const std::vector<size_t>& rows,
-                        const TreeKernelParams& params, Rng* rng,
-                        double* flops, Arena* arena, TreeNodeSink* sink);
+/// Regression analogue of BuildClsTree (SSE criterion, {mean} leaves,
+/// width 1).
+void BuildRegTree(const Dataset& train, const std::vector<size_t>& rows,
+                  const TreeKernelParams& params, Rng* rng, double* flops,
+                  Arena* arena, FlatTree* tree);
 
 /// Per-round presorted feature cache for gradient boosting: the k
 /// per-class trees of one boosting round share the same row sample, so
@@ -82,10 +111,9 @@ class GbRoundPresort {
   size_t num_features() const { return d_; }
 
  private:
-  friend void KernelBuildGbTree(const GbRoundPresort&,
-                                const std::vector<double>&,
-                                const TreeKernelParams&, double*, Arena*,
-                                TreeNodeSink*);
+  friend void BuildGbTree(const GbRoundPresort&, const std::vector<double>&,
+                          const TreeKernelParams&, double*, Arena*,
+                          FlatTree*);
   size_t m_ = 0;
   size_t d_ = 0;
   const uint32_t* rid_ = nullptr;   ///< Slot -> original row id.
@@ -94,13 +122,12 @@ class GbRoundPresort {
 };
 
 /// Builds one gradient-boosting regression tree over the presorted round
-/// cache, mirroring GradientBoosting::BuildRegNode bit-for-bit
-/// (variance-reduction gain, scalar mean leaves, identical `*flops`).
-/// `targets` is indexed by original row id.
-void KernelBuildGbTree(const GbRoundPresort& presort,
-                       const std::vector<double>& targets,
-                       const TreeKernelParams& params, double* flops,
-                       Arena* arena, TreeNodeSink* sink);
+/// cache (variance-reduction gain over all features, {mean} leaves),
+/// replacing `tree`. `targets` is indexed by original row id.
+void BuildGbTree(const GbRoundPresort& presort,
+                 const std::vector<double>& targets,
+                 const TreeKernelParams& params, double* flops, Arena* arena,
+                 FlatTree* tree);
 
 }  // namespace green
 

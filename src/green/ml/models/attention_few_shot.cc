@@ -7,7 +7,6 @@
 #include "green/common/mathutil.h"
 #include "green/common/rng.h"
 #include "green/ml/kernels/distance_kernels.h"
-#include "green/ml/kernels/kernels.h"
 #include "green/table/split.h"
 
 namespace green {
@@ -53,23 +52,6 @@ Status AttentionFewShot::Fit(const Dataset& train, ExecutionContext* ctx) {
       context_.FeatureBytes() + 4.0e6 /* weight load */);
   MarkFitted(train.num_classes());
   return Status::Ok();
-}
-
-std::vector<double> AttentionFewShot::Project(const double* x,
-                                              size_t d) const {
-  const size_t h = static_cast<size_t>(params_.embed_dim);
-  std::vector<double> out(h, 0.0);
-  for (size_t i = 0; i < h; ++i) {
-    const double* w = &projection_[i * d];
-    double z = 0.0;
-    for (size_t j = 0; j < d; ++j) {
-      const double norm =
-          (x[j] - feature_mean_[j]) / feature_std_[j];
-      z += w[j] * norm;
-    }
-    out[i] = std::tanh(z);  // Bounded embedding, like a trained encoder.
-  }
-  return out;
 }
 
 Result<ProbaMatrix> AttentionFewShot::PredictProba(
@@ -125,75 +107,46 @@ Result<ProbaMatrix> AttentionFewShot::PredictProba(
     for (double& w : projection_) w = rng.NextGaussian() * scale;
   }
 
-  if (KernelsEnabled()) {
-    // Kernel path: each row is normalized once into a scratch vector
-    // (the reference recomputes (x - mean) / std for every embedding
-    // dimension — identical doubles, h x fewer divisions) and the keys
-    // live in one contiguous n_ctx x h buffer. Per-score dot products
-    // keep the same ascending accumulation as Dot().
-    std::vector<double> norm(d);
-    std::vector<double> keys_flat(n_ctx * h);
+  // Each row is normalized once into a scratch vector and projected to
+  // a bounded tanh embedding, like a trained encoder; the keys live in
+  // one contiguous n_ctx x h buffer. Per-score dot products add in
+  // ascending index order, like Dot().
+  std::vector<double> norm(d);
+  std::vector<double> keys(n_ctx * h);
+  for (size_t r = 0; r < n_ctx; ++r) {
+    const double* p = context_.RowPtr(r);
+    for (size_t j = 0; j < d; ++j) {
+      norm[j] = (p[j] - feature_mean_[j]) / feature_std_[j];
+    }
+    ProjectTanh(projection_.data(), h, d, norm.data(), keys.data() + r * h);
+  }
+  std::vector<double> query(h);
+  std::vector<double> scores(n_ctx);
+  const double denom =
+      params_.temperature * std::sqrt(static_cast<double>(h));
+  for (size_t q = 0; q < data.num_rows(); ++q) {
+    const double* x = data.RowPtr(q);
+    for (size_t j = 0; j < d; ++j) {
+      norm[j] = (x[j] - feature_mean_[j]) / feature_std_[j];
+    }
+    ProjectTanh(projection_.data(), h, d, norm.data(), query.data());
     for (size_t r = 0; r < n_ctx; ++r) {
-      const double* p = context_.RowPtr(r);
-      for (size_t j = 0; j < d; ++j) {
-        norm[j] = (p[j] - feature_mean_[j]) / feature_std_[j];
-      }
-      ProjectTanh(projection_.data(), h, d, norm.data(),
-                  keys_flat.data() + r * h);
+      const double* key = keys.data() + r * h;
+      double s = 0.0;
+      for (size_t i = 0; i < h; ++i) s += query[i] * key[i];
+      scores[r] = s / denom;
     }
-    std::vector<double> query(h);
-    std::vector<double> scores(n_ctx);
-    const double denom =
-        params_.temperature * std::sqrt(static_cast<double>(h));
-    for (size_t q = 0; q < data.num_rows(); ++q) {
-      const double* x = data.RowPtr(q);
-      for (size_t j = 0; j < d; ++j) {
-        norm[j] = (x[j] - feature_mean_[j]) / feature_std_[j];
-      }
-      ProjectTanh(projection_.data(), h, d, norm.data(), query.data());
-      for (size_t r = 0; r < n_ctx; ++r) {
-        const double* key = keys_flat.data() + r * h;
-        double s = 0.0;
-        for (size_t i = 0; i < h; ++i) s += query[i] * key[i];
-        scores[r] = s / denom;
-      }
-      SoftmaxInPlace(&scores);
-      std::vector<double> proba(static_cast<size_t>(k), 0.0);
-      for (size_t r = 0; r < n_ctx; ++r) {
-        proba[static_cast<size_t>(context_.Label(r))] += scores[r];
-      }
-      for (int c = 0; c < k; ++c) {
-        const size_t cc = static_cast<size_t>(c);
-        proba[cc] = 0.95 * proba[cc] + 0.05 * prior_[cc];
-      }
-      out[q] = std::move(proba);
-    }
-  } else {
-    std::vector<std::vector<double>> keys(n_ctx);
+    SoftmaxInPlace(&scores);
+    std::vector<double> proba(static_cast<size_t>(k), 0.0);
     for (size_t r = 0; r < n_ctx; ++r) {
-      keys[r] = Project(context_.RowPtr(r), d);
+      proba[static_cast<size_t>(context_.Label(r))] += scores[r];
     }
-
-    std::vector<double> scores(n_ctx);
-    for (size_t q = 0; q < data.num_rows(); ++q) {
-      const std::vector<double> query = Project(data.RowPtr(q), d);
-      for (size_t r = 0; r < n_ctx; ++r) {
-        scores[r] =
-            Dot(query, keys[r]) /
-            (params_.temperature * std::sqrt(static_cast<double>(h)));
-      }
-      SoftmaxInPlace(&scores);
-      std::vector<double> proba(static_cast<size_t>(k), 0.0);
-      for (size_t r = 0; r < n_ctx; ++r) {
-        proba[static_cast<size_t>(context_.Label(r))] += scores[r];
-      }
-      // Prior smoothing (the transformer's calibrated head).
-      for (int c = 0; c < k; ++c) {
-        const size_t cc = static_cast<size_t>(c);
-        proba[cc] = 0.95 * proba[cc] + 0.05 * prior_[cc];
-      }
-      out[q] = std::move(proba);
+    // Prior smoothing (the transformer's calibrated head).
+    for (int c = 0; c < k; ++c) {
+      const size_t cc = static_cast<size_t>(c);
+      proba[cc] = 0.95 * proba[cc] + 0.05 * prior_[cc];
     }
+    out[q] = std::move(proba);
   }
 
   // Charged as `num_layers` transformer blocks over (context + query):

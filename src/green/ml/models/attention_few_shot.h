@@ -49,8 +49,6 @@ class AttentionFewShot : public Estimator {
   size_t context_size() const { return context_.num_rows(); }
 
  private:
-  std::vector<double> Project(const double* x, size_t d) const;
-
   AttentionFewShotParams params_;
   Dataset context_;  ///< Memorized (sub)set of the training data.
   // Recomputed inside PredictProba — TabPFN's forward pass re-processes

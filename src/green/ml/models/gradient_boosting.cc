@@ -2,54 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <limits>
 #include <numeric>
-#include <optional>
 
 #include "green/common/arena.h"
 #include "green/common/mathutil.h"
 #include "green/common/rng.h"
-#include "green/ml/kernels/kernels.h"
-#include "green/ml/kernels/tree_kernels.h"
 
 namespace green {
-
-namespace {
-
-/// Writes kernel-built nodes into a RegTree; reserve order matches the
-/// reference BuildRegNode's preorder emplace_back exactly.
-struct RegTreeSink : TreeNodeSink {
-  explicit RegTreeSink(std::vector<GradientBoosting::RegNode>* tree)
-      : tree(tree) {}
-  std::vector<GradientBoosting::RegNode>* tree;
-
-  int ReserveNode() override {
-    tree->emplace_back();
-    return static_cast<int>(tree->size() - 1);
-  }
-  void SetLeafProba(int node, std::vector<double> proba) override {
-    (*tree)[static_cast<size_t>(node)].value = proba[0];
-  }
-  void SetLeafValue(int node, double value) override {
-    (*tree)[static_cast<size_t>(node)].value = value;
-  }
-  void SetSplit(int node, int feature, double threshold, int left,
-                int right) override {
-    GradientBoosting::RegNode& n = (*tree)[static_cast<size_t>(node)];
-    n.feature = feature;
-    n.threshold = threshold;
-    n.left = left;
-    n.right = right;
-  }
-};
-
-}  // namespace
 
 Status GradientBoosting::Fit(const Dataset& train, ExecutionContext* ctx) {
   const size_t n = train.num_rows();
   const int k = train.num_classes();
   if (n == 0) return Status::InvalidArgument("gboost: empty training data");
+  // Every round samples at most n rows.
+  GREEN_RETURN_IF_ERROR(CheckTreeIndexRange(n, n));
 
   ChargeScope scope(ctx, Name());
   trees_.clear();
@@ -98,23 +64,17 @@ Status GradientBoosting::Fit(const Dataset& train, ExecutionContext* ctx) {
       std::iota(rows.begin(), rows.end(), 0);
     }
 
-    const bool use_kernels =
-        KernelsEnabled() &&
-        train.num_rows() <= std::numeric_limits<uint32_t>::max();
-    // The k per-class trees of one round share the row sample, so the
-    // kernel path presorts each feature once per round and hands every
-    // tree a pristine copy.
+    // The k per-class trees of one round share the row sample, so each
+    // feature is presorted once per round and every tree gets a pristine
+    // copy.
     Arena* arena = ScratchArena();
     ArenaScope round_scope(arena);
-    std::optional<GbRoundPresort> presort;
+    const GbRoundPresort presort(train, rows, arena);
     TreeKernelParams kp;
-    if (use_kernels) {
-      presort.emplace(train, rows, arena);
-      kp.max_depth = params_.max_depth;
-      kp.min_samples_leaf = params_.min_samples_leaf;
-    }
+    kp.max_depth = params_.max_depth;
+    kp.min_samples_leaf = params_.min_samples_leaf;
 
-    std::vector<RegTree> round_trees;
+    std::vector<FlatTree> round_trees;
     round_trees.reserve(static_cast<size_t>(k));
     for (int c = 0; c < k; ++c) {
       if (regression) {
@@ -132,18 +92,13 @@ Status GradientBoosting::Fit(const Dataset& train, ExecutionContext* ctx) {
         }
       }
       flops += static_cast<double>(n) * static_cast<double>(k);
-      RegTree tree;
-      if (use_kernels) {
-        RegTreeSink sink(&tree);
-        KernelBuildGbTree(*presort, target, kp, &flops, arena, &sink);
-      } else {
-        tree = FitRegTree(train, rows, target, &flops);
-      }
+      FlatTree tree;
+      BuildGbTree(presort, target, kp, &flops, arena, &tree);
       for (size_t r = 0; r < n; ++r) {
         score[r][static_cast<size_t>(c)] +=
-            params_.learning_rate * PredictRegTree(tree, train, r, &flops);
+            params_.learning_rate * tree.Walk(train.RowPtr(r), &flops)[0];
       }
-      total_nodes_ += static_cast<double>(tree.size());
+      total_nodes_ += static_cast<double>(tree.num_nodes());
       round_trees.push_back(std::move(tree));
     }
     trees_.push_back(std::move(round_trees));
@@ -159,111 +114,6 @@ Status GradientBoosting::Fit(const Dataset& train, ExecutionContext* ctx) {
   return Status::Ok();
 }
 
-GradientBoosting::RegTree GradientBoosting::FitRegTree(
-    const Dataset& train, const std::vector<size_t>& rows,
-    const std::vector<double>& target, double* flops) const {
-  RegTree tree;
-  std::vector<size_t> work = rows;
-  BuildRegNode(train, &work, target, 0, &tree, flops);
-  return tree;
-}
-
-int GradientBoosting::BuildRegNode(const Dataset& train,
-                                   std::vector<size_t>* rows,
-                                   const std::vector<double>& target,
-                                   int depth, RegTree* tree,
-                                   double* flops) const {
-  const int node_index = static_cast<int>(tree->size());
-  tree->emplace_back();
-
-  const double n = static_cast<double>(rows->size());
-  double sum = 0.0;
-  for (size_t r : *rows) sum += target[r];
-  const double mean = n > 0.0 ? sum / n : 0.0;
-  *flops += n;
-
-  const bool stop =
-      depth >= params_.max_depth ||
-      rows->size() < 2 * static_cast<size_t>(params_.min_samples_leaf);
-  if (!stop) {
-    // Exact variance-reduction split search over all features.
-    double best_gain = 1e-10;
-    int best_feature = -1;
-    double best_threshold = 0.0;
-    std::vector<std::pair<double, size_t>> sorted;
-    sorted.reserve(rows->size());
-    for (size_t f = 0; f < train.num_features(); ++f) {
-      sorted.clear();
-      for (size_t r : *rows) sorted.emplace_back(train.At(r, f), r);
-      std::sort(sorted.begin(), sorted.end());
-      *flops += n * std::log2(std::max(2.0, n));
-      double left_sum = 0.0;
-      double left_n = 0.0;
-      for (size_t i = 0; i + 1 < sorted.size(); ++i) {
-        left_sum += target[sorted[i].second];
-        left_n += 1.0;
-        if (sorted[i + 1].first - sorted[i].first <= 1e-12) continue;
-        const double right_n = n - left_n;
-        if (left_n < params_.min_samples_leaf ||
-            right_n < params_.min_samples_leaf) {
-          continue;
-        }
-        const double right_sum = sum - left_sum;
-        // Variance-reduction gain (up to constants).
-        const double gain = left_sum * left_sum / left_n +
-                            right_sum * right_sum / right_n -
-                            sum * sum / n;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_feature = static_cast<int>(f);
-          best_threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
-        }
-      }
-      *flops += n;
-    }
-    if (best_feature >= 0) {
-      std::vector<size_t> left_rows;
-      std::vector<size_t> right_rows;
-      for (size_t r : *rows) {
-        if (train.At(r, static_cast<size_t>(best_feature)) <=
-            best_threshold) {
-          left_rows.push_back(r);
-        } else {
-          right_rows.push_back(r);
-        }
-      }
-      rows->clear();
-      rows->shrink_to_fit();
-      const int left =
-          BuildRegNode(train, &left_rows, target, depth + 1, tree, flops);
-      const int right =
-          BuildRegNode(train, &right_rows, target, depth + 1, tree, flops);
-      RegNode& node = (*tree)[static_cast<size_t>(node_index)];
-      node.feature = best_feature;
-      node.threshold = best_threshold;
-      node.left = left;
-      node.right = right;
-      return node_index;
-    }
-  }
-  (*tree)[static_cast<size_t>(node_index)].value = mean;
-  return node_index;
-}
-
-double GradientBoosting::PredictRegTree(const RegTree& tree,
-                                        const Dataset& data, size_t row,
-                                        double* flops) {
-  int idx = 0;
-  for (;;) {
-    const RegNode& node = tree[static_cast<size_t>(idx)];
-    if (node.feature < 0) return node.value;
-    *flops += 2.0;
-    idx = data.At(row, static_cast<size_t>(node.feature)) <= node.threshold
-              ? node.left
-              : node.right;
-  }
-}
-
 Result<ProbaMatrix> GradientBoosting::PredictProba(
     const Dataset& data, ExecutionContext* ctx) const {
   if (!fitted()) return Status::FailedPrecondition("gboost not fitted");
@@ -272,13 +122,13 @@ Result<ProbaMatrix> GradientBoosting::PredictProba(
   ProbaMatrix out(data.num_rows());
   double flops = 0.0;
   for (size_t r = 0; r < data.num_rows(); ++r) {
+    const double* row = data.RowPtr(r);
     std::vector<double> score(base_score_.begin(), base_score_.end());
     for (const auto& round_trees : trees_) {
       for (int c = 0; c < k; ++c) {
         score[static_cast<size_t>(c)] +=
             params_.learning_rate *
-            PredictRegTree(round_trees[static_cast<size_t>(c)], data, r,
-                           &flops);
+            round_trees[static_cast<size_t>(c)].Walk(row, &flops)[0];
       }
     }
     if (task() != TaskType::kRegression) SoftmaxInPlace(&score);

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "green/ml/estimator.h"
+#include "green/ml/kernels/tree_kernels.h"
 
 namespace green {
 
@@ -36,30 +37,10 @@ class GradientBoosting : public Estimator {
 
   int rounds_fitted() const { return rounds_fitted_; }
 
-  /// Tree node layout, public so the kernel sink adapter can emit nodes.
-  struct RegNode {
-    int feature = -1;  ///< -1 marks a leaf.
-    double threshold = 0.0;
-    int left = -1;
-    int right = -1;
-    double value = 0.0;
-  };
-  /// One regression tree: flat node array, root at 0.
-  using RegTree = std::vector<RegNode>;
-
  private:
-  RegTree FitRegTree(const Dataset& train,
-                     const std::vector<size_t>& rows,
-                     const std::vector<double>& target, double* flops) const;
-  int BuildRegNode(const Dataset& train, std::vector<size_t>* rows,
-                   const std::vector<double>& target, int depth,
-                   RegTree* tree, double* flops) const;
-  static double PredictRegTree(const RegTree& tree, const Dataset& data,
-                               size_t row, double* flops);
-
   GradientBoostingParams params_;
-  /// trees_[round][class].
-  std::vector<std::vector<RegTree>> trees_;
+  /// trees_[round][class], width-1 trees.
+  std::vector<std::vector<FlatTree>> trees_;
   std::vector<double> base_score_;  ///< Log-prior per class.
   int rounds_fitted_ = 0;
   double total_nodes_ = 0.0;

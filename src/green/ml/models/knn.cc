@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "green/ml/kernels/distance_kernels.h"
-#include "green/ml/kernels/kernels.h"
 
 namespace green {
 
@@ -14,15 +13,12 @@ Status Knn::Fit(const Dataset& train, ExecutionContext* ctx) {
   }
   ChargeScope scope(ctx, Name());
   train_ = train;
-  train_cols_.clear();
-  if (KernelsEnabled()) {
-    const size_t n = train.num_rows();
-    const size_t d = train.num_features();
-    train_cols_.resize(n * d);
-    for (size_t r = 0; r < n; ++r) {
-      const double* row = train.RowPtr(r);
-      for (size_t j = 0; j < d; ++j) train_cols_[j * n + r] = row[j];
-    }
+  const size_t n = train.num_rows();
+  const size_t d = train.num_features();
+  train_cols_.resize(n * d);
+  for (size_t r = 0; r < n; ++r) {
+    const double* row = train.RowPtr(r);
+    for (size_t j = 0; j < d; ++j) train_cols_[j * n + r] = row[j];
   }
   // Training is a copy: charge the bytes, not compute.
   ctx->ChargeCpu(static_cast<double>(train.num_rows()),
@@ -44,32 +40,15 @@ Result<ProbaMatrix> Knn::PredictProba(const Dataset& data,
   const size_t k = std::min<size_t>(
       n_train, std::max<size_t>(1, static_cast<size_t>(params_.k)));
 
-  const bool use_kernels =
-      KernelsEnabled() && train_cols_.size() == n_train * d;
   ProbaMatrix out(data.num_rows());
   double flops = 0.0;
-  std::vector<double> acc;
-  if (use_kernels) acc.resize(n_train);
+  std::vector<double> acc(n_train);
   std::vector<std::pair<double, size_t>> dist(n_train);
   for (size_t q = 0; q < data.num_rows(); ++q) {
-    const double* x = data.RowPtr(q);
-    if (use_kernels) {
-      // Blocked column-major scan; per-distance adds stay j-ascending,
-      // so every distance is bit-identical to the row-major loop below.
-      SquaredDistancesColMajor(train_cols_.data(), n_train, d, x,
-                               acc.data());
-      for (size_t r = 0; r < n_train; ++r) dist[r] = {acc[r], r};
-    } else {
-      for (size_t r = 0; r < n_train; ++r) {
-        const double* t = train_.RowPtr(r);
-        double s = 0.0;
-        for (size_t j = 0; j < d; ++j) {
-          const double diff = x[j] - t[j];
-          s += diff * diff;
-        }
-        dist[r] = {s, r};
-      }
-    }
+    // Blocked column-major scan; per-distance adds run j-ascending.
+    SquaredDistancesColMajor(train_cols_.data(), n_train, d,
+                             data.RowPtr(q), acc.data());
+    for (size_t r = 0; r < n_train; ++r) dist[r] = {acc[r], r};
     flops += 3.0 * static_cast<double>(n_train) * static_cast<double>(d);
     std::partial_sort(dist.begin(), dist.begin() + k, dist.end());
     flops += static_cast<double>(n_train) *

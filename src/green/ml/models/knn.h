@@ -36,8 +36,7 @@ class Knn : public Estimator {
   KnnParams params_;
   Dataset train_;  ///< Memorized training set.
   /// Column-major copy of the training matrix (cols_[j * n + r]), built
-  /// at fit when kernels are enabled so the per-query distance scan runs
-  /// contiguously; empty on the reference path.
+  /// at fit so the per-query distance scan runs contiguously.
   std::vector<double> train_cols_;
 };
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "green/ml/kernels/kernels.h"
-
 namespace green {
 
 Status RandomForest::Fit(const Dataset& train, ExecutionContext* ctx) {
@@ -54,42 +52,11 @@ Result<ProbaMatrix> RandomForest::PredictProba(const Dataset& data,
                                                ExecutionContext* ctx) const {
   if (!fitted()) return Status::FailedPrecondition("forest not fitted");
   ChargeScope scope(ctx, Name());
-  const size_t k = static_cast<size_t>(num_classes());
-  ProbaMatrix total(data.num_rows(), std::vector<double>(k, 0.0));
   double flops = 0.0;
-  if (KernelsEnabled()) {
-    // Each tree streams its leaf distributions straight into one flat
-    // rows x k accumulator — no per-tree ProbaMatrix, same add order.
-    std::vector<double> acc(data.num_rows() * k, 0.0);
-    for (const DecisionTree& tree : trees_) {
-      tree.AccumulateProbaCounted(data, acc.data(), k, &flops);
-      flops += static_cast<double>(data.num_rows()) *
-               static_cast<double>(num_classes());
-    }
-    for (size_t r = 0; r < data.num_rows(); ++r) {
-      for (size_t c = 0; c < k; ++c) total[r][c] = acc[r * k + c];
-    }
-  } else {
-    ProbaMatrix tree_out;
-    for (const DecisionTree& tree : trees_) {
-      tree.PredictProbaCounted(data, &tree_out, &flops);
-      for (size_t r = 0; r < data.num_rows(); ++r) {
-        for (size_t c = 0; c < total[r].size(); ++c) {
-          total[r][c] += tree_out[r][c];
-        }
-      }
-      flops += static_cast<double>(data.num_rows()) *
-               static_cast<double>(num_classes());
-    }
-  }
-  const double inv = trees_.empty()
-                         ? 1.0
-                         : 1.0 / static_cast<double>(trees_.size());
-  for (auto& row : total) {
-    for (double& p : row) p *= inv;
-  }
+  ProbaMatrix out = AverageTreeProba(
+      trees_, data, static_cast<size_t>(num_classes()), &flops);
   ctx->ChargeCpu(flops, data.FeatureBytes(), /*parallel_fraction=*/0.95);
-  return total;
+  return out;
 }
 
 double RandomForest::InferenceFlopsPerRow(size_t num_features) const {

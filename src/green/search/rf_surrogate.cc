@@ -19,7 +19,7 @@ double RfSurrogate::Fit(const std::vector<std::vector<double>>& x,
     for (size_t& r : rows) {
       r = static_cast<size_t>(tree_rng.NextBounded(x.size()));
     }
-    Tree tree;
+    FlatTree tree;
     BuildNode(x, y, &rows, 0, &tree, &tree_rng, &work);
     trees_.push_back(std::move(tree));
   }
@@ -29,9 +29,8 @@ double RfSurrogate::Fit(const std::vector<std::vector<double>>& x,
 int RfSurrogate::BuildNode(const std::vector<std::vector<double>>& x,
                            const std::vector<double>& y,
                            std::vector<size_t>* rows, int depth,
-                           Tree* tree, Rng* rng, double* work) {
-  const int node_index = static_cast<int>(tree->size());
-  tree->emplace_back();
+                           FlatTree* tree, Rng* rng, double* work) {
+  const int node_index = tree->AddNode();
 
   const double n = static_cast<double>(rows->size());
   double sum = 0.0;
@@ -96,28 +95,12 @@ int RfSurrogate::BuildNode(const std::vector<std::vector<double>>& x,
           BuildNode(x, y, &left_rows, depth + 1, tree, rng, work);
       const int right =
           BuildNode(x, y, &right_rows, depth + 1, tree, rng, work);
-      Node& node = (*tree)[static_cast<size_t>(node_index)];
-      node.feature = best_feature;
-      node.threshold = best_threshold;
-      node.left = left;
-      node.right = right;
+      tree->SetSplit(node_index, best_feature, best_threshold, left, right);
       return node_index;
     }
   }
-  (*tree)[static_cast<size_t>(node_index)].value = mean;
+  tree->leaf(node_index)[0] = mean;
   return node_index;
-}
-
-double RfSurrogate::PredictTree(const Tree& tree,
-                                const std::vector<double>& x) {
-  int idx = 0;
-  for (;;) {
-    const Node& node = tree[static_cast<size_t>(idx)];
-    if (node.feature < 0) return node.value;
-    idx = x[static_cast<size_t>(node.feature)] <= node.threshold
-              ? node.left
-              : node.right;
-  }
 }
 
 RfSurrogate::Prediction RfSurrogate::Predict(
@@ -126,8 +109,9 @@ RfSurrogate::Prediction RfSurrogate::Predict(
   if (trees_.empty()) return out;
   double sum = 0.0;
   double sum_sq = 0.0;
-  for (const Tree& tree : trees_) {
-    const double v = PredictTree(tree, x);
+  double walk_flops = 0.0;  // Surrogate predicts are not charged.
+  for (const FlatTree& tree : trees_) {
+    const double v = tree.Walk(x.data(), &walk_flops)[0];
     sum += v;
     sum_sq += v * v;
   }

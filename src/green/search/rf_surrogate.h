@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "green/common/rng.h"
+#include "green/ml/kernels/tree_kernels.h"
 
 namespace green {
 
@@ -11,7 +12,8 @@ namespace green {
 /// class SMAC-style Bayesian optimization (used by ASKL and CAML in the
 /// paper) fits to past (configuration, score) observations. Trees use
 /// random thresholds for speed; predictive uncertainty is the variance of
-/// per-tree predictions.
+/// per-tree predictions. Trees are stored as width-1 FlatTrees; the split
+/// rule is the surrogate's own (see DESIGN.md).
 class RfSurrogate {
  public:
   struct Options {
@@ -43,23 +45,12 @@ class RfSurrogate {
   bool fitted() const { return !trees_.empty(); }
 
  private:
-  struct Node {
-    int feature = -1;
-    double threshold = 0.0;
-    int left = -1;
-    int right = -1;
-    double value = 0.0;
-  };
-  using Tree = std::vector<Node>;
-
   int BuildNode(const std::vector<std::vector<double>>& x,
                 const std::vector<double>& y, std::vector<size_t>* rows,
-                int depth, Tree* tree, Rng* rng, double* work);
-  static double PredictTree(const Tree& tree,
-                            const std::vector<double>& x);
+                int depth, FlatTree* tree, Rng* rng, double* work);
 
   Options options_;
-  std::vector<Tree> trees_;
+  std::vector<FlatTree> trees_;
 };
 
 }  // namespace green

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "green/data/synthetic.h"
+#include "green/ml/kernels/tree_kernels.h"
 #include "green/ml/metrics.h"
 #include "green/ml/models/attention_few_shot.h"
 #include "green/ml/models/decision_tree.h"
@@ -411,6 +414,54 @@ TEST_F(ModelsTest, NaiveBayesIsCheapestToTrain) {
   const double nb_work = work_of(&nb);
   EXPECT_LT(nb_work, work_of(&forest));
   EXPECT_LT(nb_work, work_of(&mlp));
+}
+
+// --- Flat tree format ---
+
+TEST(FlatTreeTest, WalkRoutesRowsAndChargesPerInternalNode) {
+  // Root splits on feature 1 at 0.5; its right child splits on feature 0
+  // at -1. Preorder: 0 = root, 1 = left leaf, 2 = right split, 3/4 leaves.
+  FlatTree tree(/*width=*/2);
+  const int root = tree.AddNode();
+  const int left = tree.AddNode();
+  tree.leaf(left)[0] = 0.25;
+  tree.leaf(left)[1] = 0.75;
+  const int inner = tree.AddNode();
+  const int inner_left = tree.AddNode();
+  tree.leaf(inner_left)[0] = 1.0;
+  const int inner_right = tree.AddNode();
+  tree.leaf(inner_right)[1] = 1.0;
+  tree.SetSplit(inner, /*feature=*/0, -1.0, inner_left, inner_right);
+  tree.SetSplit(root, /*feature=*/1, 0.5, left, inner);
+  EXPECT_EQ(tree.num_nodes(), 5u);
+  EXPECT_TRUE(tree.is_leaf(left));
+  EXPECT_FALSE(tree.is_leaf(root));
+
+  double flops = 0.0;
+  const double to_left[] = {9.0, 0.5};  // Ties route left.
+  const double* leaf = tree.Walk(to_left, &flops);
+  EXPECT_EQ(leaf[0], 0.25);
+  EXPECT_EQ(leaf[1], 0.75);
+  EXPECT_EQ(flops, 2.0);
+
+  const double to_inner_right[] = {0.0, 2.0};
+  leaf = tree.Walk(to_inner_right, &flops);
+  EXPECT_EQ(leaf[0], 0.0);
+  EXPECT_EQ(leaf[1], 1.0);
+  EXPECT_EQ(flops, 6.0);  // Two more internal nodes.
+}
+
+TEST(FlatTreeTest, IndexRangeCheckRejectsBeyond32BitIds) {
+  const size_t max_ok = std::numeric_limits<uint32_t>::max();
+  const size_t too_many = size_t{1} << 32;
+  EXPECT_TRUE(CheckTreeIndexRange(max_ok, max_ok).ok());
+  // A table past the limit.
+  EXPECT_EQ(CheckTreeIndexRange(too_many, 1).code(),
+            Status::Code::kResourceExhausted);
+  // A bootstrap sample (bootstrap_fraction > 1) outgrowing a table that
+  // is itself within the limit.
+  EXPECT_EQ(CheckTreeIndexRange(10, too_many).code(),
+            Status::Code::kResourceExhausted);
 }
 
 }  // namespace
