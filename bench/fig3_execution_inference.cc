@@ -3,7 +3,6 @@
 // system. Reported numbers are scaled back to paper scale; see DESIGN.md.
 
 #include <cstdio>
-#include <cstring>
 
 #include "green/bench_util/aggregate.h"
 #include "green/bench_util/experiment.h"
@@ -13,16 +12,8 @@
 namespace green {
 namespace {
 
-int Main(int argc, char** argv) {
-  ExperimentConfig config = ExperimentConfig::FromEnv();
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--breakdown") == 0) {
-      config.collect_scopes = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 2;
-    }
-  }
+int Main() {
+  const ExperimentConfig config = ExperimentConfig::FromEnv();
   ExperimentRunner runner(config);
 
   const std::vector<std::string> systems = {
@@ -107,7 +98,7 @@ int Main(int argc, char** argv) {
   std_table.Print();
 
   if (config.collect_scopes) {
-    PrintBanner("Per-operator energy attribution (--breakdown)");
+    PrintBanner("Per-operator energy attribution (GREEN_SCOPES=1)");
     const std::string breakdown = RenderEnergyBreakdown(*sweep);
     std::printf("%s", breakdown.empty()
                           ? "(no scope data collected)\n"
@@ -119,4 +110,4 @@ int Main(int argc, char** argv) {
 }  // namespace
 }  // namespace green
 
-int main(int argc, char** argv) { return green::Main(argc, argv); }
+int main() { return green::Main(); }

@@ -20,6 +20,7 @@
 #include "green/bench_util/experiment.h"
 #include "green/bench_util/table_printer.h"
 #include "green/common/fault.h"
+#include "green/common/knobs.h"
 #include "green/common/stringutil.h"
 #include "green/data/synthetic.h"
 #include "green/energy/energy_model.h"
@@ -115,7 +116,7 @@ int Main(int argc, char** argv) {
   // pure function of the seed, so profile/scale knobs cannot shift it.
   // Fault injection is the one env input the soak job needs.
   ExperimentConfig config;
-  config.faults = FaultsFromEnv();
+  config.faults = EnvKnob<std::string>(knob::kFaults).value_or(config.faults);
 
   SyntheticSpec spec;
   spec.name = "serve-bench";

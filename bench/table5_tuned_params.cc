@@ -4,10 +4,10 @@
 // GREEN_TUNE=1, re-runs the tuner to regenerate them live.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "green/bench_util/experiment.h"
 #include "green/bench_util/table_printer.h"
+#include "green/common/knobs.h"
 #include "green/common/stringutil.h"
 #include "green/data/meta_corpus.h"
 #include "green/metaopt/automl_tuner.h"
@@ -51,8 +51,7 @@ int Main() {
       "validation splitting always selected; refit at 1 min but not 5 "
       "min.\n");
 
-  const char* tune = std::getenv("GREEN_TUNE");
-  if (tune != nullptr && tune[0] == '1') {
+  if (EnvKnob<bool>(knob::kTune).value_or(false)) {
     ExperimentConfig config = ExperimentConfig::FromEnv();
     MetaCorpusOptions corpus_options;
     corpus_options.num_datasets = 24;

@@ -1,127 +1,91 @@
 // Command-line front end: run any of the library's AutoML systems on a
 // CSV file (or a built-in demo task) and print a holistic energy report,
-// optionally exporting the raw measurement as JSON.
+// optionally exporting the raw measurement as JSON. Also runs
+// fault-tolerant suite sweeps (--sweep), sharded sweeps and their merge
+// (--shard, --merge-journals), and serving trace replays (--serve).
 //
-//   green_automl_cli [--system NAME] [--budget SECONDS] [--csv FILE]
-//                    [--task binary|multiclass|regression]
-//                    [--cores N] [--jobs N] [--constraint SECONDS_PER_ROW]
-//                    [--json OUT.jsonl] [--breakdown] [--transform-cache 0|1]
-//                    [--sweep SYS1,SYS2,...] [--budgets B1,B2,...]
-//                    [--journal PATH] [--resume] [--retries N]
-//                    [--cell-timeout SECONDS] [--faults SPEC]
-//                    [--shard i/n] [--compact-journal PATH]
-//                    [--merge-journals S0.jsonl ... -o OUT.jsonl]
-//
-//   --system      tabpfn | caml | caml_tuned | flaml | autogluon |
-//                 autogluon_refit | autosklearn1 | autosklearn2 | tpot |
-//                 random_search | autopt     (default: caml)
-//   --budget      search budget in PAPER seconds (default: 30)
-//   --csv         dataset in the library's CSV format (last column
-//                 "label" for classification, "target" for regression —
-//                 the task type follows the header); omitted = a
-//                 built-in synthetic demo task
-//   --task        binary | multiclass | regression: which built-in demo
-//                 task to generate when --csv is omitted (default:
-//                 multiclass)
-//   --cores       simulated CPU cores (default: 1)
-//   --jobs        host worker threads for harness sweeps; 0 = all
-//                 hardware threads (default: $GREEN_JOBS, else 1)
-//   --constraint  max inference seconds per instance (CAML only)
-//   --json        append the run record to a JSON-lines file
-//   --breakdown   collect per-scope energy attribution and print the
-//                 hierarchical breakdown table (also: GREEN_SCOPES=1);
-//                 exported records then carry a "scopes" field
-//   --transform-cache 0|1
-//                 memoize fitted transformer chains across search trials
-//                 (default: $GREEN_TRANSFORM_CACHE, else on). Purely a
-//                 host-time optimization — results are bit-identical
-//                 either way; budget via $GREEN_TRANSFORM_CACHE_MB
-//
-// Sweep mode (fault-tolerant, journaled):
-//   --sweep         comma-separated system list; runs a full suite sweep
-//                   over the AMLB subset instead of one dataset, with
-//                   per-cell retry, failure taxonomy, and journaling
-//   --budgets       comma-separated paper budgets (default: 10,30,60,300)
-//   --journal       JSONL journal appended per completed cell
-//                   (default: $GREEN_JOURNAL)
-//   --resume        re-run only cells missing from the journal
-//                   (default: $GREEN_RESUME)
-//   --retries       max attempts per cell, >= 1 (default: $GREEN_RETRIES,
-//                   else 2)
-//   --cell-timeout  host seconds before the watchdog cancels a cell, 0 =
-//                   off (default: $GREEN_CELL_TIMEOUT)
-//   --faults        fault-injection spec, e.g. "run.fit@0.05"
-//                   (default: $GREEN_FAULTS; see common/fault.h)
-//   --shard i/n     multi-process sharding: run only the sweep cells
-//                   shard i of n owns (round-robin over the canonical
-//                   enumeration; default: $GREEN_SHARD, else unsharded).
-//                   Point each shard at its own --journal and recombine
-//                   with --merge-journals; per-shard --resume works
-//                   unchanged
-//
-// Serve mode (overload-resilient inference serving):
-//   --serve         fit the chosen system once, load the artifact into a
-//                   tiered degrade ladder (full -> best single ->
-//                   constant prior), and replay an open-loop request
-//                   trace through admission control, micro-batching, and
-//                   per-request deadlines on the virtual clock
-//   --trace KIND    synthetic trace shape: constant | diurnal | burst
-//                   (default: burst)
-//   --trace-file F  replay arrivals from a CSV ("arrival_seconds[,row]")
-//                   instead of generating one
-//   --rps R         mean arrival rate of the synthetic trace (default 20)
-//   --trace-seconds S  synthetic trace duration (default 30)
-//   --serve-queue N           admission queue bound
-//   --serve-batch N           micro-batch size cap
-//   --serve-batch-delay-ms M  how long a batch waits for company
-//   --serve-deadline-ms M     per-request deadline (0 = none)
-//   --serve-energy-slo-j J    per-request energy SLO (0 = none)
-//   --serve-policy P          deadline action: fail | degrade
-//   --serve-shed P            queue-full policy: newest | oldest
-//   Defaults come from GREEN_SERVE_QUEUE, GREEN_SERVE_BATCH,
-//   GREEN_SERVE_BATCH_DELAY_MS, GREEN_SERVE_DEADLINE_MS,
-//   GREEN_SERVE_ENERGY_SLO_J, GREEN_SERVE_POLICY, GREEN_SERVE_SHED;
-//   flags override. --breakdown prints the serving scope subtree;
-//   --faults/GREEN_FAULTS inject at serve.admit / serve.batch /
-//   serve.predict.
-//
-// Maintenance:
-//   --compact-journal PATH  rewrite a sweep journal keeping only the
-//                           last record per cell, then exit
-//   --merge-journals S0.jsonl S1.jsonl ... -o OUT.jsonl
-//                           recombine per-shard sweep journals into the
-//                           byte-identical single-process record stream,
-//                           then exit
+// `green_automl_cli --help` prints every flag and GREEN_* variable; the
+// same table is in README.md. Flags override the environment.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string_view>
+#include <vector>
 
 #include "green/bench_util/aggregate.h"
 #include "green/bench_util/experiment.h"
 #include "green/bench_util/record_io.h"
 #include "green/bench_util/table_printer.h"
+#include "green/common/knobs.h"
 #include "green/common/stringutil.h"
-#include "green/common/thread_pool.h"
 #include "green/data/synthetic.h"
 #include "green/energy/co2.h"
 #include "green/energy/stage_ledger.h"
 #include "green/serve/inference_server.h"
+#include "green/serve/request_stream.h"
 #include "green/table/csv.h"
 #include "green/table/split.h"
+#include "green/table/task_type.h"
 
 namespace green {
 namespace {
 
+// CLI-only rows; the shared GREEN_* rows are knob::kLibrary. Defaults
+// are written where each value is read.
+using enum KnobType;
+const std::string kTaskNames = EnumChoices(TaskTypeName, 3);
+const std::string kTraceKindNames = EnumChoices(TraceKindName, 3);
+constexpr Knob kSystem{.flag = "--system", .choices = "NAME",
+    .help = "AutoML system: tabpfn, caml, caml_tuned, flaml, autogluon, "
+            "autogluon_refit, autosklearn1, autosklearn2, tpot, "
+            "random_search or autopt"};
+constexpr Knob kBudget{.flag = "--budget", .type = kDouble,
+    .max = HUGE_VAL, .reject_out_of_range = true,
+    .help = "Search budget in paper seconds, also per --budgets entry"};
+constexpr Knob kCsv{.flag = "--csv", .choices = "PATH",
+    .help = "CSV dataset (last column label, or target for regression)"};
+const Knob kTask{.flag = "--task", .type = kEnum,
+    .choices = kTaskNames.c_str(),
+    .help = "Task of the built-in demo dataset used without --csv"};
+constexpr Knob kCores{.flag = "--cores", .type = kInt, .min = 1,
+    .max = 1024, .help = "Simulated CPU cores"};
+constexpr Knob kJson{.flag = "--json", .choices = "PATH",
+    .help = "Append the run's records as JSON lines"};
+constexpr Knob kSweep{.flag = "--sweep", .choices = "SYS1,SYS2,...",
+    .help = "Fault-tolerant sweep of these systems over the AMLB subset"};
+constexpr Knob kBudgets{.flag = "--budgets", .choices = "B1,B2,...",
+    .help = "Paper budgets of a sweep"};
+constexpr Knob kCompactJournal{.flag = "--compact-journal",
+    .choices = "PATH",
+    .help = "Keep only the last record per cell of a journal, then exit"};
+constexpr Knob kMergeJournals{.flag = "--merge-journals",
+    .choices = "S0 S1 ... -o OUT",
+    .help = "Merge per-shard journals in canonical order, then exit"};
+constexpr Knob kServe{.flag = "--serve", .type = kSwitch,
+    .help = "Fit once, then replay a request trace through the server"};
+const Knob kTraceKind{.flag = "--trace", .type = kEnum,
+    .choices = kTraceKindNames.c_str(), .help = "Synthetic trace shape"};
+constexpr Knob kTraceFile{.flag = "--trace-file", .choices = "PATH",
+    .help = "Replay arrivals from a CSV (arrival_seconds[,row]) instead"};
+constexpr Knob kRps{.flag = "--rps", .type = kDouble, .max = 10000,
+    .help = "Mean synthetic arrival rate"};
+constexpr Knob kTraceSeconds{.flag = "--trace-seconds", .type = kDouble,
+    .max = 3600, .help = "Synthetic trace length"};
+constexpr Knob kHelp{.flag = "--help", .type = kSwitch,
+    .help = "Print this table and exit"};
+
+constexpr const Knob* kCliOnly[] = {
+    &kSystem, &kBudget, &kCsv, &kTask, &kCores, &kJson, &kSweep, &kBudgets,
+    &kCompactJournal, &kMergeJournals, &kServe, &kTraceKind, &kTraceFile,
+    &kRps, &kTraceSeconds, &kHelp};
+
 /// Runs a fault-tolerant suite sweep (--sweep mode): every cell gets a
 /// record, failures are retried and classified, completed cells land in
 /// the journal so an interrupted sweep restarts with --resume.
-int SweepMain(const std::string& sweep_systems,
-              const std::string& budgets_arg, ExperimentConfig config,
-              const std::string& json_path) {
+int SweepMain(const KnobValues& knobs, const ExperimentConfig& config) {
   std::vector<std::string> systems;
-  for (const std::string& s : Split(sweep_systems, ',')) {
+  for (const std::string& s : Split(*knobs.Get<std::string>(kSweep), ',')) {
     const std::string name(Trim(s));
     if (!name.empty()) systems.push_back(name);
   }
@@ -130,14 +94,20 @@ int SweepMain(const std::string& sweep_systems,
     return 2;
   }
   std::vector<double> budgets;
-  for (const std::string& b : Split(budgets_arg, ',')) {
-    const double budget = std::atof(std::string(Trim(b)).c_str());
-    if (budget > 0.0) budgets.push_back(budget);
+  for (const std::string& b :
+       Split(knobs.Get<std::string>(kBudgets).value_or(""), ',')) {
+    const std::string_view text = Trim(b);
+    if (text.empty()) continue;
+    Result<KnobValue> budget = ParseKnob(kBudget, text);
+    if (!budget.ok()) {
+      std::fprintf(stderr, "--budgets: %s\n",
+                   budget.status().message().c_str());
+      return 2;
+    }
+    budgets.push_back(std::get<double>(*budget));
   }
   if (budgets.empty()) budgets = {10.0, 30.0, 60.0, 300.0};
 
-  // Sweeps run the AMLB subset, not the single-dataset CLI default.
-  config.dataset_limit = ExperimentConfig::FromEnv().dataset_limit;
   ExperimentRunner runner(config);
   auto records = runner.Sweep(systems, budgets);
   if (!records.ok()) {
@@ -188,14 +158,14 @@ int SweepMain(const std::string& sweep_systems,
         config.journal_path.c_str());
   }
 
-  if (!json_path.empty()) {
-    Status st = WriteRecordsJsonl(*records, json_path);
+  if (std::optional<std::string> json_path = knobs.Get<std::string>(kJson)) {
+    Status st = WriteRecordsJsonl(*records, *json_path);
     if (!st.ok()) {
       std::fprintf(stderr, "json export failed: %s\n",
                    st.ToString().c_str());
       return 1;
     }
-    std::printf("records written   : %s (%zu)\n", json_path.c_str(),
+    std::printf("records written   : %s (%zu)\n", json_path->c_str(),
                 records->size());
   }
   return measured.empty() ? 1 : 0;
@@ -207,9 +177,19 @@ int SweepMain(const std::string& sweep_systems,
 /// subtree under --breakdown).
 int ServeMain(const std::string& system_name, double budget,
               const Dataset& dataset, ExperimentRunner& runner,
-              const ServePolicy& policy, const TraceSpec& trace_spec,
-              const std::string& trace_file, bool breakdown) {
+              const KnobValues& knobs) {
   const ExperimentConfig& config = runner.config();
+  ServePolicy policy;
+  policy.Load(knobs);
+  TraceSpec trace_spec{.kind = TraceSpec::Kind::kBurst,
+                       .duration_seconds = 30.0,
+                       .rate_rps = 20.0,
+                       .seed = config.seed};
+  knobs.Assign(kTraceKind, &trace_spec.kind);
+  knobs.Assign(kRps, &trace_spec.rate_rps);
+  knobs.Assign(kTraceSeconds, &trace_spec.duration_seconds);
+  const std::string trace_file =
+      knobs.Get<std::string>(kTraceFile).value_or("");
   Rng split_rng(1);
   TrainTestData data =
       Materialize(dataset, SplitForTask(dataset, 0.66, &split_rng));
@@ -292,8 +272,10 @@ int ServeMain(const std::string& system_name, double budget,
       "deadline=%.1fms slo=%.3gJ on_deadline=%s shed=%s\n",
       policy.queue_capacity, policy.max_batch,
       policy.batch_delay_seconds * 1e3, policy.deadline_seconds * 1e3,
-      policy.energy_slo_joules, DeadlineActionName(policy.on_deadline),
-      ShedPolicyName(policy.shed));
+      policy.energy_slo_joules,
+      KnobChoice(knob::kServePolicy, static_cast<long>(policy.on_deadline))
+          .c_str(),
+      KnobChoice(knob::kServeShed, static_cast<long>(policy.shed)).c_str());
   std::printf("outcomes          : %zu completed, %zu degraded, %zu "
               "rejected, %zu deadline (of %zu; %zu batches)\n",
               report->completed, report->degraded, report->rejected,
@@ -309,7 +291,7 @@ int ServeMain(const std::string& system_name, double budget,
               report->total_joules, report->JoulesPerRequest(),
               ledger.Get(system_name, Stage::kServing).kwh());
 
-  if (breakdown) {
+  if (config.collect_scopes) {
     TablePrinter table({"scope", "joules", "share", "charges"});
     const ScopeCharge total =
         ledger.Rollup(system_name, StageName(Stage::kServing));
@@ -331,148 +313,47 @@ int ServeMain(const std::string& system_name, double budget,
 }
 
 int Main(int argc, char** argv) {
-  std::string system_name = "caml";
-  double budget = 30.0;
-  std::string csv_path;
-  std::string json_path;
-  std::string sweep_systems;
-  std::string budgets_arg;
-  int cores = 1;
-  int jobs = JobsFromEnv();
-  double constraint = 0.0;
-  std::string journal_path = JournalFromEnv();
-  bool resume = ResumeFromEnv();
-  int retries = RetriesFromEnv();
-  double cell_timeout = CellTimeoutFromEnv();
-  bool transform_cache = TransformCacheFromEnv();
-  std::string faults = FaultsFromEnv();
-  bool breakdown = ScopesFromEnv();
-  std::string compact_path;
-  ShardSpec shard = ShardFromEnv();
+  std::vector<const Knob*> rows(std::begin(kCliOnly), std::end(kCliOnly));
+  rows.insert(rows.end(), std::begin(knob::kLibrary),
+              std::end(knob::kLibrary));
+  KnobValues knobs = KnobValues::FromEnv();
   std::vector<std::string> merge_paths;
   std::string merge_out;
   bool merge_mode = false;
-  bool serve_mode = false;
-  ServePolicy serve_policy = ServePolicyFromEnv();
-  TraceSpec trace_spec;
-  trace_spec.kind = TraceSpec::Kind::kBurst;
-  trace_spec.rate_rps = 20.0;
-  trace_spec.duration_seconds = 30.0;
-  std::string trace_file;
-  std::string demo_task = "multiclass";
-
   for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (std::strcmp(argv[i], "--system") == 0) {
-      system_name = next();
-    } else if (std::strcmp(argv[i], "--budget") == 0) {
-      budget = std::atof(next());
-    } else if (std::strcmp(argv[i], "--csv") == 0) {
-      csv_path = next();
-    } else if (std::strcmp(argv[i], "--task") == 0) {
-      demo_task = next();
-      if (!ParseTaskType(demo_task).ok()) {
-        std::fprintf(stderr,
-                     "--task: want binary|multiclass|regression, got "
-                     "\"%s\"\n",
-                     demo_task.c_str());
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = next();
-    } else if (std::strcmp(argv[i], "--cores") == 0) {
-      cores = std::atoi(next());
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = std::atoi(next());
-      if (jobs <= 0) jobs = ThreadPool::DefaultThreads();
-    } else if (std::strcmp(argv[i], "--constraint") == 0) {
-      constraint = std::atof(next());
-    } else if (std::strcmp(argv[i], "--sweep") == 0) {
-      sweep_systems = next();
-    } else if (std::strcmp(argv[i], "--budgets") == 0) {
-      budgets_arg = next();
-    } else if (std::strcmp(argv[i], "--journal") == 0) {
-      journal_path = next();
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = true;
-    } else if (std::strcmp(argv[i], "--retries") == 0) {
-      retries = std::max(1, std::atoi(next()));
-    } else if (std::strcmp(argv[i], "--cell-timeout") == 0) {
-      cell_timeout = std::max(0.0, std::atof(next()));
-    } else if (std::strcmp(argv[i], "--faults") == 0) {
-      faults = next();
-    } else if (std::strcmp(argv[i], "--breakdown") == 0) {
-      breakdown = true;
-    } else if (std::strcmp(argv[i], "--transform-cache") == 0) {
-      transform_cache = std::atoi(next()) != 0;
-    } else if (std::strcmp(argv[i], "--serve") == 0) {
-      serve_mode = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      auto kind = TraceKindFromName(next());
-      if (!kind.ok()) {
-        std::fprintf(stderr, "--trace: %s\n",
-                     kind.status().ToString().c_str());
-        return 2;
-      }
-      trace_spec.kind = *kind;
-    } else if (std::strcmp(argv[i], "--trace-file") == 0) {
-      trace_file = next();
-    } else if (std::strcmp(argv[i], "--rps") == 0) {
-      trace_spec.rate_rps = std::atof(next());
-    } else if (std::strcmp(argv[i], "--trace-seconds") == 0) {
-      trace_spec.duration_seconds = std::atof(next());
-    } else if (std::strcmp(argv[i], "--serve-queue") == 0) {
-      serve_policy.queue_capacity = static_cast<size_t>(
-          std::clamp(std::atol(next()), 1L, 1L << 20));
-    } else if (std::strcmp(argv[i], "--serve-batch") == 0) {
-      serve_policy.max_batch =
-          static_cast<size_t>(std::clamp(std::atol(next()), 1L, 4096L));
-    } else if (std::strcmp(argv[i], "--serve-batch-delay-ms") == 0) {
-      serve_policy.batch_delay_seconds =
-          std::clamp(std::atof(next()), 0.0, 60000.0) / 1e3;
-    } else if (std::strcmp(argv[i], "--serve-deadline-ms") == 0) {
-      serve_policy.deadline_seconds =
-          std::clamp(std::atof(next()), 0.0, 3600000.0) / 1e3;
-    } else if (std::strcmp(argv[i], "--serve-energy-slo-j") == 0) {
-      serve_policy.energy_slo_joules =
-          std::clamp(std::atof(next()), 0.0, 1e12);
-    } else if (std::strcmp(argv[i], "--serve-policy") == 0) {
-      auto action = DeadlineActionFromName(next());
-      if (!action.ok()) {
-        std::fprintf(stderr, "--serve-policy: %s\n",
-                     action.status().ToString().c_str());
-        return 2;
-      }
-      serve_policy.on_deadline = *action;
-    } else if (std::strcmp(argv[i], "--serve-shed") == 0) {
-      auto shed_policy = ShedPolicyFromName(next());
-      if (!shed_policy.ok()) {
-        std::fprintf(stderr, "--serve-shed: %s\n",
-                     shed_policy.status().ToString().c_str());
-        return 2;
-      }
-      serve_policy.shed = *shed_policy;
-    } else if (std::strcmp(argv[i], "--compact-journal") == 0) {
-      compact_path = next();
-    } else if (std::strcmp(argv[i], "--shard") == 0) {
-      auto parsed = ParseShardSpec(next());
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "--shard: %s\n",
-                     parsed.status().ToString().c_str());
-        return 2;
-      }
-      shard = *parsed;
-    } else if (std::strcmp(argv[i], "--merge-journals") == 0) {
+    const std::string_view arg = argv[i];
+    if (arg == kMergeJournals.flag) {
       merge_mode = true;
-      while (i + 1 < argc && std::strcmp(argv[i + 1], "-o") != 0) {
+      while (i + 1 < argc && std::string_view(argv[i + 1]) != "-o") {
         merge_paths.push_back(argv[++i]);
       }
       if (i + 1 < argc) ++i;  // Consume "-o".
-      merge_out = next();
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      if (i + 1 < argc) merge_out = argv[++i];
+      continue;
+    }
+    const auto row = std::find_if(rows.begin(), rows.end(), [&](auto* k) {
+      return k->flag != nullptr && arg == k->flag;
+    });
+    if (row == rows.end()) {
+      std::fprintf(stderr, "unknown flag: %s (see --help)\n", argv[i]);
+      return 2;
+    }
+    const Knob* knob = *row;
+    if (knob == &kHelp) {
+      std::printf("%s", RenderKnobTable(rows).c_str());
+      return 0;
+    }
+    const char* value = "1";
+    if (knob->type != KnobType::kSwitch) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s: needs a value\n", knob->flag);
+        return 2;
+      }
+      value = argv[++i];
+    }
+    const Status set = knobs.Set(*knob, value);
+    if (!set.ok()) {
+      std::fprintf(stderr, "%s\n", set.message().c_str());
       return 2;
     }
   }
@@ -495,48 +376,40 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
-  if (!compact_path.empty()) {
-    auto removed = CompactJournalJsonl(compact_path);
+  if (std::optional<std::string> compact_path =
+          knobs.Get<std::string>(kCompactJournal)) {
+    auto removed = CompactJournalJsonl(*compact_path);
     if (!removed.ok()) {
       std::fprintf(stderr, "compaction failed: %s\n",
                    removed.status().ToString().c_str());
       return 1;
     }
     std::printf("journal %s compacted: %zu superseded record(s) removed\n",
-                compact_path.c_str(), *removed);
+                compact_path->c_str(), *removed);
     return 0;
   }
 
   ExperimentConfig config;
+  config.Load(knobs);
+  knobs.Assign(kCores, &config.cores);
+  if (knobs.Get<std::string>(kSweep)) return SweepMain(knobs, config);
   config.dataset_limit = 1;  // The runner's suite is unused here.
-  config.cores = cores;
-  config.jobs = jobs;  // Harness sweep threads (RunOne itself is 1 cell).
-  config.journal_path = journal_path;
-  config.resume = resume;
-  config.retry.max_attempts = retries;
-  config.cell_timeout_seconds = cell_timeout;
-  config.faults = faults;
-  config.collect_scopes = breakdown;
-  config.transform_cache = transform_cache;
-  config.transform_cache_mb = TransformCacheMbFromEnv();
-  config.shard_index = shard.index;
-  config.shard_count = shard.count;
-
-  if (!sweep_systems.empty()) {
-    return SweepMain(sweep_systems, budgets_arg, config, json_path);
-  }
   ExperimentRunner runner(config);
 
+  const std::string system = knobs.Get<std::string>(kSystem).value_or("caml");
+  const double budget = knobs.Get<double>(kBudget).value_or(30.0);
+  const TaskType task =
+      knobs.Get<TaskType>(kTask).value_or(TaskType::kMulticlass);
   Dataset dataset;
-  if (!csv_path.empty()) {
-    auto loaded = ReadCsv(csv_path, csv_path);
+  if (std::optional<std::string> csv_path = knobs.Get<std::string>(kCsv)) {
+    auto loaded = ReadCsv(*csv_path, *csv_path);
     if (!loaded.ok()) {
-      std::fprintf(stderr, "failed to read %s: %s\n", csv_path.c_str(),
+      std::fprintf(stderr, "failed to read %s: %s\n", csv_path->c_str(),
                    loaded.status().ToString().c_str());
       return 1;
     }
     dataset = std::move(loaded).value();
-  } else if (demo_task == "regression") {
+  } else if (task == TaskType::kRegression) {
     SyntheticRegressionSpec spec;
     spec.name = "demo_regression";
     spec.num_rows = 500;
@@ -555,7 +428,7 @@ int Main(int argc, char** argv) {
     spec.num_features = 12;
     spec.num_informative = 7;
     spec.num_categorical = 3;
-    spec.num_classes = demo_task == "binary" ? 2 : 3;
+    spec.num_classes = task == TaskType::kBinary ? 2 : 3;
     spec.separation = 2.2;
     spec.label_noise = 0.05;
     spec.seed = 4242;
@@ -563,21 +436,17 @@ int Main(int argc, char** argv) {
     std::printf("(no --csv given: using a built-in synthetic demo task)\n");
   }
 
-  if (serve_mode) {
-    trace_spec.seed = config.seed;
-    return ServeMain(system_name, budget, dataset, runner, serve_policy,
-                     trace_spec, trace_file, breakdown);
+  if (knobs.Get<bool>(kServe).value_or(false)) {
+    return ServeMain(system, budget, dataset, runner, knobs);
   }
 
   // One full measured run through the same harness the benches use.
-  // The inference constraint needs the lower-level API.
-  auto record = runner.RunOne(system_name, dataset, budget, 0, cores);
+  auto record = runner.RunOne(system, dataset, budget, 0, config.cores);
   if (!record.ok()) {
     std::fprintf(stderr, "run failed: %s\n",
                  record.status().ToString().c_str());
     return 1;
   }
-  (void)constraint;  // Reported below for CAML users.
 
   std::printf("\nsystem            : %s\n", record->system.c_str());
   if (dataset.task() == TaskType::kRegression) {
@@ -605,7 +474,7 @@ int Main(int argc, char** argv) {
   std::printf("ensemble size     : %zu pipeline(s), %d evaluated\n",
               record->num_pipelines, record->pipelines_evaluated);
 
-  if (breakdown) {
+  if (config.collect_scopes) {
     const std::string table = RenderEnergyBreakdown({*record});
     if (!table.empty()) std::printf("\n%s", table.c_str());
   }
@@ -617,27 +486,20 @@ int Main(int argc, char** argv) {
   std::printf("at 1M pred/day    : %.1f kWh/year = %.1f kg CO2/year = "
               "%.2f EUR/year\n",
               yearly.kwh, yearly.kg_co2, yearly.eur);
-  if (constraint > 0.0) {
-    std::printf(
-        "note: --constraint applies through the CAML API "
-        "(AutoMlOptions::max_inference_seconds_per_row = %g); see "
-        "examples/fraud_detection_deployment.cc.\n",
-        constraint);
-  }
 
-  if (!json_path.empty()) {
-    auto existing = ReadRecordsJsonl(json_path);
+  if (std::optional<std::string> json_path = knobs.Get<std::string>(kJson)) {
+    auto existing = ReadRecordsJsonl(*json_path);
     std::vector<RunRecord> all =
         existing.ok() ? std::move(existing).value()
                       : std::vector<RunRecord>{};
     all.push_back(*record);
-    Status st = WriteRecordsJsonl(all, json_path);
+    Status st = WriteRecordsJsonl(all, *json_path);
     if (!st.ok()) {
       std::fprintf(stderr, "json export failed: %s\n",
                    st.ToString().c_str());
       return 1;
     }
-    std::printf("record appended   : %s (%zu total)\n", json_path.c_str(),
+    std::printf("record appended   : %s (%zu total)\n", json_path->c_str(),
                 all.size());
   }
   return 0;

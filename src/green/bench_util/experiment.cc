@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <thread>
@@ -26,93 +25,32 @@
 
 namespace green {
 
-int JobsFromEnv() {
-  const char* jobs = std::getenv("GREEN_JOBS");
-  if (jobs == nullptr || jobs[0] == '\0') return 1;
-  char* end = nullptr;
-  const long parsed = std::strtol(jobs, &end, 10);
-  if (end == jobs || *end != '\0') return 1;
-  if (parsed == 0) return ThreadPool::DefaultThreads();
-  // Clamp before narrowing: LONG_MAX would overflow the int cast.
-  return static_cast<int>(std::clamp(parsed, 1L, 4096L));
-}
-
-std::string FaultsFromEnv() {
-  const char* faults = std::getenv("GREEN_FAULTS");
-  return faults == nullptr ? std::string() : std::string(faults);
-}
-
-std::string JournalFromEnv() {
-  const char* journal = std::getenv("GREEN_JOURNAL");
-  return journal == nullptr ? std::string() : std::string(journal);
-}
-
-bool ResumeFromEnv() {
-  const char* resume = std::getenv("GREEN_RESUME");
-  return resume != nullptr && resume[0] == '1';
-}
-
-int RetriesFromEnv() {
-  const int fallback = RetryPolicy().max_attempts;
-  const char* retries = std::getenv("GREEN_RETRIES");
-  if (retries == nullptr || retries[0] == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(retries, &end, 10);
-  if (end == retries || *end != '\0') return fallback;
-  return static_cast<int>(std::clamp(parsed, 1L, 100L));
-}
-
-double CellTimeoutFromEnv() {
-  const char* timeout = std::getenv("GREEN_CELL_TIMEOUT");
-  if (timeout == nullptr || timeout[0] == '\0') return 0.0;
-  char* end = nullptr;
-  const double parsed = std::strtod(timeout, &end);
-  if (end == timeout || *end != '\0') return 0.0;
-  if (!(parsed > 0.0)) return 0.0;  // Rejects negatives and NaN.
-  return parsed;
-}
-
-bool ScopesFromEnv() {
-  const char* scopes = std::getenv("GREEN_SCOPES");
-  return scopes != nullptr && scopes[0] == '1';
-}
-
-bool TransformCacheFromEnv() {
-  const char* cache = std::getenv("GREEN_TRANSFORM_CACHE");
-  return cache == nullptr || cache[0] != '0';
-}
-
-double TransformCacheMbFromEnv() {
-  const double fallback = ExperimentConfig().transform_cache_mb;
-  const char* mb = std::getenv("GREEN_TRANSFORM_CACHE_MB");
-  if (mb == nullptr || mb[0] == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(mb, &end);
-  if (end == mb || *end != '\0') return fallback;
-  if (!(parsed >= 1.0)) return fallback;  // Rejects < 1, NaN.
-  return std::min(parsed, 65536.0);
+void ExperimentConfig::Load(const KnobValues& knobs) {
+  if (knobs.Get<bool>(knob::kFull).value_or(false)) {
+    profile = SimulationProfile::Full();
+    dataset_limit = 0;  // All 39 tasks.
+    repetitions = profile.repetitions;
+  }
+  if (std::optional<int> threads = knobs.Get<int>(knob::kJobs)) {
+    jobs = *threads == 0 ? ThreadPool::DefaultThreads() : *threads;
+  }
+  knobs.Assign(knob::kFaults, &faults);
+  knobs.Assign(knob::kJournal, &journal_path);
+  knobs.Assign(knob::kResume, &resume);
+  knobs.Assign(knob::kRetries, &retry.max_attempts);
+  knobs.Assign(knob::kCellTimeout, &cell_timeout_seconds);
+  knobs.Assign(knob::kScopes, &collect_scopes);
+  knobs.Assign(knob::kTransformCache, &transform_cache);
+  knobs.Assign(knob::kTransformCacheMb, &transform_cache_mb);
+  if (std::optional<ShardSpec> shard = knobs.Get<ShardSpec>(knob::kShard)) {
+    shard_index = shard->index;
+    shard_count = shard->count;
+  }
 }
 
 ExperimentConfig ExperimentConfig::FromEnv() {
   ExperimentConfig config;
-  config.profile = SimulationProfile::FromEnv();
-  const char* full = std::getenv("GREEN_FULL");
-  if (full != nullptr && full[0] == '1') {
-    config.dataset_limit = 0;  // All 39 tasks.
-    config.repetitions = 10;
-  }
-  config.jobs = JobsFromEnv();
-  config.faults = FaultsFromEnv();
-  config.journal_path = JournalFromEnv();
-  config.resume = ResumeFromEnv();
-  config.retry.max_attempts = RetriesFromEnv();
-  config.cell_timeout_seconds = CellTimeoutFromEnv();
-  config.collect_scopes = ScopesFromEnv();
-  config.transform_cache = TransformCacheFromEnv();
-  config.transform_cache_mb = TransformCacheMbFromEnv();
-  const ShardSpec shard = ShardFromEnv();
-  config.shard_index = shard.index;
-  config.shard_count = shard.count;
+  config.Load(KnobValues::FromEnv());
   return config;
 }
 

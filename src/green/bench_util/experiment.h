@@ -11,6 +11,7 @@
 #include "green/automl/automl_system.h"
 #include "green/common/cancel.h"
 #include "green/common/fault.h"
+#include "green/common/knobs.h"
 #include "green/common/retry.h"
 #include "green/common/shard.h"
 #include "green/data/amlb_suite.h"
@@ -28,7 +29,7 @@ namespace green {
 /// paper scale (energy is approximately linear in time at fixed power),
 /// keeping magnitudes comparable with the paper's charts.
 struct ExperimentConfig {
-  SimulationProfile profile = SimulationProfile::FromEnv();
+  SimulationProfile profile = SimulationProfile::Fast();
   double budget_scale = 0.15;
   std::vector<double> paper_budgets = {10.0, 30.0, 60.0, 300.0};
   size_t dataset_limit = 8;  ///< 0 = all 39 tasks.
@@ -80,45 +81,15 @@ struct ExperimentConfig {
   /// LRU-evicts beyond it.
   double transform_cache_mb = 256.0;
 
-  /// Reads GREEN_FULL to decide between the fast subset and the full
-  /// 39-task x 10-repetition configuration, plus GREEN_JOBS,
-  /// GREEN_FAULTS, GREEN_JOURNAL, GREEN_RESUME, GREEN_RETRIES, and
-  /// GREEN_CELL_TIMEOUT.
+  /// Assigns the fields whose knobs are set (GREEN_FULL selects the
+  /// Full profile, all 39 tasks and 10 repetitions); every other field
+  /// keeps its value. The CLI calls this with its flags laid over the
+  /// environment.
+  void Load(const KnobValues& knobs);
+
+  /// Defaults with the GREEN_* environment loaded over them.
   static ExperimentConfig FromEnv();
 };
-
-/// Parses GREEN_JOBS: unset/invalid = 1, 0 = hardware concurrency,
-/// otherwise the given worker count (clamped to [1, 4096]).
-int JobsFromEnv();
-
-/// Parses GREEN_FAULTS leniently (bad clauses dropped with a warning);
-/// returns the raw spec string ("" when unset).
-std::string FaultsFromEnv();
-
-/// GREEN_JOURNAL: journal path, "" when unset.
-std::string JournalFromEnv();
-
-/// GREEN_RESUME: true iff set to a value starting with '1'.
-bool ResumeFromEnv();
-
-/// GREEN_RETRIES: max attempts per cell, clamped to [1, 100];
-/// unset/invalid = the RetryPolicy default.
-int RetriesFromEnv();
-
-/// GREEN_CELL_TIMEOUT: per-cell watchdog seconds, clamped to >= 0;
-/// unset/invalid = 0 (disabled).
-double CellTimeoutFromEnv();
-
-/// GREEN_SCOPES: true iff set to a value starting with '1'.
-bool ScopesFromEnv();
-
-/// GREEN_TRANSFORM_CACHE: false iff set to a value starting with '0'
-/// (default on).
-bool TransformCacheFromEnv();
-
-/// GREEN_TRANSFORM_CACHE_MB: cache budget in MB, clamped to [1, 65536];
-/// unset/invalid = 256.
-double TransformCacheMbFromEnv();
 
 /// One point on Sweep's per-cell option-override axis. A variant scales
 /// the cell grid by a configuration dimension that is not (system,

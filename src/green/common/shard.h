@@ -3,9 +3,6 @@
 
 #include <cstddef>
 #include <string>
-#include <string_view>
-
-#include "green/common/status.h"
 
 namespace green {
 
@@ -33,17 +30,9 @@ struct ShardSpec {
                static_cast<size_t>(index);
   }
 
-  /// "i/n" (e.g. "0/3"), the same form ParseShardSpec accepts.
+  /// "i/n" (e.g. "0/3"), the form knob::kShard parses.
   std::string ToString() const;
 };
-
-/// Parses "i/n" with 0 <= i < n and n >= 1 (e.g. "2/4"). Rejects
-/// garbage, negatives, i >= n, and trailing characters.
-Result<ShardSpec> ParseShardSpec(std::string_view spec);
-
-/// GREEN_SHARD: "i/n"; unset or unparseable (with a warning) = the
-/// unsharded {0, 1}.
-ShardSpec ShardFromEnv();
 
 }  // namespace green
 

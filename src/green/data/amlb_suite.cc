@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "green/common/rng.h"
 #include "green/data/synthetic.h"
@@ -20,12 +19,6 @@ SimulationProfile SimulationProfile::Full() {
   p.feature_scale = 2.4;
   p.repetitions = 10;
   return p;
-}
-
-SimulationProfile SimulationProfile::FromEnv() {
-  const char* full = std::getenv("GREEN_FULL");
-  if (full != nullptr && full[0] == '1') return Full();
-  return Fast();
 }
 
 const std::vector<AmlbTaskSpec>& AmlbTable2() {

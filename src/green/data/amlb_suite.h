@@ -22,7 +22,7 @@ struct AmlbTaskSpec {
 /// Controls how nominal task sizes are scaled down to instantiated
 /// simulation sizes so a full benchmark sweep stays CI-grade on one core.
 /// `Full()` raises the caps for higher-fidelity (slower) runs; selected by
-/// GREEN_FULL=1 in the bench harness.
+/// GREEN_FULL=1 through ExperimentConfig::Load.
 struct SimulationProfile {
   size_t max_rows = 1400;
   size_t min_rows = 120;
@@ -35,8 +35,6 @@ struct SimulationProfile {
 
   static SimulationProfile Fast();
   static SimulationProfile Full();
-  /// Fast() unless the environment variable GREEN_FULL=1 is set.
-  static SimulationProfile FromEnv();
 };
 
 /// The 39 specs of Table 2, in the paper's order.

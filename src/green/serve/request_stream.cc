@@ -58,14 +58,6 @@ const char* TraceKindName(TraceSpec::Kind kind) {
   return "?";
 }
 
-Result<TraceSpec::Kind> TraceKindFromName(const std::string& name) {
-  if (name == "constant") return TraceSpec::Kind::kConstant;
-  if (name == "diurnal") return TraceSpec::Kind::kDiurnal;
-  if (name == "burst") return TraceSpec::Kind::kBurst;
-  return Status::InvalidArgument("unknown trace kind '" + name +
-                                 "' (want constant|diurnal|burst)");
-}
-
 std::vector<ServeRequest> GenerateTrace(const TraceSpec& spec,
                                         size_t num_rows) {
   std::vector<ServeRequest> out;

@@ -38,7 +38,6 @@ struct TraceSpec {
 };
 
 const char* TraceKindName(TraceSpec::Kind kind);
-Result<TraceSpec::Kind> TraceKindFromName(const std::string& name);
 
 /// Deterministic synthetic trace: arrivals sorted by time, rows drawn
 /// uniformly from [0, num_rows). Same spec + seed => identical trace.

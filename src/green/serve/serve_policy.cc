@@ -1,119 +1,19 @@
 #include "green/serve/serve_policy.h"
 
-#include <algorithm>
-#include <cstdlib>
-
-#include "green/common/logging.h"
-
 namespace green {
 
-namespace {
-
-/// Integer env knob: missing/malformed -> fallback, out-of-range -> clamp.
-/// Clamping happens on the wide type before any narrowing, so
-/// "99999999999999999999" saturates strtol at LONG_MAX and lands on `hi`
-/// instead of overflowing.
-long LongFromEnv(const char* name, long fallback, long lo, long hi) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0') {
-    LogWarning(std::string(name) + ": ignoring malformed value '" + value +
-               "'");
-    return fallback;
+void ServePolicy::Load(const KnobValues& knobs) {
+  knobs.Assign(knob::kServeQueue, &queue_capacity);
+  knobs.Assign(knob::kServeBatch, &max_batch);
+  if (std::optional<double> ms = knobs.Get<double>(knob::kServeBatchDelayMs)) {
+    batch_delay_seconds = *ms / 1e3;
   }
-  return std::clamp(parsed, lo, hi);
-}
-
-double DoubleFromEnv(const char* name, double fallback, double lo,
-                     double hi) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || *end != '\0' || parsed != parsed) {
-    LogWarning(std::string(name) + ": ignoring malformed value '" + value +
-               "'");
-    return fallback;
+  if (std::optional<double> ms = knobs.Get<double>(knob::kServeDeadlineMs)) {
+    deadline_seconds = *ms / 1e3;
   }
-  return std::clamp(parsed, lo, hi);
-}
-
-}  // namespace
-
-const char* DeadlineActionName(ServePolicy::DeadlineAction action) {
-  switch (action) {
-    case ServePolicy::DeadlineAction::kFail:
-      return "fail";
-    case ServePolicy::DeadlineAction::kDegrade:
-      return "degrade";
-  }
-  return "?";
-}
-
-Result<ServePolicy::DeadlineAction> DeadlineActionFromName(
-    const std::string& name) {
-  if (name == "fail") return ServePolicy::DeadlineAction::kFail;
-  if (name == "degrade") return ServePolicy::DeadlineAction::kDegrade;
-  return Status::InvalidArgument("unknown deadline policy '" + name +
-                                 "' (want fail|degrade)");
-}
-
-const char* ShedPolicyName(ServePolicy::ShedPolicy shed) {
-  switch (shed) {
-    case ServePolicy::ShedPolicy::kNewest:
-      return "newest";
-    case ServePolicy::ShedPolicy::kOldest:
-      return "oldest";
-  }
-  return "?";
-}
-
-Result<ServePolicy::ShedPolicy> ShedPolicyFromName(const std::string& name) {
-  if (name == "newest") return ServePolicy::ShedPolicy::kNewest;
-  if (name == "oldest") return ServePolicy::ShedPolicy::kOldest;
-  return Status::InvalidArgument("unknown shed policy '" + name +
-                                 "' (want newest|oldest)");
-}
-
-ServePolicy ServePolicyFromEnv() {
-  ServePolicy policy;
-  policy.queue_capacity = static_cast<size_t>(
-      LongFromEnv("GREEN_SERVE_QUEUE",
-                  static_cast<long>(policy.queue_capacity), 1, 1L << 20));
-  policy.max_batch = static_cast<size_t>(LongFromEnv(
-      "GREEN_SERVE_BATCH", static_cast<long>(policy.max_batch), 1, 4096));
-  policy.batch_delay_seconds =
-      DoubleFromEnv("GREEN_SERVE_BATCH_DELAY_MS",
-                    policy.batch_delay_seconds * 1e3, 0.0, 60000.0) /
-      1e3;
-  policy.deadline_seconds =
-      DoubleFromEnv("GREEN_SERVE_DEADLINE_MS",
-                    policy.deadline_seconds * 1e3, 0.0, 3600000.0) /
-      1e3;
-  policy.energy_slo_joules = DoubleFromEnv(
-      "GREEN_SERVE_ENERGY_SLO_J", policy.energy_slo_joules, 0.0, 1e12);
-  const char* action = std::getenv("GREEN_SERVE_POLICY");
-  if (action != nullptr && action[0] != '\0') {
-    Result<ServePolicy::DeadlineAction> parsed =
-        DeadlineActionFromName(action);
-    if (parsed.ok()) {
-      policy.on_deadline = *parsed;
-    } else {
-      LogWarning("GREEN_SERVE_POLICY: " + parsed.status().ToString());
-    }
-  }
-  const char* shed = std::getenv("GREEN_SERVE_SHED");
-  if (shed != nullptr && shed[0] != '\0') {
-    Result<ServePolicy::ShedPolicy> parsed = ShedPolicyFromName(shed);
-    if (parsed.ok()) {
-      policy.shed = *parsed;
-    } else {
-      LogWarning("GREEN_SERVE_SHED: " + parsed.status().ToString());
-    }
-  }
-  return policy;
+  knobs.Assign(knob::kServeEnergySloJ, &energy_slo_joules);
+  knobs.Assign(knob::kServePolicy, &on_deadline);
+  knobs.Assign(knob::kServeShed, &shed);
 }
 
 }  // namespace green

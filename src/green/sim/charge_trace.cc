@@ -1,6 +1,6 @@
 #include "green/sim/charge_trace.h"
 
-#include <cstdlib>
+#include "green/common/knobs.h"
 
 namespace green {
 
@@ -43,12 +43,13 @@ void ChargeTrace::ReopenFromEnv() {
     file_ = nullptr;
   }
   enabled_.store(false, std::memory_order_relaxed);
-  const char* path = std::getenv("GREEN_TRACE");
-  if (path == nullptr || path[0] == '\0') return;
-  file_ = std::fopen(path, "a");
+  const std::string path =
+      EnvKnob<std::string>(knob::kTrace).value_or(std::string());
+  if (path.empty()) return;
+  file_ = std::fopen(path.c_str(), "a");
   if (file_ == nullptr) {
     std::fprintf(stderr, "GREEN_TRACE: cannot open %s; tracing disabled\n",
-                 path);
+                 path.c_str());
     return;
   }
   enabled_.store(true, std::memory_order_relaxed);

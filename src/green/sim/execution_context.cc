@@ -1,20 +1,10 @@
 #include "green/sim/execution_context.h"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "green/sim/charge_trace.h"
 
 namespace green {
-
-double ExecutionContext::DefaultMaxSliceSeconds() {
-  static const double kFromEnv = [] {
-    const char* raw = std::getenv("GREEN_CHARGE_SLICE");
-    if (raw == nullptr || raw[0] == '\0') return kDefaultMaxSliceSeconds;
-    return std::atof(raw);
-  }();
-  return kFromEnv;
-}
 
 double ExecutionContext::Charge(const Work& work) {
   // The work is executed (priced) exactly once; slicing only staggers how

@@ -59,7 +59,7 @@ class ExecutionContext {
       : clock_(clock),
         model_(model),
         cores_(cores),
-        max_slice_seconds_(DefaultMaxSliceSeconds()) {}
+        max_slice_seconds_(kDefaultMaxSliceSeconds) {}
 
   /// Executes `work`: advances the clock, records energy and counters.
   /// Returns the virtual seconds consumed. When the charge is truncated
@@ -117,8 +117,7 @@ class ExecutionContext {
   uint64_t charge_slices() const { return charge_slices_; }
 
   /// Maximum virtual seconds per charge slice; <= 0 disables slicing.
-  /// Defaults to kDefaultMaxSliceSeconds, overridable with
-  /// GREEN_CHARGE_SLICE.
+  /// Defaults to kDefaultMaxSliceSeconds.
   void SetMaxSliceSeconds(double seconds) { max_slice_seconds_ = seconds; }
   double max_slice_seconds() const { return max_slice_seconds_; }
 
@@ -169,10 +168,6 @@ class ExecutionContext {
 
  private:
   friend class ChargeScope;
-
-  /// Reads GREEN_CHARGE_SLICE once per process; falls back to
-  /// kDefaultMaxSliceSeconds.
-  static double DefaultMaxSliceSeconds();
 
   /// Appends one segment to the scope path; returns the previous path
   /// length so ChargeScope can restore it on destruction.

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "green/bench_util/aggregate.h"
@@ -268,148 +267,10 @@ TEST_F(RunnerTest, MinBudgetTracksSystemDeclaration) {
   EXPECT_EQ(runner.MinBudget("nonexistent"), 0.0);
 }
 
-TEST_F(RunnerTest, JobsFromEnvParsing) {
-  EXPECT_GE(JobsFromEnv(), 1);  // Whatever the environment, never < 1.
-}
-
 TEST_F(RunnerTest, ConfigFromEnvDefaultsToFast) {
   const ExperimentConfig config = ExperimentConfig::FromEnv();
   EXPECT_GT(config.dataset_limit, 0u);  // Fast subset unless GREEN_FULL.
   EXPECT_GT(config.budget_scale, 0.0);
-}
-
-// --- env parser edge cases ---
-
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_value_ = old != nullptr;
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_value_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_value_ = false;
-};
-
-TEST(EnvParserTest, JobsEmptyGarbageOverflow) {
-  {
-    EnvGuard guard("GREEN_JOBS", nullptr);
-    EXPECT_EQ(JobsFromEnv(), 1);
-  }
-  {
-    EnvGuard guard("GREEN_JOBS", "");
-    EXPECT_EQ(JobsFromEnv(), 1);
-  }
-  {
-    EnvGuard guard("GREEN_JOBS", "banana");
-    EXPECT_EQ(JobsFromEnv(), 1);
-  }
-  {
-    EnvGuard guard("GREEN_JOBS", "4x");  // Trailing garbage.
-    EXPECT_EQ(JobsFromEnv(), 1);
-  }
-  {
-    // LONG_MAX-scale input must clamp, not overflow the int cast.
-    EnvGuard guard("GREEN_JOBS", "99999999999999999999");
-    EXPECT_EQ(JobsFromEnv(), 4096);
-  }
-  {
-    EnvGuard guard("GREEN_JOBS", "-17");
-    EXPECT_EQ(JobsFromEnv(), 1);
-  }
-  {
-    EnvGuard guard("GREEN_JOBS", "3");
-    EXPECT_EQ(JobsFromEnv(), 3);
-  }
-  {
-    EnvGuard guard("GREEN_JOBS", "0");
-    EXPECT_GE(JobsFromEnv(), 1);  // Hardware concurrency.
-  }
-}
-
-TEST(EnvParserTest, FaultsAndJournalPassThrough) {
-  {
-    EnvGuard faults("GREEN_FAULTS", nullptr);
-    EnvGuard journal("GREEN_JOURNAL", nullptr);
-    EXPECT_EQ(FaultsFromEnv(), "");
-    EXPECT_EQ(JournalFromEnv(), "");
-  }
-  {
-    EnvGuard faults("GREEN_FAULTS", "run.fit@0.5");
-    EnvGuard journal("GREEN_JOURNAL", "/tmp/journal.jsonl");
-    EXPECT_EQ(FaultsFromEnv(), "run.fit@0.5");
-    EXPECT_EQ(JournalFromEnv(), "/tmp/journal.jsonl");
-  }
-  {
-    // A garbage GREEN_FAULTS must not break startup: Lenient drops the
-    // bad clauses and keeps the good ones.
-    const FaultInjector injector = FaultInjector::Lenient(
-        "garbage, run.fit@2.0, run.fit#0, @0.5, run.fit#3", 1);
-    EXPECT_EQ(injector.size(), 1u);  // Only run.fit#3 survives.
-  }
-}
-
-TEST(EnvParserTest, RetriesAndCellTimeout) {
-  const int fallback = RetryPolicy().max_attempts;
-  {
-    EnvGuard guard("GREEN_RETRIES", nullptr);
-    EXPECT_EQ(RetriesFromEnv(), fallback);
-  }
-  {
-    EnvGuard guard("GREEN_RETRIES", "nope");
-    EXPECT_EQ(RetriesFromEnv(), fallback);
-  }
-  {
-    EnvGuard guard("GREEN_RETRIES", "99999999999999999999");
-    EXPECT_EQ(RetriesFromEnv(), 100);  // Clamped.
-  }
-  {
-    EnvGuard guard("GREEN_RETRIES", "-2");
-    EXPECT_EQ(RetriesFromEnv(), 1);  // Clamped: at least one attempt.
-  }
-  {
-    EnvGuard guard("GREEN_RETRIES", "5");
-    EXPECT_EQ(RetriesFromEnv(), 5);
-  }
-  {
-    EnvGuard guard("GREEN_CELL_TIMEOUT", nullptr);
-    EXPECT_EQ(CellTimeoutFromEnv(), 0.0);
-  }
-  {
-    EnvGuard guard("GREEN_CELL_TIMEOUT", "abc");
-    EXPECT_EQ(CellTimeoutFromEnv(), 0.0);
-  }
-  {
-    EnvGuard guard("GREEN_CELL_TIMEOUT", "-5");
-    EXPECT_EQ(CellTimeoutFromEnv(), 0.0);
-  }
-  {
-    EnvGuard guard("GREEN_CELL_TIMEOUT", "2.5");
-    EXPECT_EQ(CellTimeoutFromEnv(), 2.5);
-  }
-  {
-    EnvGuard resume("GREEN_RESUME", "1");
-    EXPECT_TRUE(ResumeFromEnv());
-  }
-  {
-    EnvGuard resume("GREEN_RESUME", "0");
-    EXPECT_FALSE(ResumeFromEnv());
-  }
 }
 
 // --- fault tolerance ---

@@ -1,15 +1,28 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <map>
+#include <optional>
 #include <set>
+#include <string>
+#include <type_traits>
 
+#include "green/bench_util/experiment.h"
 #include "green/common/arena.h"
+#include "green/common/knobs.h"
 #include "green/common/logging.h"
 #include "green/common/mathutil.h"
 #include "green/common/rng.h"
 #include "green/common/status.h"
 #include "green/common/stringutil.h"
+#include "green/common/thread_pool.h"
+#include "green/serve/request_stream.h"
+#include "green/serve/serve_policy.h"
+#include "green/table/task_type.h"
 
 namespace green {
 namespace {
@@ -312,6 +325,248 @@ TEST(LoggingTest, LevelFilterRoundTrip) {
   EXPECT_EQ(GetLogLevel(), LogLevel::kError);
   LogInfo("should be invisible");  // Must not crash.
   SetLogLevel(original);
+}
+
+// --- knob table ---
+
+/// Sets one variable for its lifetime, restoring the old value after.
+class EnvGuard {
+ public:
+  EnvGuard(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    if (old != nullptr) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~EnvGuard() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// What the knobs reach: both loaders, plus the rows no struct owns.
+struct Loaded {
+  ExperimentConfig config;
+  ServePolicy serve;
+  std::string trace;
+  bool tune = false;
+};
+
+Loaded LoadAll(const KnobValues& knobs) {
+  Loaded out;
+  out.config.Load(knobs);
+  out.serve.Load(knobs);
+  knobs.Assign(knob::kTrace, &out.trace);
+  knobs.Assign(knob::kTune, &out.tune);
+  return out;
+}
+
+std::string Num(double value) { return StrFormat("%.15g", value); }
+
+/// An enum field as its value, so a test names the constant it expects.
+template <typename E>
+  requires std::is_enum_v<E>
+std::string Num(E value) {
+  return Num(static_cast<int>(value));
+}
+
+/// The field each library row sets, rendered as text.
+const std::map<const Knob*, std::function<std::string(const Loaded&)>>&
+Fields() {
+  static const auto* kFields = new std::map<
+      const Knob*, std::function<std::string(const Loaded&)>>{
+      {&knob::kJobs, [](const Loaded& l) { return Num(l.config.jobs); }},
+      {&knob::kJournal, [](const Loaded& l) { return l.config.journal_path; }},
+      {&knob::kResume, [](const Loaded& l) { return Num(l.config.resume); }},
+      {&knob::kShard,
+       [](const Loaded& l) {
+         return StrFormat("%d/%d", l.config.shard_index,
+                          l.config.shard_count);
+       }},
+      {&knob::kRetries,
+       [](const Loaded& l) { return Num(l.config.retry.max_attempts); }},
+      {&knob::kCellTimeout,
+       [](const Loaded& l) { return Num(l.config.cell_timeout_seconds); }},
+      {&knob::kFaults, [](const Loaded& l) { return l.config.faults; }},
+      {&knob::kScopes,
+       [](const Loaded& l) { return Num(l.config.collect_scopes); }},
+      {&knob::kTransformCache,
+       [](const Loaded& l) { return Num(l.config.transform_cache); }},
+      {&knob::kTransformCacheMb,
+       [](const Loaded& l) { return Num(l.config.transform_cache_mb); }},
+      {&knob::kFull,
+       [](const Loaded& l) {
+         return StrFormat("%zu/%d/%zu", l.config.dataset_limit,
+                          l.config.repetitions, l.config.profile.max_rows);
+       }},
+      {&knob::kServeQueue,
+       [](const Loaded& l) { return Num(l.serve.queue_capacity); }},
+      {&knob::kServeBatch,
+       [](const Loaded& l) { return Num(l.serve.max_batch); }},
+      {&knob::kServeBatchDelayMs,
+       [](const Loaded& l) { return Num(l.serve.batch_delay_seconds); }},
+      {&knob::kServeDeadlineMs,
+       [](const Loaded& l) { return Num(l.serve.deadline_seconds); }},
+      {&knob::kServeEnergySloJ,
+       [](const Loaded& l) { return Num(l.serve.energy_slo_joules); }},
+      {&knob::kServePolicy,
+       [](const Loaded& l) { return Num(l.serve.on_deadline); }},
+      {&knob::kServeShed, [](const Loaded& l) { return Num(l.serve.shed); }},
+      {&knob::kTrace, [](const Loaded& l) { return l.trace; }},
+      {&knob::kTune, [](const Loaded& l) { return Num(l.tune); }},
+  };
+  return *kFields;
+}
+
+struct KnobCase {
+  const Knob* knob;
+  const char* text;
+  /// The field after loading; nullptr = malformed: the variable keeps the
+  /// default (with one warning unless empty), the flag is an error.
+  std::optional<std::string> expected;
+};
+
+TEST(KnobTableTest, EnvAndFlagParseEveryRowAlike) {
+  const std::string hardware = Num(ThreadPool::DefaultThreads());
+  const std::vector<KnobCase> cases = {
+      {&knob::kJobs, "", std::nullopt},
+      {&knob::kJobs, "banana", std::nullopt},
+      {&knob::kJobs, "4x", std::nullopt},
+      {&knob::kJobs, "99999999999999999999", "4096"},
+      {&knob::kJobs, "-17", "1"},
+      {&knob::kJobs, "3", "3"},
+      {&knob::kJobs, "0", hardware},
+      {&knob::kFaults, "", ""},
+      {&knob::kFaults, "run.fit@0.5", "run.fit@0.5"},
+      {&knob::kJournal, "/tmp/journal.jsonl", "/tmp/journal.jsonl"},
+      {&knob::kResume, "1", "1"},
+      {&knob::kResume, "0", "0"},
+      {&knob::kResume, "yes", std::nullopt},
+      {&knob::kRetries, "nope", std::nullopt},
+      {&knob::kRetries, "99999999999999999999", "100"},
+      {&knob::kRetries, "1000", "100"},
+      {&knob::kRetries, "-2", "1"},
+      {&knob::kRetries, "5", "5"},
+      {&knob::kCellTimeout, "abc", std::nullopt},
+      {&knob::kCellTimeout, "nan", std::nullopt},
+      {&knob::kCellTimeout, "-5", "0"},
+      {&knob::kCellTimeout, "2.5", "2.5"},
+      {&knob::kScopes, "1", "1"},
+      {&knob::kTransformCache, "0", "0"},
+      {&knob::kTransformCache, "yes", std::nullopt},
+      {&knob::kTransformCacheMb, "0.5", "1"},
+      {&knob::kTransformCacheMb, "1e9", "65536"},
+      {&knob::kTransformCacheMb, "512", "512"},
+      {&knob::kFull, "1", "0/10/4000"},
+      {&knob::kFull, "0", "8/2/1400"},
+      {&knob::kShard, "1/3", "1/3"},
+      {&knob::kShard, "nonsense", std::nullopt},
+      {&knob::kShard, "3/3", std::nullopt},
+      {&knob::kServeQueue, "99999999999999999999", "1048576"},
+      {&knob::kServeQueue, "12abc", std::nullopt},
+      {&knob::kServeBatch, "-7", "1"},
+      {&knob::kServeBatchDelayMs, "20", "0.02"},
+      {&knob::kServeDeadlineMs, "1e30", "3600"},
+      {&knob::kServeDeadlineMs, "inf", std::nullopt},
+      {&knob::kServeEnergySloJ, "0.001", "0.001"},
+      {&knob::kServePolicy, "degrade",
+       Num(ServePolicy::DeadlineAction::kDegrade)},
+      {&knob::kServePolicy, "fail", Num(ServePolicy::DeadlineAction::kFail)},
+      {&knob::kServePolicy, "bogus", std::nullopt},
+      {&knob::kServeShed, "oldest", Num(ServePolicy::ShedPolicy::kOldest)},
+      {&knob::kServeShed, "newest", Num(ServePolicy::ShedPolicy::kNewest)},
+      {&knob::kServeShed, "bogus", std::nullopt},
+      {&knob::kServeShed, "", std::nullopt},
+      {&knob::kTrace, "/tmp/trace.jsonl", "/tmp/trace.jsonl"},
+      {&knob::kTune, "1", "1"},
+      {&knob::kTune, "2", std::nullopt},
+  };
+  // Every library row has at least one valid case.
+  for (const Knob* row : knob::kLibrary) {
+    EXPECT_TRUE(std::any_of(cases.begin(), cases.end(), [&](auto& c) {
+      return c.knob == row && c.expected.has_value();
+    })) << row->env;
+  }
+  // Unset variables leave the struct defaults.
+  const Loaded defaults = LoadAll(KnobValues());
+  EXPECT_EQ(Fields().at(&knob::kJobs)(defaults), "1");
+  EXPECT_EQ(Fields().at(&knob::kRetries)(defaults), "2");
+  EXPECT_EQ(Fields().at(&knob::kCellTimeout)(defaults), "0");
+  EXPECT_EQ(Fields().at(&knob::kShard)(defaults), "0/1");
+  for (const KnobCase& c : cases) {
+    SCOPED_TRACE(std::string(c.knob->env) + "='" + c.text + "'");
+    const auto& field = Fields().at(c.knob);
+
+    KnobValues env;
+    std::string warnings;
+    {
+      EnvGuard guard(c.knob->env, c.text);
+      testing::internal::CaptureStderr();
+      env.ReadEnv(*c.knob);
+      warnings = testing::internal::GetCapturedStderr();
+    }
+    KnobValues flags;
+    const Status set = flags.Set(*c.knob, c.text);
+
+    if (!c.expected) {
+      EXPECT_EQ(field(LoadAll(env)), field(defaults));
+      EXPECT_EQ(std::count(warnings.begin(), warnings.end(), '\n'),
+                c.text[0] == '\0' ? 0 : 1);
+      if (c.text[0] != '\0') {
+        EXPECT_NE(warnings.find(c.knob->env), std::string::npos);
+      }
+      EXPECT_FALSE(set.ok());
+      const char* name = c.knob->flag != nullptr ? c.knob->flag : c.knob->env;
+      EXPECT_EQ(set.message().rfind(std::string(name) + ": ", 0), 0u)
+          << set.message();
+    } else {
+      EXPECT_EQ(warnings, "");
+      EXPECT_EQ(field(LoadAll(env)), *c.expected);
+      ASSERT_TRUE(set.ok()) << set.ToString();
+      EXPECT_EQ(field(LoadAll(flags)), *c.expected);
+    }
+  }
+}
+
+TEST(KnobTableTest, StrictRowsRejectInsteadOfClamping) {
+  constexpr Knob kBudget{.flag = "--budget", .type = KnobType::kDouble,
+                         .min = 1, .max = 100, .reject_out_of_range = true};
+  EXPECT_EQ(std::get<double>(ParseKnob(kBudget, "30").value()), 30.0);
+  EXPECT_FALSE(ParseKnob(kBudget, "-5").ok());
+  EXPECT_FALSE(ParseKnob(kBudget, "101").ok());
+}
+
+/// Loads each value's own name through a row built by EnumChoices, as the
+/// CLI's --task and --trace rows are, and expects that value back.
+template <typename E>
+void ExpectEnumRowLoadsEachName(const char* (*name)(E),
+                                std::initializer_list<E> values) {
+  const std::string choices = EnumChoices(name, static_cast<int>(values.size()));
+  const Knob row{.flag = "--row", .type = KnobType::kEnum,
+                 .choices = choices.c_str()};
+  for (const E value : values) {
+    SCOPED_TRACE(name(value));
+    KnobValues knobs;
+    ASSERT_TRUE(knobs.Set(row, name(value)).ok());
+    EXPECT_EQ(knobs.Get<E>(row), value);
+  }
+  EXPECT_FALSE(KnobValues().Set(row, "tsunami").ok());
+}
+
+TEST(KnobTableTest, EnumChoicesLoadTheNamedValue) {
+  ExpectEnumRowLoadsEachName(
+      TaskTypeName,
+      {TaskType::kBinary, TaskType::kMulticlass, TaskType::kRegression});
+  ExpectEnumRowLoadsEachName(TraceKindName,
+                             {TraceSpec::Kind::kConstant,
+                              TraceSpec::Kind::kDiurnal,
+                              TraceSpec::Kind::kBurst});
 }
 
 // --- Arena ---

@@ -85,6 +85,11 @@ TEST(ParseFaultSpecsTest, LenientDropsBadClausesKeepsGood) {
 
   const FaultInjector all_bad = FaultInjector::Lenient("nope, @, #", 42);
   EXPECT_TRUE(all_bad.empty());
+
+  // Out-of-range probability and a zero count are dropped too.
+  const FaultInjector mixed = FaultInjector::Lenient(
+      "garbage, run.fit@2.0, run.fit#0, @0.5, run.fit#3", 1);
+  EXPECT_EQ(mixed.size(), 1u);  // Only run.fit#3 survives.
 }
 
 // --- injected status ---

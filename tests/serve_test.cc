@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -393,50 +392,6 @@ TEST_F(ServeTest, UnsortedTraceIsRejected) {
   ServePolicy policy;
   InferenceServer server(BuildLadder(), data_, &model_, policy);
   EXPECT_FALSE(server.Replay(trace).ok());
-}
-
-// --- GREEN_SERVE_* environment overrides ------------------------------
-
-struct EnvGuard {
-  explicit EnvGuard(const char* name) : name(name) {}
-  ~EnvGuard() { ::unsetenv(name); }
-  const char* name;
-};
-
-TEST_F(ServeTest, PolicyFromEnvClampsOverflowAndIgnoresGarbage) {
-  EnvGuard queue("GREEN_SERVE_QUEUE");
-  EnvGuard batch("GREEN_SERVE_BATCH");
-  EnvGuard deadline("GREEN_SERVE_DEADLINE_MS");
-  EnvGuard action("GREEN_SERVE_POLICY");
-  EnvGuard shed("GREEN_SERVE_SHED");
-  // Overflows strtol/strtod's range: must clamp, not wrap or crash.
-  ::setenv("GREEN_SERVE_QUEUE", "99999999999999999999", 1);
-  ::setenv("GREEN_SERVE_BATCH", "-7", 1);
-  ::setenv("GREEN_SERVE_DEADLINE_MS", "1e30", 1);
-  ::setenv("GREEN_SERVE_POLICY", "degrade", 1);
-  ::setenv("GREEN_SERVE_SHED", "bogus", 1);
-  const ServePolicy policy = ServePolicyFromEnv();
-  EXPECT_EQ(policy.queue_capacity, 1048576u);
-  EXPECT_EQ(policy.max_batch, 1u);
-  EXPECT_DOUBLE_EQ(policy.deadline_seconds, 3600.0);  // 3600000 ms cap.
-  EXPECT_EQ(policy.on_deadline, ServePolicy::DeadlineAction::kDegrade);
-  EXPECT_EQ(policy.shed, ServePolicy::ShedPolicy::kNewest);  // Fallback.
-
-  ::setenv("GREEN_SERVE_QUEUE", "12abc", 1);
-  EXPECT_EQ(ServePolicyFromEnv().queue_capacity, 64u);  // Malformed.
-}
-
-TEST_F(ServeTest, NameRoundTrips) {
-  EXPECT_EQ(DeadlineActionFromName("fail").value(),
-            ServePolicy::DeadlineAction::kFail);
-  EXPECT_EQ(DeadlineActionFromName("degrade").value(),
-            ServePolicy::DeadlineAction::kDegrade);
-  EXPECT_FALSE(DeadlineActionFromName("explode").ok());
-  EXPECT_EQ(ShedPolicyFromName("oldest").value(),
-            ServePolicy::ShedPolicy::kOldest);
-  EXPECT_FALSE(ShedPolicyFromName("").ok());
-  EXPECT_EQ(TraceKindFromName("burst").value(), TraceSpec::Kind::kBurst);
-  EXPECT_FALSE(TraceKindFromName("tsunami").ok());
 }
 
 }  // namespace

@@ -5,13 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "green/bench_util/aggregate.h"
 #include "green/bench_util/experiment.h"
 #include "green/bench_util/record_io.h"
+#include "green/common/knobs.h"
 #include "green/common/shard.h"
 #include "green/common/stringutil.h"
 
@@ -20,26 +20,35 @@ namespace {
 
 // --- shard spec ---
 
+Result<ShardSpec> ParseShard(const char* text) {
+  Result<KnobValue> parsed = ParseKnob(knob::kShard, text);
+  if (!parsed.ok()) return parsed.status();
+  return std::get<ShardSpec>(*parsed);
+}
+
 TEST(ShardSpecTest, ParseValidSpecs) {
-  auto spec = ParseShardSpec("0/1");
+  auto spec = ParseShard("0/1");
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ(spec->index, 0);
   EXPECT_EQ(spec->count, 1);
-  spec = ParseShardSpec("2/4");
+  spec = ParseShard("2/4");
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ(spec->index, 2);
   EXPECT_EQ(spec->count, 4);
   EXPECT_EQ(spec->ToString(), "2/4");
+  spec = ParseShard("4095/4096");
+  ASSERT_TRUE(spec.ok());
+  EXPECT_EQ(spec->ToString(), "4095/4096");
 }
 
 TEST(ShardSpecTest, ParseRejectsGarbage) {
   for (const char* bad :
        {"", "/", "1", "1/", "/3", "a/3", "1/b", "1/3x", "-1/3", "3/3",
-        "4/3", "1/0", "1/99999"}) {
-    EXPECT_FALSE(ParseShardSpec(bad).ok()) << bad;
+        "4/3", "1/0", "0/0", "1/99999", "1/2/3"}) {
+    EXPECT_FALSE(ParseShard(bad).ok()) << bad;
   }
   // Surrounding whitespace is trimmed, not rejected.
-  EXPECT_TRUE(ParseShardSpec(" 1/3 ").ok());
+  EXPECT_TRUE(ParseShard(" 1/3 ").ok());
 }
 
 TEST(ShardSpecTest, RoundRobinPartitionsEveryIndexExactlyOnce) {
@@ -62,53 +71,6 @@ TEST(ShardSpecTest, InvalidSpecsDetected) {
   EXPECT_FALSE((ShardSpec{0, 0}).valid());
   EXPECT_TRUE((ShardSpec{0, 1}).valid());
   EXPECT_TRUE((ShardSpec{3, 4}).valid());
-}
-
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, 1);
-    }
-  }
-  ~EnvGuard() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
-
-TEST(ShardSpecTest, FromEnv) {
-  {
-    EnvGuard guard("GREEN_SHARD", nullptr);
-    const ShardSpec shard = ShardFromEnv();
-    EXPECT_EQ(shard.index, 0);
-    EXPECT_EQ(shard.count, 1);
-  }
-  {
-    EnvGuard guard("GREEN_SHARD", "1/3");
-    const ShardSpec shard = ShardFromEnv();
-    EXPECT_EQ(shard.index, 1);
-    EXPECT_EQ(shard.count, 3);
-  }
-  {
-    EnvGuard guard("GREEN_SHARD", "nonsense");
-    const ShardSpec shard = ShardFromEnv();  // Warns, falls back.
-    EXPECT_EQ(shard.index, 0);
-    EXPECT_EQ(shard.count, 1);
-  }
 }
 
 // --- sharded sweeps ---
