@@ -159,6 +159,44 @@ void BM_BlendedPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_BlendedPredict)->Arg(4)->Arg(16);
 
+// Serving-sized predicts: the default preprocessing (imputer, one-hot,
+// standard scaler) plus a random forest, on a table with categorical
+// columns, predicting Arg-row views as the serving layer's micro-batches
+// do. Per-batch costs that grow with the column count show here; the
+// all-numeric table of BM_BlendedPredict takes the one-hot identity
+// shortcut and hides them.
+void BM_SmallBatchPredict(benchmark::State& state) {
+  SyntheticSpec spec;
+  spec.name = "bench_categorical";
+  spec.num_rows = 400;
+  spec.num_features = 12;
+  spec.num_informative = 6;
+  spec.num_categorical = 4;
+  spec.num_classes = 3;
+  spec.seed = 99;
+  const Dataset data = GenerateSynthetic(spec).value();
+  Ctx c;
+  PipelineConfig config;
+  config.model = "random_forest";
+  auto pipeline = BuildPipeline(config);
+  if (!pipeline.ok() || !pipeline->Fit(data, &c.ctx).ok()) {
+    state.SkipWithError("fit failed");
+    return;
+  }
+  std::vector<size_t> batch(static_cast<size_t>(state.range(0)));
+  size_t next = 0;
+  for (auto _ : state) {
+    for (size_t& r : batch) {
+      r = next;
+      next = (next + 1) % data.num_rows();
+    }
+    benchmark::DoNotOptimize(
+        pipeline->PredictProba(data.Subset(batch), &c.ctx));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SmallBatchPredict)->Arg(1)->Arg(8);
+
 void BM_RfSurrogateFit(benchmark::State& state) {
   Rng rng(1);
   std::vector<std::vector<double>> xs;

@@ -18,6 +18,8 @@
 // PATH` writes it as JSONL for CI to diff against the checked-in
 // BENCH_mixed_tasks.json.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -140,6 +142,9 @@ int Main(int argc, char** argv) {
 
   const std::vector<std::string> systems = AllSystemNames();
   const std::vector<double> budgets = {10.0, 60.0};
+  // Journals are named per process, so concurrent runs never share one.
+  const std::string journal_prefix =
+      StrFormat("/tmp/mixed_task_sweep.%d.", static_cast<int>(getpid()));
 
   // --- Mode 1: sequential reference ---------------------------------
   ExperimentConfig sequential_config = BaseConfig();
@@ -218,7 +223,8 @@ int Main(int argc, char** argv) {
     shard_config.shard_index = i;
     shard_config.shard_count = 3;
     shard_config.jobs = 2;
-    shard_config.journal_path = StrFormat("/tmp/mixed_shard%d.jsonl", i);
+    shard_config.journal_path =
+        journal_prefix + StrFormat("shard%d.jsonl", i);
     shard_paths.push_back(shard_config.journal_path);
     ExperimentRunner shard(shard_config);
     shard.SetSuite(MixedSuite());
@@ -229,7 +235,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
-  const std::string merged_path = "/tmp/mixed_merged.jsonl";
+  const std::string merged_path = journal_prefix + "merged.jsonl";
   auto merged = MergeShardJournals(shard_paths, merged_path);
   if (!merged.ok()) {
     std::fprintf(stderr, "journal merge failed: %s\n",
@@ -254,7 +260,7 @@ int Main(int argc, char** argv) {
   // SAME dice, keeping even fault-hit cells byte-identical.
   ExperimentConfig faulty_config = BaseConfig();
   faulty_config.faults = "run.fit@0.15";
-  faulty_config.journal_path = "/tmp/mixed_faulty.jsonl";
+  faulty_config.journal_path = journal_prefix + "faulty.jsonl";
   ExperimentRunner faulty(faulty_config);
   faulty.SetSuite(MixedSuite());
   auto faulty_records = faulty.Sweep(systems, budgets);
@@ -332,6 +338,9 @@ int Main(int argc, char** argv) {
     std::printf("snapshot: %s (%zu records)\n", json_path.c_str(),
                 reference->size());
   }
+  shard_paths.push_back(merged_path);
+  shard_paths.push_back(faulty_config.journal_path);
+  for (const std::string& path : shard_paths) std::remove(path.c_str());
   std::printf("mixed_task_sweep: all gates passed\n");
   return 0;
 }

@@ -291,7 +291,10 @@ Status WriteRecordsJsonl(const std::vector<RunRecord>& records,
       return Status::IoError("short write to " + path);
     }
   }
-  std::fclose(f);
+  // fclose flushes the buffer, so a full device often fails only here.
+  if (std::fclose(f) != 0) {
+    return Status::IoError("write failed at close: " + path);
+  }
   return Status::Ok();
 }
 
@@ -302,7 +305,9 @@ Result<std::vector<RunRecord>> ReadRecordsJsonl(const std::string& path) {
   char buf[65536];
   size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  const bool read_failed = std::ferror(f) != 0;
   std::fclose(f);
+  if (read_failed) return Status::IoError("read failed: " + path);
 
   std::vector<RunRecord> records;
   for (const std::string& line : Split(text, '\n')) {
@@ -356,8 +361,9 @@ Status WriteRecordsCsv(const std::vector<RunRecord>& records,
   if (f == nullptr) return Status::IoError("cannot open " + path);
   const std::string text = RecordsToCsv(records);
   const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
+  const bool closed = std::fclose(f) == 0;
   if (written != text.size()) return Status::IoError("short write");
+  if (!closed) return Status::IoError("write failed at close: " + path);
   return Status::Ok();
 }
 
@@ -440,7 +446,9 @@ Result<JournalContents> ReadJournal(const std::string& path) {
   char buf[65536];
   size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  const bool read_failed = std::ferror(f) != 0;
   std::fclose(f);
+  if (read_failed) return Status::IoError("read failed: " + path);
 
   // Every complete append ends in '\n'; a file that does not was killed
   // mid-append. The partial tail must be DISCARDED, not parsed: a

@@ -29,10 +29,28 @@ Status OneHotEncoder::Fit(const Dataset& train, ExecutionContext* ctx) {
     }
     output_width_ += 1;  // Pass-through.
   }
+  input_schema_ = train.schema();
+  output_schema_ = OutputSchema(*input_schema_);
   ctx->ChargeCpu(static_cast<double>(train.num_rows() * d),
                  train.FeatureBytes());
   fitted_ = true;
   return Status::Ok();
+}
+
+std::shared_ptr<Schema> OneHotEncoder::OutputSchema(
+    const Schema& input) const {
+  auto schema = std::make_shared<Schema>(output_width_);
+  size_t o = 0;
+  for (size_t j = 0; j < input_width_; ++j) {
+    if (cardinality_[j] == 0) {
+      schema->set_name(o++, input.name(j));
+      continue;
+    }
+    for (int c = 0; c < cardinality_[j]; ++c) {
+      schema->set_name(o++, StrFormat("%s=%d", input.name(j).c_str(), c));
+    }
+  }
+  return schema;
 }
 
 Result<Dataset> OneHotEncoder::Transform(const Dataset& data,
@@ -63,28 +81,15 @@ Result<Dataset> OneHotEncoder::Transform(const Dataset& data,
     }
   }
 
-  Dataset out = Dataset::Like(data, data.name(), output_width_);
+  // Pointer equality first (the fit-time input or a view of it), then
+  // contents (fresh data with the same column names).
+  const std::shared_ptr<const Schema> input = data.schema();
+  const bool fitted_names =
+      input == input_schema_ || input->SameNames(*input_schema_);
+  Dataset out = Dataset::Like(
+      data, data.name(), fitted_names ? output_schema_ : OutputSchema(*input));
   out.SetNominalSize(data.nominal_rows(), data.nominal_features());
   out.Reserve(data.num_rows());
-
-  // Name and type the output columns once.
-  {
-    size_t o = 0;
-    for (size_t j = 0; j < input_width_; ++j) {
-      if (cardinality_[j] == 0) {
-        out.SetFeatureName(o, data.feature_name(j));
-        out.SetFeatureType(o, FeatureType::kNumeric);
-        ++o;
-      } else {
-        for (int c = 0; c < cardinality_[j]; ++c) {
-          out.SetFeatureName(
-              o, StrFormat("%s=%d", data.feature_name(j).c_str(), c));
-          out.SetFeatureType(o, FeatureType::kNumeric);
-          ++o;
-        }
-      }
-    }
-  }
 
   std::vector<double> row(output_width_);
   for (size_t r = 0; r < data.num_rows(); ++r) {

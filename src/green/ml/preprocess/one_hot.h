@@ -1,6 +1,7 @@
 #ifndef GREEN_ML_PREPROCESS_ONE_HOT_H_
 #define GREEN_ML_PREPROCESS_ONE_HOT_H_
 
+#include <memory>
 #include <vector>
 
 #include "green/ml/estimator.h"
@@ -11,6 +12,13 @@ namespace green {
 /// copied through. Categories unseen at fit time map to all-zeros.
 /// Columns whose cardinality exceeds `max_cardinality` are passed through
 /// as numeric codes instead (the standard high-cardinality guard).
+///
+/// The output schema (indicator columns named `<name>=<code>`) is built
+/// once, in Fit, and only read by Transform, which may run concurrently on
+/// a fitted encoder shared through the TransformCache. Transform shares it
+/// whenever the input names equal the fitted input's names and builds a
+/// fresh one otherwise, so output names always follow the transform-time
+/// input.
 class OneHotEncoder : public Transformer {
  public:
   explicit OneHotEncoder(int max_cardinality = 32)
@@ -36,10 +44,15 @@ class OneHotEncoder : public Transformer {
   size_t output_width() const { return output_width_; }
 
  private:
+  /// Output schema for an input whose columns are named like `input`.
+  std::shared_ptr<Schema> OutputSchema(const Schema& input) const;
+
   int max_cardinality_;
   std::vector<int> cardinality_;  ///< 0 = pass-through column.
   size_t input_width_ = 0;
   size_t output_width_ = 0;
+  std::shared_ptr<const Schema> input_schema_;  ///< Fitted input's columns.
+  std::shared_ptr<Schema> output_schema_;  ///< Never written after Fit.
   bool fitted_ = false;
 };
 

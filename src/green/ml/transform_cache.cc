@@ -6,7 +6,8 @@ namespace green {
 
 std::string TransformCache::MapKey(const Dataset& input,
                                    const std::string& chain_signature) {
-  return StrFormat("%p|%zu|%zu|%016llx|", input.StorageId(),
+  return StrFormat("%p|%p|%zu|%zu|%016llx|", input.StorageId(),
+                   static_cast<const void*>(input.schema().get()),
                    input.num_rows(), input.num_features(),
                    static_cast<unsigned long long>(input.ViewFingerprint())) +
          chain_signature;
@@ -14,8 +15,9 @@ std::string TransformCache::MapKey(const Dataset& input,
 
 std::string TransformCache::PredictKey(const TransformCacheEntry* chain,
                                        const Dataset& input) {
-  return StrFormat("predict:%p|%p|%zu|%zu|%016llx",
+  return StrFormat("predict:%p|%p|%p|%zu|%zu|%016llx",
                    static_cast<const void*>(chain), input.StorageId(),
+                   static_cast<const void*>(input.schema().get()),
                    input.num_rows(), input.num_features(),
                    static_cast<unsigned long long>(input.ViewFingerprint()));
 }

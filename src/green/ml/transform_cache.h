@@ -18,9 +18,9 @@ namespace green {
 
 /// One memoized transformer-chain fit: the fitted transformers, the
 /// transformed train set (sharing storage), and the charge tape recorded
-/// during the original fit. `input` pins the source storage — while the
-/// entry lives, its StorageId cannot be recycled by a different dataset,
-/// which is what makes pointer-identity keys exact.
+/// during the original fit. `input` pins the source matrix and schema —
+/// while the entry lives, neither address can be recycled by a different
+/// dataset, which is what makes pointer-identity keys exact.
 struct TransformCacheEntry {
   Dataset input;
   /// Fitted instances, shared with every pipeline that adopted them.
@@ -48,8 +48,8 @@ struct TransformCacheStats {
 };
 
 /// Thread-safe, byte-bounded, LRU-evicting memo of fitted transformer
-/// chains, keyed by (dataset storage identity, exact row view, chain
-/// config signature). Purely a *host-time* optimization: on a hit the
+/// chains, keyed by (dataset storage and schema identity, exact row view,
+/// chain config signature). Purely a *host-time* optimization: on a hit the
 /// caller replays the recorded charge tape, so every simulated quantity is
 /// bit-identical to recomputing. Failed or interrupted fits are never
 /// inserted (same rule the ASKL meta-store follows).
@@ -78,8 +78,8 @@ class TransformCache {
 
   /// Predict-path memo: the result of pushing `input` through the fitted
   /// chain `chain`. Memos are ordinary LRU entries (same byte budget and
-  /// eviction), keyed by (chain identity, input storage identity, exact
-  /// row view). Returns null on miss.
+  /// eviction), keyed by (chain identity, input storage and schema
+  /// identity, exact row view). Returns null on miss.
   std::shared_ptr<const TransformCacheEntry> LookupPredict(
       const std::shared_ptr<const TransformCacheEntry>& chain,
       const Dataset& input);

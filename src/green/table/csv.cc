@@ -146,10 +146,12 @@ Status WriteCsv(const Dataset& data, const std::string& path) {
   if (f == nullptr) return Status::IoError("cannot open for write: " + path);
   const std::string text = ToCsvString(data);
   const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
+  // fclose flushes the buffer, so a full device often fails only here.
+  const bool closed = std::fclose(f) == 0;
   if (written != text.size()) {
     return Status::IoError("short write to " + path);
   }
+  if (!closed) return Status::IoError("write failed at close: " + path);
   return Status::Ok();
 }
 
@@ -160,7 +162,9 @@ Result<Dataset> ReadCsv(const std::string& path, const std::string& name) {
   char buf[65536];
   size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  const bool read_failed = std::ferror(f) != 0;
   std::fclose(f);
+  if (read_failed) return Status::IoError("read failed: " + path);
   return FromCsvString(text, name);
 }
 

@@ -1,23 +1,56 @@
 #include "green/table/dataset.h"
 
+#include <algorithm>
+
 #include "green/common/logging.h"
 #include "green/common/rng.h"
 #include "green/common/stringutil.h"
 
 namespace green {
 
+namespace {
+
+// True when `name` is column j's default name f<j>.
+bool IsDefaultName(const std::string& name, size_t j) {
+  return name.size() > 1 && name[0] == 'f' &&
+         name.compare(1, std::string::npos, std::to_string(j)) == 0;
+}
+
+}  // namespace
+
+std::string Schema::name(size_t j) const {
+  if (j < names_.size() && !names_[j].empty()) return names_[j];
+  return StrFormat("f%zu", j);
+}
+
+void Schema::set_name(size_t j, std::string name) {
+  // A default name is stored as unset, so equal names are equal strings.
+  if (IsDefaultName(name, j)) name.clear();
+  if (names_.empty()) {
+    if (name.empty()) return;
+    names_.resize(types_.size());
+  }
+  names_[j] = std::move(name);
+}
+
+bool Schema::SameNames(const Schema& other) const {
+  if (size() != other.size()) return false;
+  if (names_.empty() || other.names_.empty()) {
+    const std::vector<std::string>& named =
+        names_.empty() ? other.names_ : names_;
+    return std::all_of(named.begin(), named.end(),
+                       [](const std::string& n) { return n.empty(); });
+  }
+  return names_ == other.names_;
+}
+
 Dataset::Dataset(std::string name, size_t num_features, int num_classes)
     : name_(std::move(name)),
       num_features_(num_features),
       num_classes_(num_classes),
       task_(TaskTypeForClasses(num_classes)),
-      storage_(std::make_shared<Storage>()) {
-  storage_->feature_types.assign(num_features, FeatureType::kNumeric);
-  storage_->feature_names.reserve(num_features);
-  for (size_t j = 0; j < num_features; ++j) {
-    storage_->feature_names.push_back(StrFormat("f%zu", j));
-  }
-}
+      storage_(std::make_shared<Storage>()),
+      schema_(std::make_shared<Schema>(num_features)) {}
 
 Dataset Dataset::Regression(std::string name, size_t num_features) {
   Dataset out(std::move(name), num_features, /*num_classes=*/1);
@@ -27,8 +60,19 @@ Dataset Dataset::Regression(std::string name, size_t num_features) {
 
 Dataset Dataset::Like(const Dataset& proto, std::string name,
                       size_t num_features) {
-  Dataset out(std::move(name), num_features, proto.num_classes());
+  return Like(proto, std::move(name), std::make_shared<Schema>(num_features));
+}
+
+Dataset Dataset::Like(const Dataset& proto, std::string name,
+                      std::shared_ptr<Schema> schema) {
+  GREEN_CHECK(schema != nullptr);
+  Dataset out;
+  out.name_ = std::move(name);
+  out.num_features_ = schema->size();
+  out.num_classes_ = proto.num_classes();
   out.task_ = proto.task();
+  out.storage_ = std::make_shared<Storage>();
+  out.schema_ = std::move(schema);
   return out;
 }
 
@@ -39,8 +83,6 @@ void Dataset::EnsureOwned() {
   }
   auto fresh = std::make_shared<Storage>();
   if (storage_ != nullptr) {
-    fresh->feature_types = storage_->feature_types;
-    fresh->feature_names = storage_->feature_names;
     fresh->x.reserve(num_rows() * num_features_);
     for (size_t r = 0; r < num_rows(); ++r) {
       const double* p = RowPtr(r);
@@ -49,6 +91,11 @@ void Dataset::EnsureOwned() {
   }
   storage_ = std::move(fresh);
   row_index_ = nullptr;
+}
+
+Schema& Dataset::MutableSchema() {
+  if (schema_.use_count() != 1) schema_ = std::make_shared<Schema>(*schema_);
+  return *schema_;
 }
 
 Status Dataset::AppendRow(const std::vector<double>& features, int label) {
@@ -116,14 +163,12 @@ void Dataset::Reserve(size_t rows) {
 
 void Dataset::SetFeatureType(size_t j, FeatureType type) {
   GREEN_CHECK(j < num_features_);
-  EnsureOwned();
-  storage_->feature_types[j] = type;
+  MutableSchema().set_type(j, type);
 }
 
 void Dataset::SetFeatureName(size_t j, std::string name) {
   GREEN_CHECK(j < num_features_);
-  EnsureOwned();
-  storage_->feature_names[j] = std::move(name);
+  MutableSchema().set_name(j, std::move(name));
 }
 
 void Dataset::SetNominalSize(int64_t rows, int64_t features) {
@@ -144,10 +189,9 @@ std::vector<double> Dataset::Row(size_t row) const {
 }
 
 size_t Dataset::NumCategorical() const {
-  if (storage_ == nullptr) return 0;
   size_t n = 0;
-  for (FeatureType t : storage_->feature_types) {
-    if (t == FeatureType::kCategorical) ++n;
+  for (size_t j = 0; j < num_features_; ++j) {
+    if (feature_type(j) == FeatureType::kCategorical) ++n;
   }
   return n;
 }
@@ -167,6 +211,7 @@ Dataset Dataset::Subset(const std::vector<size_t>& rows) const {
   out.nominal_rows_ = nominal_rows_;
   out.nominal_features_ = nominal_features_;
   out.storage_ = storage_;
+  out.schema_ = schema_;
   auto index = std::make_shared<std::vector<size_t>>();
   index->reserve(rows.size());
   out.labels_.reserve(rows.size());
@@ -186,8 +231,8 @@ Dataset Dataset::SelectFeatures(const std::vector<size_t>& cols) const {
   out.targets_ = targets_;
   for (size_t k = 0; k < cols.size(); ++k) {
     GREEN_CHECK(cols[k] < num_features_);
-    out.storage_->feature_types[k] = storage_->feature_types[cols[k]];
-    out.storage_->feature_names[k] = storage_->feature_names[cols[k]];
+    out.SetFeatureType(k, feature_type(cols[k]));
+    out.SetFeatureName(k, feature_name(cols[k]));
   }
   out.nominal_rows_ = nominal_rows_;
   out.nominal_features_ = nominal_features_;

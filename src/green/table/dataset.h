@@ -12,6 +12,37 @@
 
 namespace green {
 
+/// Per-column metadata of a Dataset: one type per column and optional
+/// names. Copies, views and fitted encoders share one Schema through a
+/// shared pointer and never write to it while it is shared; Dataset's
+/// metadata mutators copy it on write.
+class Schema {
+ public:
+  explicit Schema(size_t num_features)
+      : types_(num_features, FeatureType::kNumeric) {}
+
+  size_t size() const { return types_.size(); }
+  FeatureType type(size_t j) const { return types_[j]; }
+  /// The name set for column `j`, or the default `f<j>`, which is computed
+  /// here and never stored.
+  std::string name(size_t j) const;
+
+  void set_type(size_t j, FeatureType type) { types_[j] = type; }
+  /// An empty `name`, or the default `f<j>` itself, leaves column `j` at
+  /// its default name.
+  void set_name(size_t j, std::string name);
+
+  /// True when both schemas have the same width and name every column
+  /// alike; types are not compared.
+  bool SameNames(const Schema& other) const;
+
+ private:
+  std::vector<FeatureType> types_;
+  /// Empty until a name other than the default is set, then one entry per
+  /// column; "" = the default.
+  std::vector<std::string> names_;
+};
+
 /// A labeled classification dataset: dense row-major feature matrix with
 /// per-column types plus integer class labels in [0, num_classes).
 ///
@@ -21,14 +52,19 @@ namespace green {
 /// energy cost model can extrapolate to nominal scale while learning runs
 /// on the instantiated sample; see DESIGN.md §3.
 ///
-/// Storage model: the feature matrix and per-column metadata live behind a
-/// shared immutable block, so copying a Dataset is O(rows) (labels only)
-/// and `Subset` returns an O(rows) *view* — a row-index indirection over
-/// the same storage — instead of a dense copy. Mutators (`Set`,
-/// `AppendRow`, `SetFeatureType`, `SetFeatureName`) copy-on-write: they
-/// first collapse the view / unshare the storage, so no mutation is ever
-/// visible through another Dataset. `Materialize()` collapses a view into
-/// owned dense storage explicitly for code that wants contiguity.
+/// Storage model: the feature matrix and the Schema (column types and
+/// names) are two separate shared immutable blocks. Copying a Dataset is
+/// O(rows) (labels only), and `Subset` returns an O(rows) *view* — a
+/// row-index indirection over the same matrix and schema — instead of a
+/// dense copy. Matrix mutators (`Set`, `MutableData`, `AppendRow`,
+/// `Reserve`) copy-on-write the matrix alone: they first collapse the view
+/// / unshare the matrix. Metadata mutators (`SetFeatureType`,
+/// `SetFeatureName`) copy-on-write the schema alone and never touch the
+/// matrix, so renaming a column of a view keeps it a view. No mutation is
+/// ever visible through another Dataset. Default column names `f<j>` are
+/// not stored: `feature_name` computes them on read. `Materialize()`
+/// collapses a view into owned dense storage explicitly for code that
+/// wants contiguity.
 class Dataset {
  public:
   Dataset() = default;
@@ -46,6 +82,10 @@ class Dataset {
   /// row (encoders, stacking augmentation) so the task survives.
   static Dataset Like(const Dataset& proto, std::string name,
                       size_t num_features);
+  /// Same, with the columns described by a schema built elsewhere (a
+  /// fitted encoder's output schema), shared rather than copied.
+  static Dataset Like(const Dataset& proto, std::string name,
+                      std::shared_ptr<Schema> schema);
 
   // --- construction ---
   /// Appends one labeled row. `features.size()` must equal num_features().
@@ -111,12 +151,12 @@ class Dataset {
     return storage_->x.data() + PhysRow(row) * num_features_;
   }
   std::vector<double> Row(size_t row) const;
-  FeatureType feature_type(size_t j) const {
-    return storage_->feature_types[j];
-  }
-  const std::string& feature_name(size_t j) const {
-    return storage_->feature_names[j];
-  }
+  FeatureType feature_type(size_t j) const { return schema_->type(j); }
+  /// The column's name; `f<j>` when none was set.
+  std::string feature_name(size_t j) const { return schema_->name(j); }
+  /// The shared column metadata. Null for an empty default-constructed
+  /// dataset.
+  std::shared_ptr<const Schema> schema() const { return schema_; }
 
   /// Number of categorical features.
   size_t NumCategorical() const;
@@ -147,9 +187,10 @@ class Dataset {
   /// Collapses a view (or shared storage) into owned dense storage.
   void Materialize() { EnsureOwned(); }
 
-  /// Identity of the shared feature storage; two datasets with equal
-  /// StorageId see the same underlying matrix. Null for an empty default-
-  /// constructed dataset. Valid only while either dataset is alive.
+  /// Identity of the shared feature matrix; two datasets with equal
+  /// StorageId see the same underlying matrix (their schemas may differ).
+  /// Null for an empty default-constructed dataset. Valid only while
+  /// either dataset is alive.
   const void* StorageId() const { return storage_.get(); }
 
   /// The row-index indirection, or nullptr when rows are contiguous.
@@ -164,8 +205,6 @@ class Dataset {
   /// Immutable once shared; mutation goes through EnsureOwned().
   struct Storage {
     std::vector<double> x;  // Row-major, physical_rows * num_features.
-    std::vector<FeatureType> feature_types;
-    std::vector<std::string> feature_names;
   };
 
   size_t PhysRow(size_t row) const {
@@ -173,14 +212,20 @@ class Dataset {
   }
 
   /// Copy-on-write: after this call, storage is non-null, uniquely owned,
-  /// dense (no row index), and safe to mutate.
+  /// dense (no row index), and safe to mutate. The schema stays shared.
   void EnsureOwned();
+
+  /// Copy-on-write of the schema alone: the returned schema is owned by
+  /// this dataset alone and safe to mutate; the matrix is left as it is.
+  Schema& MutableSchema();
 
   std::string name_;
   size_t num_features_ = 0;
   int num_classes_ = 0;
   TaskType task_ = TaskType::kBinary;
   std::shared_ptr<Storage> storage_;
+  /// Immutable once shared; mutation goes through MutableSchema().
+  std::shared_ptr<Schema> schema_;
   /// Maps logical row -> physical row in storage. Null = identity.
   std::shared_ptr<const std::vector<size_t>> row_index_;
   std::vector<int> labels_;  // Per-view: labels_[i] labels logical row i.

@@ -145,6 +145,48 @@ TEST_F(PreprocessTest, OneHotExpandsCategoricals) {
   EXPECT_DOUBLE_EQ(out->At(1, 1), 0.0);
 }
 
+TEST_F(PreprocessTest, OneHotNamesFollowTransformInput) {
+  Dataset data("o", 2, 2);
+  data.SetFeatureName(0, "a");
+  data.SetFeatureName(1, "b");
+  data.SetFeatureType(1, FeatureType::kCategorical);
+  ASSERT_TRUE(data.AppendRow({1.5, 0.0}, 0).ok());
+  ASSERT_TRUE(data.AppendRow({2.5, 2.0}, 1).ok());
+  ASSERT_TRUE(data.AppendRow({3.5, 1.0}, 0).ok());
+  OneHotEncoder encoder;
+  ASSERT_TRUE(encoder.Fit(data, &ctx_).ok());
+  auto names = [](const Dataset& d) {
+    std::vector<std::string> out;
+    for (size_t j = 0; j < d.num_features(); ++j) {
+      out.push_back(d.feature_name(j));
+    }
+    return out;
+  };
+  auto fitted = encoder.Transform(data.Subset({2, 0}), &ctx_);
+  ASSERT_TRUE(fitted.ok());
+  EXPECT_EQ(names(*fitted),
+            (std::vector<std::string>{"a", "b=0", "b=1", "b=2"}));
+
+  // Renamed input: the output must follow it, not the fit-time names.
+  Dataset renamed = data.Subset({1});
+  renamed.SetFeatureName(0, "x");
+  renamed.SetFeatureName(1, "y");
+  auto out = encoder.Transform(renamed, &ctx_);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(names(*out),
+            (std::vector<std::string>{"x", "y=0", "y=1", "y=2"}));
+  EXPECT_DOUBLE_EQ(out->At(0, 3), 1.0);
+
+  // Unnamed input reads the default names.
+  Dataset plain("p", 2, 2);
+  plain.SetFeatureType(1, FeatureType::kCategorical);
+  ASSERT_TRUE(plain.AppendRow({0.5, 1.0}, 0).ok());
+  auto unnamed = encoder.Transform(plain, &ctx_);
+  ASSERT_TRUE(unnamed.ok());
+  EXPECT_EQ(names(*unnamed),
+            (std::vector<std::string>{"f0", "f1=0", "f1=1", "f1=2"}));
+}
+
 TEST_F(PreprocessTest, OneHotUnseenCategoryAllZeros) {
   Dataset train("o", 1, 2);
   train.SetFeatureType(0, FeatureType::kCategorical);

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "green/bench_util/record_io.h"
 
@@ -118,6 +119,25 @@ TEST(RecordIoTest, JsonlFileRoundTrip) {
   EXPECT_EQ((*loaded)[1].system, "flaml");
   EXPECT_EQ((*loaded)[1].repetition, 9);
   EXPECT_FALSE(ReadRecordsJsonl("/nonexistent/records.jsonl").ok());
+}
+
+TEST(RecordIoTest, WriteFailingAtCloseIsAnError) {
+  // /dev/full accepts the buffered write and fails the flush in fclose.
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  const Status jsonl = WriteRecordsJsonl({SampleRecord()}, "/dev/full");
+  EXPECT_EQ(jsonl.code(), Status::Code::kIoError) << jsonl.ToString();
+  const Status csv = WriteRecordsCsv({SampleRecord()}, "/dev/full");
+  EXPECT_EQ(csv.code(), Status::Code::kIoError) << csv.ToString();
+}
+
+TEST(RecordIoTest, ReadErrorIsNotAShortFile) {
+  // Opening a directory succeeds; reading it fails.
+  const auto records = ReadRecordsJsonl(::testing::TempDir());
+  ASSERT_FALSE(records.ok());
+  EXPECT_EQ(records.status().code(), Status::Code::kIoError);
+  const auto journal = ReadJournal(::testing::TempDir());
+  ASSERT_FALSE(journal.ok());
+  EXPECT_EQ(journal.status().code(), Status::Code::kIoError);
 }
 
 TEST(RecordIoTest, CsvHasHeaderAndRows) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <set>
 
+#include "green/ml/preprocess/imputer.h"
+#include "green/ml/preprocess/scaler.h"
 #include "green/table/column.h"
 #include "green/table/csv.h"
 #include "green/table/dataset.h"
@@ -105,6 +109,89 @@ TEST(DatasetTest, SelectFeatures) {
   EXPECT_EQ(narrow.feature_type(0), FeatureType::kCategorical);
   EXPECT_DOUBLE_EQ(narrow.At(3, 0), 2.0);
   EXPECT_EQ(narrow.labels(), data.labels());
+}
+
+// --- schema copy-on-write ---
+
+TEST(SchemaTest, UnsetNamesReadDefault) {
+  Dataset data = TinyDataset();
+  EXPECT_EQ(data.feature_name(0), "f0");
+  EXPECT_EQ(data.feature_name(1), "f1");
+  data.SetFeatureName(1, "b");
+  EXPECT_EQ(data.feature_name(0), "f0");
+  EXPECT_EQ(data.feature_name(1), "b");
+}
+
+TEST(SchemaTest, MetadataMutatorsKeepViewAndMatrix) {
+  const Dataset data = TinyDataset();
+  Dataset view = data.Subset({3, 1});
+  ASSERT_TRUE(view.IsView());
+  const void* matrix = view.StorageId();
+  view.SetFeatureName(0, "renamed");
+  EXPECT_TRUE(view.IsView());
+  EXPECT_EQ(view.StorageId(), matrix);
+  view.SetFeatureType(0, FeatureType::kCategorical);
+  EXPECT_TRUE(view.IsView());
+  EXPECT_EQ(view.StorageId(), matrix);
+  EXPECT_EQ(view.StorageId(), data.StorageId());
+  EXPECT_EQ(view.feature_name(0), "renamed");
+  EXPECT_EQ(view.feature_type(0), FeatureType::kCategorical);
+  EXPECT_DOUBLE_EQ(view.At(0, 0), 4.0);
+}
+
+TEST(SchemaTest, MutationNotVisibleThroughSourceOrCopy) {
+  const Dataset data = TinyDataset();
+  Dataset view = data.Subset({0, 1});
+  const Dataset copy = view;
+  view.SetFeatureName(0, "renamed");
+  view.SetFeatureType(0, FeatureType::kCategorical);
+  EXPECT_EQ(data.feature_name(0), "f0");
+  EXPECT_EQ(data.feature_type(0), FeatureType::kNumeric);
+  EXPECT_EQ(copy.feature_name(0), "f0");
+  EXPECT_EQ(copy.feature_type(0), FeatureType::kNumeric);
+
+  Dataset owned = TinyDataset();
+  const Dataset owned_copy = owned;
+  owned.SetFeatureName(1, "b");
+  EXPECT_EQ(owned_copy.feature_name(1), "f1");
+  EXPECT_EQ(owned.StorageId(), owned_copy.StorageId());
+}
+
+TEST(SchemaTest, SelectFeaturesCarriesNamesAndTypes) {
+  Dataset data = TinyDataset();
+  data.SetFeatureName(1, "b");
+  const Dataset picked = data.SelectFeatures({1, 0});
+  EXPECT_EQ(picked.feature_name(0), "b");
+  EXPECT_EQ(picked.feature_type(0), FeatureType::kCategorical);
+  // An unset source name stays the source column's default.
+  EXPECT_EQ(picked.feature_name(1), "f0");
+  EXPECT_EQ(picked.feature_type(1), FeatureType::kNumeric);
+}
+
+TEST(SchemaTest, ScalerAndImputerKeepInputNames) {
+  VirtualClock clock;
+  EnergyModel model(MachineModel::Minimal());
+  ExecutionContext ctx(&clock, &model, 1);
+  Dataset data = TinyDataset();
+  ASSERT_TRUE(data.AppendRow({NAN, 1.0}, 0).ok());
+  data.SetFeatureName(0, "a");
+  data.SetFeatureName(1, "b");
+
+  Scaler scaler(ScalerKind::kStandard);
+  ASSERT_TRUE(scaler.Fit(data, &ctx).ok());
+  auto scaled = scaler.Transform(data, &ctx);
+  ASSERT_TRUE(scaled.ok());
+  EXPECT_EQ(scaled->feature_name(0), "a");
+  EXPECT_EQ(scaled->feature_name(1), "b");
+  EXPECT_EQ(scaled->feature_type(1), FeatureType::kCategorical);
+
+  MeanModeImputer imputer;
+  ASSERT_TRUE(imputer.Fit(data, &ctx).ok());
+  auto imputed = imputer.Transform(data, &ctx);
+  ASSERT_TRUE(imputed.ok());
+  ASSERT_FALSE(std::isnan(imputed->At(4, 0)));  // Copied, not a view.
+  EXPECT_EQ(imputed->feature_name(0), "a");
+  EXPECT_EQ(imputed->feature_name(1), "b");
 }
 
 TEST(DatasetTest, ScaleFactor) {
@@ -282,6 +369,20 @@ TEST(CsvTest, FileRoundTrip) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->num_rows(), data.num_rows());
   EXPECT_FALSE(ReadCsv("/nonexistent/no.csv", "x").ok());
+}
+
+TEST(CsvTest, WriteFailingAtCloseIsAnError) {
+  // /dev/full accepts the buffered write and fails the flush in fclose.
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  const Status status = WriteCsv(TinyDataset(), "/dev/full");
+  EXPECT_EQ(status.code(), Status::Code::kIoError) << status.ToString();
+}
+
+TEST(CsvTest, ReadErrorIsNotAShortFile) {
+  // Opening a directory succeeds; reading it fails.
+  const Result<Dataset> read = ReadCsv(::testing::TempDir(), "x");
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), Status::Code::kIoError);
 }
 
 // --- MetaFeatures ---

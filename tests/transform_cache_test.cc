@@ -289,6 +289,18 @@ TEST(TransformCacheTest, LookupIsExactOnViewNotJustFingerprint) {
   EXPECT_EQ(cache.Lookup(view_a, "other"), nullptr);
 }
 
+TEST(TransformCacheTest, LookupSeparatesSchemasOverOneMatrix) {
+  const Dataset base = TestData(40, 4, 2);
+  const Dataset view = base.Subset({1, 2, 3});
+  Dataset retyped = view;
+  retyped.SetFeatureType(0, FeatureType::kCategorical);
+  ASSERT_EQ(retyped.StorageId(), view.StorageId());
+  TransformCache cache(16 * 1024 * 1024);
+  ASSERT_NE(cache.Insert(view, "chain", {}, view, ChargeTape{}), nullptr);
+  EXPECT_NE(cache.Lookup(base.Subset({1, 2, 3}), "chain"), nullptr);
+  EXPECT_EQ(cache.Lookup(retyped, "chain"), nullptr);
+}
+
 // --- Config signatures -----------------------------------------------
 
 TEST(ConfigSignatureTest, HyperparametersAreEncoded) {
