@@ -17,6 +17,7 @@
 #include "green/common/thread_pool.h"
 #include "green/data/synthetic.h"
 #include "green/ml/model_registry.h"
+#include "green/ml/models/adaboost.h"
 #include "green/ml/models/attention_few_shot.h"
 #include "green/ml/models/decision_tree.h"
 #include "green/ml/models/gradient_boosting.h"
@@ -79,6 +80,35 @@ void BM_RandomForestPredict(benchmark::State& state) {
                           static_cast<int64_t>(data.num_rows()));
 }
 BENCHMARK(BM_RandomForestPredict)->Arg(8)->Arg(32);
+
+// 32 bootstrap trees over one table: the fit sorts the table once and
+// derives every tree's presorted stripes by a counting pass.
+void BM_RandomForestFit(benchmark::State& state) {
+  const Dataset data =
+      BenchData(static_cast<size_t>(state.range(0)), 16, 3);
+  Ctx c;
+  for (auto _ : state) {
+    RandomForestParams params;
+    params.num_trees = 32;
+    RandomForest forest(params);
+    benchmark::DoNotOptimize(forest.Fit(data, &c.ctx));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(data.num_rows()));
+}
+BENCHMARK(BM_RandomForestFit)->Arg(200)->Arg(800);
+
+void BM_AdaBoostFit(benchmark::State& state) {
+  const Dataset data = BenchData(400, 16, 3);
+  Ctx c;
+  for (auto _ : state) {
+    AdaBoost ada{AdaBoostParams{}};
+    benchmark::DoNotOptimize(ada.Fit(data, &c.ctx));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(data.num_rows()));
+}
+BENCHMARK(BM_AdaBoostFit);
 
 void BM_GradientBoostingFit(benchmark::State& state) {
   const Dataset data = BenchData(300, 12, 2);

@@ -17,7 +17,19 @@
 // the recursion), so node-order slot lists are carried alongside the
 // presorted per-feature lists. Work (`*flops`) is charged from logical
 // dimensions (a per-node sort of n rows costs n log2 n even though the
-// stripes are presorted), never from what the loops actually execute.
+// stripes are presorted, and the table presort charges nothing), never
+// from what the loops actually execute.
+//
+// Each exact-search stripe is the sample's slots in (value, row id)
+// order. The table presort holds that order over all rows; a counting
+// pass walks it and emits every row's slots, which yields the sample's
+// (value, row id) order because restricting a total order to a subset
+// keeps it sorted. Slots of one row come out adjacent in ascending slot
+// order, where a per-tree sort would leave them in an arbitrary order.
+// Such slots are duplicates of one bootstrap row: same value, label and
+// target, and every split flags them alike. So every scan, partition and
+// accumulation sees the same sequence of numbers either way, and the
+// outputs stay bit-identical.
 
 namespace green {
 
@@ -80,37 +92,71 @@ void GatherTransposed(const Dataset& train, const uint32_t* rid, size_t m,
   }
 }
 
-/// Sorts each feature stripe by (value, row id), the order a per-node
-/// std::sort on (value, row) pairs would produce; slots with fully equal
-/// keys are duplicates of one row and therefore interchangeable.
-void PresortStripes(const uint32_t* rid, const double* colT, size_t m,
-                    size_t d, uint32_t* spos, double* sval) {
-  for (size_t f = 0; f < d; ++f) {
-    const double* colf = colT + f * m;
-    uint32_t* sp = spos + f * m;
-    std::iota(sp, sp + m, uint32_t{0});
-    std::sort(sp, sp + m, [colf, rid](uint32_t a, uint32_t b) {
-      const double va = colf[a];
-      const double vb = colf[b];
-      if (va != vb) return va < vb;
-      return rid[a] < rid[b];
-    });
-    double* sv = sval + f * m;
-    for (size_t i = 0; i < m; ++i) sv[i] = colf[sp[i]];
-  }
-}
-
-void InitWorkspace(const Dataset& train, const std::vector<size_t>& rows,
-                   bool random_thresholds, bool classification,
-                   Arena* arena, TreeWorkspace* ws) {
+/// Slot-level state every tree flavor needs: row ids, the node-order
+/// slot list and the partition scratch.
+void InitSlots(const std::vector<size_t>& rows, size_t d, Arena* arena,
+               TreeWorkspace* ws) {
   const size_t m = rows.size();
-  const size_t d = train.num_features();
   ws->m = m;
   ws->d = d;
   ws->rid = arena->AllocArray<uint32_t>(m);
   for (size_t i = 0; i < m; ++i) {
     ws->rid[i] = static_cast<uint32_t>(rows[i]);
   }
+  ws->nslot = arena->AllocArray<uint32_t>(m);
+  std::iota(ws->nslot, ws->nslot + m, uint32_t{0});
+  ws->flag = arena->AllocArray<uint8_t>(m);
+  ws->uscratch = arena->AllocArray<uint32_t>(m);
+  ws->dscratch = arena->AllocArray<double>(m);
+}
+
+/// Derives the exact search's d x m sorted stripes from the table
+/// presort in O(d * (n + m)): buckets the sample's slots by row id
+/// (CSR: per-row offsets into one flat slot array, each bucket in
+/// ascending slot order), then walks each feature's table order and
+/// emits every row's bucket.
+void DeriveStripes(const TablePresort& presort, Arena* arena,
+                   TreeWorkspace* ws) {
+  const size_t n = presort.num_rows();
+  const size_t m = ws->m;
+  ws->spos = arena->AllocArray<uint32_t>(ws->d * m);
+  ws->sval = arena->AllocArray<double>(ws->d * m);
+  // The buckets only feed the stripes; reclaim them.
+  ArenaScope bucket_scope(arena);
+  uint32_t* start = arena->AllocArray<uint32_t>(n + 1);
+  uint32_t* next = arena->AllocArray<uint32_t>(n);
+  uint32_t* bucket = arena->AllocArray<uint32_t>(m);
+  std::fill(start, start + n + 1, uint32_t{0});
+  for (size_t slot = 0; slot < m; ++slot) ++start[ws->rid[slot] + 1];
+  for (size_t r = 0; r < n; ++r) start[r + 1] += start[r];
+  std::memcpy(next, start, n * sizeof(uint32_t));
+  for (size_t slot = 0; slot < m; ++slot) {
+    bucket[next[ws->rid[slot]]++] = static_cast<uint32_t>(slot);
+  }
+  for (size_t f = 0; f < ws->d; ++f) {
+    const uint32_t* order = presort.order(f);
+    const double* values = presort.values(f);
+    uint32_t* sp = ws->spos + f * m;
+    double* sv = ws->sval + f * m;
+    size_t out = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t row = order[i];
+      const double v = values[i];
+      for (uint32_t b = start[row]; b < start[row + 1]; ++b) {
+        sp[out] = bucket[b];
+        sv[out] = v;
+        ++out;
+      }
+    }
+  }
+}
+
+void InitWorkspace(const Dataset& train, const TablePresort* presort,
+                   const std::vector<size_t>& rows, bool random_thresholds,
+                   bool classification, Arena* arena, TreeWorkspace* ws) {
+  const size_t m = rows.size();
+  const size_t d = train.num_features();
+  InitSlots(rows, d, arena, ws);
   if (classification) {
     ws->lab = arena->AllocArray<int32_t>(m);
     for (size_t i = 0; i < m; ++i) {
@@ -122,20 +168,9 @@ void InitWorkspace(const Dataset& train, const std::vector<size_t>& rows,
       ws->tgt[i] = train.Target(ws->rid[i]);
     }
   }
-  ws->nslot = arena->AllocArray<uint32_t>(m);
-  std::iota(ws->nslot, ws->nslot + m, uint32_t{0});
-  ws->flag = arena->AllocArray<uint8_t>(m);
-  ws->uscratch = arena->AllocArray<uint32_t>(m);
-  ws->dscratch = arena->AllocArray<double>(m);
 
   if (!random_thresholds) {
-    ws->spos = arena->AllocArray<uint32_t>(d * m);
-    ws->sval = arena->AllocArray<double>(d * m);
-    // The column gather only feeds the presort here; reclaim it.
-    ArenaScope gather_scope(arena);
-    double* colT = arena->AllocArray<double>(d * m);
-    GatherTransposed(train, ws->rid, m, d, colT);
-    PresortStripes(ws->rid, colT, m, d, ws->spos, ws->sval);
+    DeriveStripes(*presort, arena, ws);
   } else {
     ws->colT = arena->AllocArray<double>(d * m);
     GatherTransposed(train, ws->rid, m, d, ws->colT);
@@ -623,6 +658,33 @@ void FlatTree::SetSplit(int node, int feature, double threshold, int left,
   right_[i] = right;
 }
 
+TablePresort::TablePresort(const Dataset& train)
+    : n_(train.num_rows()),
+      d_(train.num_features()),
+      order_(n_ * d_),
+      values_(n_ * d_) {
+  struct Key {
+    double value;
+    uint32_t row;
+  };
+  std::vector<Key> keys(n_);
+  for (size_t f = 0; f < d_; ++f) {
+    for (size_t r = 0; r < n_; ++r) {
+      keys[r] = {train.At(r, f), static_cast<uint32_t>(r)};
+    }
+    std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+      if (a.value != b.value) return a.value < b.value;
+      return a.row < b.row;
+    });
+    uint32_t* order = order_.data() + f * n_;
+    double* values = values_.data() + f * n_;
+    for (size_t i = 0; i < n_; ++i) {
+      order[i] = keys[i].row;
+      values[i] = keys[i].value;
+    }
+  }
+}
+
 Status CheckTreeIndexRange(size_t num_rows, size_t sample_size) {
   constexpr size_t kMax = std::numeric_limits<uint32_t>::max();
   if (num_rows > kMax || sample_size > kMax) {
@@ -633,75 +695,43 @@ Status CheckTreeIndexRange(size_t num_rows, size_t sample_size) {
   return Status::Ok();
 }
 
-void BuildClsTree(const Dataset& train, const std::vector<size_t>& rows,
+void BuildClsTree(const Dataset& train, const TablePresort* presort,
+                  const std::vector<size_t>& rows,
                   const TreeKernelParams& params, int num_classes, Rng* rng,
                   double* flops, Arena* arena, FlatTree* tree) {
   ArenaScope scope(arena);
   *tree = FlatTree(static_cast<size_t>(num_classes));
   TreeBuilder b(params, rng, flops, tree);
-  InitWorkspace(train, rows, params.random_thresholds,
+  InitWorkspace(train, presort, rows, params.random_thresholds,
                 /*classification=*/true, arena, &b.ws);
   b.GrowCls(num_classes, 0, rows.size(), 0);
 }
 
-void BuildRegTree(const Dataset& train, const std::vector<size_t>& rows,
+void BuildRegTree(const Dataset& train, const TablePresort* presort,
+                  const std::vector<size_t>& rows,
                   const TreeKernelParams& params, Rng* rng, double* flops,
                   Arena* arena, FlatTree* tree) {
   ArenaScope scope(arena);
   *tree = FlatTree(/*width=*/1);
   TreeBuilder b(params, rng, flops, tree);
-  InitWorkspace(train, rows, params.random_thresholds,
+  InitWorkspace(train, presort, rows, params.random_thresholds,
                 /*classification=*/false, arena, &b.ws);
   b.GrowReg(0, rows.size(), 0);
 }
 
-GbRoundPresort::GbRoundPresort(const Dataset& train,
-                               const std::vector<size_t>& rows,
-                               Arena* arena) {
-  m_ = rows.size();
-  d_ = train.num_features();
-  uint32_t* rid = arena->AllocArray<uint32_t>(m_);
-  for (size_t i = 0; i < m_; ++i) rid[i] = static_cast<uint32_t>(rows[i]);
-  uint32_t* spos = arena->AllocArray<uint32_t>(d_ * m_);
-  double* sval = arena->AllocArray<double>(d_ * m_);
-  {
-    ArenaScope gather_scope(arena);
-    double* colT = arena->AllocArray<double>(d_ * m_);
-    GatherTransposed(train, rid, m_, d_, colT);
-    PresortStripes(rid, colT, m_, d_, spos, sval);
-  }
-  rid_ = rid;
-  spos_ = spos;
-  sval_ = sval;
-}
-
-void BuildGbTree(const GbRoundPresort& presort,
+void BuildGbTree(const TablePresort& presort,
+                 const std::vector<size_t>& rows,
                  const std::vector<double>& targets,
                  const TreeKernelParams& params, double* flops, Arena* arena,
                  FlatTree* tree) {
   ArenaScope scope(arena);
-  const size_t m = presort.m_;
-  const size_t d = presort.d_;
   *tree = FlatTree(/*width=*/1);
   TreeBuilder b(params, /*rng=*/nullptr, flops, tree);
-  b.ws.m = m;
-  b.ws.d = d;
-  // Working copies: the per-class trees of one round partition the same
-  // presorted stripes differently, so each starts from the pristine copy.
-  b.ws.spos = arena->AllocArray<uint32_t>(d * m);
-  b.ws.sval = arena->AllocArray<double>(d * m);
-  std::memcpy(b.ws.spos, presort.spos_, d * m * sizeof(uint32_t));
-  std::memcpy(b.ws.sval, presort.sval_, d * m * sizeof(double));
-  b.ws.tgt = arena->AllocArray<double>(m);
-  for (size_t i = 0; i < m; ++i) {
-    b.ws.tgt[i] = targets[presort.rid_[i]];
-  }
-  b.ws.nslot = arena->AllocArray<uint32_t>(m);
-  std::iota(b.ws.nslot, b.ws.nslot + m, uint32_t{0});
-  b.ws.flag = arena->AllocArray<uint8_t>(m);
-  b.ws.uscratch = arena->AllocArray<uint32_t>(m);
-  b.ws.dscratch = arena->AllocArray<double>(m);
-  b.GrowGb(0, m, 0);
+  InitSlots(rows, presort.num_features(), arena, &b.ws);
+  b.ws.tgt = arena->AllocArray<double>(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) b.ws.tgt[i] = targets[rows[i]];
+  DeriveStripes(presort, arena, &b.ws);
+  b.GrowGb(0, rows.size(), 0);
 }
 
 }  // namespace green

@@ -78,53 +78,55 @@ class FlatTree {
 /// rows, and so outgrow the table — longer than that type can index.
 Status CheckTreeIndexRange(size_t num_rows, size_t sample_size);
 
+/// One training table's per-feature order, built once per fit and shared
+/// by every exact-search tree of that fit (all trees of a forest, every
+/// AdaBoost stage, every boosting round): for each feature, the row ids
+/// sorted by (value, row id) and the values in that order. A tree derives
+/// its sample's sorted stripes from it by a counting pass, without
+/// comparisons. Building it charges no work. Callers check
+/// CheckTreeIndexRange first.
+class TablePresort {
+ public:
+  explicit TablePresort(const Dataset& train);
+
+  size_t num_rows() const { return n_; }
+  size_t num_features() const { return d_; }
+  /// Feature f's row ids in (value, row id) order.
+  const uint32_t* order(size_t f) const { return order_.data() + f * n_; }
+  /// Feature f's values in that order.
+  const double* values(size_t f) const { return values_.data() + f * n_; }
+
+ private:
+  size_t n_;
+  size_t d_;
+  std::vector<uint32_t> order_;  ///< d x n
+  std::vector<double> values_;   ///< d x n
+};
+
 /// Builds a classification tree over `rows` (duplicates allowed —
 /// bootstrap samples), replacing `tree` (width = num_classes). The exact
-/// path presorts each feature once per tree and stable-partitions the
-/// per-feature index lists down the recursion; the random-threshold path
-/// gathers each node's column once and scans contiguous arrays. Scratch
-/// lives on `arena` inside a scope. Callers check CheckTreeIndexRange
-/// first.
-void BuildClsTree(const Dataset& train, const std::vector<size_t>& rows,
+/// path derives each feature's sorted stripe from `presort` (the presort
+/// of `train`; null only with `random_thresholds`) and stable-partitions
+/// the stripes down the recursion; the random-threshold path gathers each
+/// node's column once and scans contiguous arrays. Scratch lives on
+/// `arena` inside a scope. Callers check CheckTreeIndexRange first.
+void BuildClsTree(const Dataset& train, const TablePresort* presort,
+                  const std::vector<size_t>& rows,
                   const TreeKernelParams& params, int num_classes, Rng* rng,
                   double* flops, Arena* arena, FlatTree* tree);
 
 /// Regression analogue of BuildClsTree (SSE criterion, {mean} leaves,
 /// width 1).
-void BuildRegTree(const Dataset& train, const std::vector<size_t>& rows,
+void BuildRegTree(const Dataset& train, const TablePresort* presort,
+                  const std::vector<size_t>& rows,
                   const TreeKernelParams& params, Rng* rng, double* flops,
                   Arena* arena, FlatTree* tree);
 
-/// Per-round presorted feature cache for gradient boosting: the k
-/// per-class trees of one boosting round share the same row sample, so
-/// the sort-once-per-feature work is done here once and memcpy'd into
-/// each tree's working arrays.
-class GbRoundPresort {
- public:
-  /// Gathers and presorts all feature columns of `rows`. The presort
-  /// borrows `arena` storage; keep the surrounding ArenaScope open for
-  /// this object's lifetime.
-  GbRoundPresort(const Dataset& train, const std::vector<size_t>& rows,
-                 Arena* arena);
-
-  size_t num_rows() const { return m_; }
-  size_t num_features() const { return d_; }
-
- private:
-  friend void BuildGbTree(const GbRoundPresort&, const std::vector<double>&,
-                          const TreeKernelParams&, double*, Arena*,
-                          FlatTree*);
-  size_t m_ = 0;
-  size_t d_ = 0;
-  const uint32_t* rid_ = nullptr;   ///< Slot -> original row id.
-  const uint32_t* spos_ = nullptr;  ///< d x m sorted slot lists (pristine).
-  const double* sval_ = nullptr;    ///< d x m values in sorted order.
-};
-
-/// Builds one gradient-boosting regression tree over the presorted round
-/// cache (variance-reduction gain over all features, {mean} leaves),
-/// replacing `tree`. `targets` is indexed by original row id.
-void BuildGbTree(const GbRoundPresort& presort,
+/// Builds one gradient-boosting regression tree over `rows` of the
+/// presorted table (variance-reduction gain over all features, {mean}
+/// leaves), replacing `tree`. `targets` is indexed by original row id.
+void BuildGbTree(const TablePresort& presort,
+                 const std::vector<size_t>& rows,
                  const std::vector<double>& targets,
                  const TreeKernelParams& params, double* flops, Arena* arena,
                  FlatTree* tree);

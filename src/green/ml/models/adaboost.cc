@@ -27,6 +27,9 @@ Status AdaBoost::Fit(const Dataset& train, ExecutionContext* ctx) {
   DecisionTreeParams tree_params;
   tree_params.max_depth = params_.max_depth;
   tree_params.min_samples_leaf = 2;
+  // Every stage's weighted bootstrap draws n rows from the same table.
+  GREEN_RETURN_IF_ERROR(CheckTreeIndexRange(n, n));
+  const TablePresort presort(train);
 
   for (int round = 0; round < params_.num_rounds; ++round) {
     if (ctx->Interrupted()) {
@@ -54,7 +57,7 @@ Status AdaBoost::Fit(const Dataset& train, ExecutionContext* ctx) {
     tree_params.seed = tree_rng.NextUint64();
     Stage stage(tree_params);
     GREEN_RETURN_IF_ERROR(
-        stage.tree.FitCounted(train, sample, &tree_rng, &flops));
+        stage.tree.FitCounted(train, &presort, sample, &tree_rng, &flops));
 
     // Weighted training error of the stage.
     ProbaMatrix proba;

@@ -2,18 +2,25 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "green/common/arena.h"
+#include "green/common/stringutil.h"
 
 namespace green {
 
 Status DecisionTree::Fit(const Dataset& train, ExecutionContext* ctx) {
   ChargeScope scope(ctx, Name());
+  GREEN_RETURN_IF_ERROR(
+      CheckTreeIndexRange(train.num_rows(), train.num_rows()));
+  std::optional<TablePresort> presort;
+  if (!params_.random_thresholds) presort.emplace(train);
   std::vector<size_t> all(train.num_rows());
   std::iota(all.begin(), all.end(), 0);
   Rng rng(params_.seed);
   double flops = 0.0;
-  GREEN_RETURN_IF_ERROR(FitCounted(train, all, &rng, &flops));
+  GREEN_RETURN_IF_ERROR(FitCounted(
+      train, presort ? &*presort : nullptr, all, &rng, &flops));
   // Single-tree induction is mostly sequential (node-by-node greedy).
   ctx->ChargeCpu(flops, train.FeatureBytes(), /*parallel_fraction=*/0.3);
   if (ctx->Interrupted()) {
@@ -23,6 +30,7 @@ Status DecisionTree::Fit(const Dataset& train, ExecutionContext* ctx) {
 }
 
 Status DecisionTree::FitCounted(const Dataset& train,
+                                const TablePresort* presort,
                                 const std::vector<size_t>& row_indices,
                                 Rng* rng, double* flops) {
   if (train.num_rows() == 0 || row_indices.empty()) {
@@ -30,12 +38,25 @@ Status DecisionTree::FitCounted(const Dataset& train,
   }
   GREEN_RETURN_IF_ERROR(
       CheckTreeIndexRange(train.num_rows(), row_indices.size()));
+  if (!params_.random_thresholds) {
+    if (presort == nullptr) {
+      return Status::InvalidArgument(
+          "decision_tree: exact split search needs a table presort");
+    }
+    if (presort->num_rows() != train.num_rows() ||
+        presort->num_features() != train.num_features()) {
+      return Status::InvalidArgument(StrFormat(
+          "decision_tree: presort is %zu x %zu, training table %zu x %zu",
+          presort->num_rows(), presort->num_features(), train.num_rows(),
+          train.num_features()));
+    }
+  }
   if (train.task() == TaskType::kRegression) {
-    BuildRegTree(train, row_indices, params_, rng, flops, ScratchArena(),
-                 &tree_);
+    BuildRegTree(train, presort, row_indices, params_, rng, flops,
+                 ScratchArena(), &tree_);
   } else {
-    BuildClsTree(train, row_indices, params_, train.num_classes(), rng,
-                 flops, ScratchArena(), &tree_);
+    BuildClsTree(train, presort, row_indices, params_, train.num_classes(),
+                 rng, flops, ScratchArena(), &tree_);
   }
 
   // Mean leaf depth drives the per-row inference cost estimate.

@@ -33,8 +33,11 @@ class DecisionTree : public Estimator {
 
   /// Ensemble-internal entry points: train/score on behalf of a parent
   /// that does its own (parallel) work accounting. `flops` accumulates
-  /// the abstract work performed.
-  Status FitCounted(const Dataset& train,
+  /// the abstract work performed. `presort` is the TablePresort of
+  /// `train`, shared by every tree of the parent's fit; it may be null
+  /// only with `random_thresholds` (InvalidArgument otherwise, or when
+  /// its shape differs from `train`).
+  Status FitCounted(const Dataset& train, const TablePresort* presort,
                     const std::vector<size_t>& row_indices, Rng* rng,
                     double* flops);
   void PredictProbaCounted(const Dataset& data, ProbaMatrix* out,

@@ -34,7 +34,8 @@ Status ExtraTrees::Fit(const Dataset& train, ExecutionContext* ctx) {
     tree_params.seed = tree_rng.NextUint64();
     trees_.emplace_back(tree_params);
     GREEN_RETURN_IF_ERROR(
-        trees_.back().FitCounted(train, all, &tree_rng, &flops));
+        trees_.back().FitCounted(train, /*presort=*/nullptr, all,
+                                 &tree_rng, &flops));
   }
   ctx->ChargeCpu(flops, train.FeatureBytes(), /*parallel_fraction=*/0.95);
   if (ctx->Interrupted()) {

@@ -45,6 +45,11 @@ Status GradientBoosting::Fit(const Dataset& train, ExecutionContext* ctx) {
       n, std::vector<double>(base_score_.begin(), base_score_.end()));
   std::vector<double> target(n);
   std::vector<double> proba;
+  // Every round's trees derive their stripes from one presort.
+  const TablePresort presort(train);
+  TreeKernelParams kp;
+  kp.max_depth = params_.max_depth;
+  kp.min_samples_leaf = params_.min_samples_leaf;
 
   for (int round = 0; round < params_.num_rounds; ++round) {
     if (ctx->Interrupted()) {
@@ -63,16 +68,6 @@ Status GradientBoosting::Fit(const Dataset& train, ExecutionContext* ctx) {
       rows.resize(n);
       std::iota(rows.begin(), rows.end(), 0);
     }
-
-    // The k per-class trees of one round share the row sample, so each
-    // feature is presorted once per round and every tree gets a pristine
-    // copy.
-    Arena* arena = ScratchArena();
-    ArenaScope round_scope(arena);
-    const GbRoundPresort presort(train, rows, arena);
-    TreeKernelParams kp;
-    kp.max_depth = params_.max_depth;
-    kp.min_samples_leaf = params_.min_samples_leaf;
 
     std::vector<FlatTree> round_trees;
     round_trees.reserve(static_cast<size_t>(k));
@@ -93,7 +88,7 @@ Status GradientBoosting::Fit(const Dataset& train, ExecutionContext* ctx) {
       }
       flops += static_cast<double>(n) * static_cast<double>(k);
       FlatTree tree;
-      BuildGbTree(presort, target, kp, &flops, arena, &tree);
+      BuildGbTree(presort, rows, target, kp, &flops, ScratchArena(), &tree);
       for (size_t r = 0; r < n; ++r) {
         score[r][static_cast<size_t>(c)] +=
             params_.learning_rate * tree.Walk(train.RowPtr(r), &flops)[0];

@@ -25,6 +25,9 @@ Status RandomForest::Fit(const Dataset& train, ExecutionContext* ctx) {
   const size_t sample_size = std::max<size_t>(
       1, static_cast<size_t>(params_.bootstrap_fraction *
                              static_cast<double>(train.num_rows())));
+  // One presort of the table serves every tree's bootstrap sample.
+  GREEN_RETURN_IF_ERROR(CheckTreeIndexRange(train.num_rows(), sample_size));
+  const TablePresort presort(train);
   for (int t = 0; t < params_.num_trees; ++t) {
     if (ctx->Interrupted()) {
       return Status::DeadlineExceeded("random_forest: interrupted mid-fit");
@@ -37,7 +40,7 @@ Status RandomForest::Fit(const Dataset& train, ExecutionContext* ctx) {
     tree_params.seed = tree_rng.NextUint64();
     trees_.emplace_back(tree_params);
     GREEN_RETURN_IF_ERROR(
-        trees_.back().FitCounted(train, sample, &tree_rng, &flops));
+        trees_.back().FitCounted(train, &presort, sample, &tree_rng, &flops));
   }
   // Independent trees: embarrassingly parallel training.
   ctx->ChargeCpu(flops, train.FeatureBytes(), /*parallel_fraction=*/0.95);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <numeric>
 
 #include "green/data/synthetic.h"
 #include "green/ml/kernels/tree_kernels.h"
@@ -462,6 +463,140 @@ TEST(FlatTreeTest, IndexRangeCheckRejectsBeyond32BitIds) {
   // is itself within the limit.
   EXPECT_EQ(CheckTreeIndexRange(10, too_many).code(),
             Status::Code::kResourceExhausted);
+}
+
+// --- Table presort ---
+
+TEST(TablePresortTest, OrdersEachColumnByValueThenRowId) {
+  Dataset data("ties", 2, 2);
+  const double col0[] = {2.0, 1.0, 2.0, 1.0, 0.0};
+  for (size_t r = 0; r < 5; ++r) {
+    // Column 1 is one tied value: the order falls back to row ids.
+    ASSERT_TRUE(data.AppendRow({col0[r], 5.0}, static_cast<int>(r % 2)).ok());
+  }
+  const TablePresort presort(data);
+  EXPECT_EQ(presort.num_rows(), 5u);
+  EXPECT_EQ(presort.num_features(), 2u);
+  const std::vector<uint32_t> order0(presort.order(0), presort.order(0) + 5);
+  const std::vector<double> values0(presort.values(0),
+                                    presort.values(0) + 5);
+  EXPECT_EQ(order0, (std::vector<uint32_t>{4, 1, 3, 0, 2}));
+  EXPECT_EQ(values0, (std::vector<double>{0.0, 1.0, 1.0, 2.0, 2.0}));
+  const std::vector<uint32_t> order1(presort.order(1), presort.order(1) + 5);
+  EXPECT_EQ(order1, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
+}
+
+/// Classification task whose features sit on a coarse grid, so every
+/// column has many tied values.
+Dataset TiedTask(int classes, size_t rows, uint64_t seed) {
+  SyntheticSpec spec;
+  spec.num_rows = rows;
+  spec.num_features = 5;
+  spec.num_informative = 3;
+  spec.num_classes = classes;
+  spec.separation = 1.0;
+  spec.label_noise = 0.1;
+  spec.seed = seed;
+  auto data = GenerateSynthetic(spec);
+  EXPECT_TRUE(data.ok());
+  Dataset tied = std::move(data).value();
+  for (size_t r = 0; r < tied.num_rows(); ++r) {
+    for (size_t f = 0; f < tied.num_features(); ++f) {
+      tied.Set(r, f, std::round(tied.At(r, f) * 2.0) / 2.0);
+    }
+  }
+  return tied;
+}
+
+// Implementation-independent oracle for the presorted exact search: a
+// classification tree fit on a bootstrap sample (duplicate rows) must
+// equal, node for node and flop for flop, the tree fit on that sample
+// materialized row by row. Class counts are order-free and splits are
+// only scored between distinct values, so how ties are broken cannot
+// matter.
+TEST(TablePresortTest, BootstrapFitMatchesMaterializedSample) {
+  int cases = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    for (int classes : {2, 3}) {
+      const Dataset train = TiedTask(classes, 60, seed);
+      Rng draw(seed * 7919);
+      std::vector<size_t> sample(train.num_rows());
+      for (size_t& s : sample) {
+        s = static_cast<size_t>(draw.NextBounded(train.num_rows()));
+      }
+      Dataset materialized =
+          Dataset::Like(train, "materialized", train.num_features());
+      for (size_t s : sample) {
+        ASSERT_TRUE(materialized.AppendRowLike(train, s, train.Row(s)).ok());
+      }
+      std::vector<size_t> all(sample.size());
+      std::iota(all.begin(), all.end(), size_t{0});
+      const TablePresort train_presort(train);
+      const TablePresort materialized_presort(materialized);
+
+      for (double fraction : {0.0, 0.5}) {
+        DecisionTreeParams p;
+        p.max_depth = 6;
+        p.min_samples_leaf = 1;
+        p.max_features_fraction = fraction;
+        DecisionTree bootstrap(p);
+        DecisionTree reference(p);
+        Rng rng_a(seed);
+        Rng rng_b(seed);
+        double flops_a = 0.0;
+        double flops_b = 0.0;
+        ASSERT_TRUE(bootstrap
+                        .FitCounted(train, &train_presort, sample, &rng_a,
+                                    &flops_a)
+                        .ok());
+        ASSERT_TRUE(reference
+                        .FitCounted(materialized, &materialized_presort, all,
+                                    &rng_b, &flops_b)
+                        .ok());
+        EXPECT_EQ(bootstrap.num_nodes(), reference.num_nodes());
+        EXPECT_EQ(flops_a, flops_b);
+        ProbaMatrix proba_a;
+        ProbaMatrix proba_b;
+        double predict_flops = 0.0;
+        bootstrap.PredictProbaCounted(train, &proba_a, &predict_flops);
+        reference.PredictProbaCounted(train, &proba_b, &predict_flops);
+        EXPECT_EQ(proba_a, proba_b) << "seed " << seed << ", " << classes
+                                    << " classes, fraction " << fraction;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 80);
+}
+
+TEST(TablePresortTest, ExactFitRejectsMissingOrMismatchedPresort) {
+  const Dataset train = EasyTask(2, 50);
+  const Dataset fewer_rows = EasyTask(2, 40);
+  const Dataset fewer_features =
+      train.SelectFeatures(std::vector<size_t>{0, 1, 2});
+  std::vector<size_t> all(train.num_rows());
+  std::iota(all.begin(), all.end(), size_t{0});
+  DecisionTree tree(DecisionTreeParams{});
+  Rng rng(1);
+  double flops = 0.0;
+  EXPECT_EQ(tree.FitCounted(train, nullptr, all, &rng, &flops).code(),
+            Status::Code::kInvalidArgument);
+  const TablePresort short_presort(fewer_rows);
+  EXPECT_EQ(tree.FitCounted(train, &short_presort, all, &rng, &flops).code(),
+            Status::Code::kInvalidArgument);
+  const TablePresort narrow_presort(fewer_features);
+  EXPECT_EQ(
+      tree.FitCounted(train, &narrow_presort, all, &rng, &flops).code(),
+      Status::Code::kInvalidArgument);
+  EXPECT_FALSE(tree.fitted());
+  const TablePresort presort(train);
+  EXPECT_TRUE(tree.FitCounted(train, &presort, all, &rng, &flops).ok());
+
+  // Random thresholds need no order, so no presort.
+  DecisionTreeParams random;
+  random.random_thresholds = true;
+  DecisionTree extra(random);
+  EXPECT_TRUE(extra.FitCounted(train, nullptr, all, &rng, &flops).ok());
 }
 
 }  // namespace
