@@ -23,7 +23,9 @@
 #include "green/ml/models/gradient_boosting.h"
 #include "green/ml/models/knn.h"
 #include "green/ml/models/random_forest.h"
+#include "green/search/bayes_opt.h"
 #include "green/search/caruana.h"
+#include "green/search/param_space.h"
 #include "green/search/rf_surrogate.h"
 #include "green/table/split.h"
 
@@ -243,6 +245,40 @@ void BM_RfSurrogateFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RfSurrogateFit)->Arg(50)->Arg(200);
+
+// One optimizer driven through 40 Ask+Tell steps on a 20-dimension mixed
+// space with CAML's defaults (10 random warm-up asks, 64 EI candidates per
+// ask, a surrogate refit after every tell): the inner loop of every CAML
+// fit, and of every development-stage trial.
+void BM_BayesOptLoop(benchmark::State& state) {
+  ParamSpace space;
+  for (int i = 0; i < 14; ++i) {
+    space.Add(ParamSpec::Double("d" + std::to_string(i), 1e-3, 1.0,
+                                /*log_scale=*/i % 2 == 0));
+  }
+  for (int i = 0; i < 4; ++i) {
+    space.Add(ParamSpec::Int("i" + std::to_string(i), 1, 64));
+  }
+  space.Add(ParamSpec::Categorical("model", {"dt", "rf", "knn", "lr"}));
+  space.Add(ParamSpec::Categorical("scaler", {"none", "standard"}));
+  constexpr int kSteps = 40;
+  for (auto _ : state) {
+    BayesOpt::Options options;
+    options.seed = 7;
+    BayesOpt optimizer(&space, options);
+    for (int step = 0; step < kSteps; ++step) {
+      const ParamPoint p = optimizer.Ask();
+      double score = p.choices.at("model") == "rf" ? 0.2 : 0.0;
+      for (size_t i = 0; i < p.unit.size(); ++i) {
+        const double c = p.unit[i] - 0.3;
+        score -= c * c;
+      }
+      benchmark::DoNotOptimize(optimizer.Tell(p, score));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kSteps);
+}
+BENCHMARK(BM_BayesOptLoop);
 
 void BM_CaruanaSelection(benchmark::State& state) {
   Rng rng(2);

@@ -43,6 +43,14 @@ class FlatTree {
   int left(int node) const { return left_[Index(node)]; }
   int right(int node) const { return right_[Index(node)]; }
 
+  /// Removes every node, keeping the stripes' capacity for a rebuild.
+  void Clear() {
+    feature_.clear();
+    threshold_.clear();
+    left_.clear();
+    right_.clear();
+    leaf_.clear();
+  }
   /// Appends a leaf with zeroed values, returning its index.
   int AddNode();
   /// The node's leaf-value stripe (`width()` doubles).

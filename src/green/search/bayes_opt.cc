@@ -1,5 +1,8 @@
 #include "green/search/bayes_opt.h"
 
+#include <algorithm>
+#include <cstddef>
+
 #include "green/common/logging.h"
 
 namespace green {
@@ -22,20 +25,27 @@ ParamPoint BayesOpt::Ask() {
     return space_->Sample(&rng_);
   }
   // Optimize EI by candidate sampling: cheap, derivative-free, and good
-  // enough in low-dimensional pipeline spaces.
-  ParamPoint best_candidate = space_->Sample(&rng_);
-  double best_ei =
-      surrogate_.ExpectedImprovement(best_candidate.unit, best_score_);
-  for (int i = 1; i < options_.candidates_per_ask; ++i) {
-    ParamPoint candidate = space_->Sample(&rng_);
-    const double ei =
-        surrogate_.ExpectedImprovement(candidate.unit, best_score_);
-    if (ei > best_ei) {
-      best_ei = ei;
-      best_candidate = std::move(candidate);
-    }
+  // enough in low-dimensional pipeline spaces. The unit coordinates come
+  // from the same NextDouble calls, in the same order, as one Sample per
+  // candidate; Decode draws nothing, so decoding only the winner leaves
+  // the RNG stream unchanged. `>` keeps the first maximum.
+  const size_t dim = space_->dimension();
+  const size_t count =
+      static_cast<size_t>(std::max(1, options_.candidates_per_ask));
+  candidate_units_.resize(count * dim);
+  candidate_ei_.resize(count);
+  for (double& u : candidate_units_) u = rng_.NextDouble();
+  surrogate_.ExpectedImprovementBatch(candidate_units_.data(), count, dim,
+                                      best_score_, candidate_ei_.data());
+  size_t best = 0;
+  for (size_t i = 1; i < count; ++i) {
+    if (candidate_ei_[i] > candidate_ei_[best]) best = i;
   }
-  return best_candidate;
+  const auto first = candidate_units_.begin() +
+                     static_cast<std::ptrdiff_t>(best * dim);
+  auto decoded = space_->Decode(std::vector<double>(first, first + dim));
+  GREEN_CHECK(decoded.ok());
+  return std::move(decoded).value();
 }
 
 double BayesOpt::Tell(const ParamPoint& point, double score) {
@@ -52,23 +62,6 @@ double BayesOpt::Tell(const ParamPoint& point, double score) {
     work = surrogate_.Fit(xs_, ys_);
     tells_since_refit_ = 0;
   }
-  return work;
-}
-
-double BayesOpt::TellMany(const std::vector<ParamPoint>& points,
-                          const std::vector<double>& scores) {
-  GREEN_CHECK(points.size() == scores.size());
-  double work = 0.0;
-  for (size_t i = 0; i < points.size(); ++i) {
-    xs_.push_back(points[i].unit);
-    ys_.push_back(scores[i]);
-    if (scores[i] > best_score_) {
-      best_score_ = scores[i];
-      best_point_ = points[i];
-    }
-  }
-  if (!xs_.empty()) work = surrogate_.Fit(xs_, ys_);
-  tells_since_refit_ = 0;
   return work;
 }
 

@@ -25,18 +25,14 @@ class BayesOpt {
   BayesOpt(const ParamSpace* space, const Options& options);
 
   /// Next point to evaluate. The first `num_initial_random` asks are
-  /// uniform; afterwards EI over sampled candidates.
+  /// uniform; afterwards EI over sampled candidates, scored in one batch,
+  /// of which only the winner is decoded.
   ParamPoint Ask();
 
   /// Reports the observed score (higher = better). Returns the abstract
   /// surrogate-fitting work performed, for the caller to charge as search
   /// overhead.
   double Tell(const ParamPoint& point, double score);
-
-  /// Seeds the optimizer with prior observations (warm starting, the
-  /// ASKL-2 meta-learning hook).
-  double TellMany(const std::vector<ParamPoint>& points,
-                  const std::vector<double>& scores);
 
   double best_score() const { return best_score_; }
   const ParamPoint& best_point() const { return best_point_; }
@@ -49,6 +45,9 @@ class BayesOpt {
   RfSurrogate surrogate_;
   std::vector<std::vector<double>> xs_;
   std::vector<double> ys_;
+  // Ask scratch: candidates_per_ask unit vectors (row-major) and their EI.
+  std::vector<double> candidate_units_;
+  std::vector<double> candidate_ei_;
   ParamPoint best_point_;
   double best_score_ = -1e300;
   int tells_since_refit_ = 0;

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "green/search/bayes_opt.h"
 #include "green/ml/metrics.h"
@@ -170,6 +175,116 @@ TEST(RfSurrogateTest, ExpectedImprovementPositiveWhereBetter) {
             surrogate.ExpectedImprovement({0.05}, 0.5));
 }
 
+// `n` observations of width `d` drawn from `seed`, with a smooth target.
+void MakeObservations(int n, int d, uint64_t seed,
+                      std::vector<std::vector<double>>* xs,
+                      std::vector<double>* ys) {
+  Rng rng(seed);
+  xs->clear();
+  ys->clear();
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> x(static_cast<size_t>(d));
+    for (double& v : x) v = rng.NextDouble();
+    ys->push_back(x[0] * x[1] - 0.5 * x[d - 1]);
+    xs->push_back(std::move(x));
+  }
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(RfSurrogateTest, RaggedObservationsDoNotFit) {
+  RfSurrogate surrogate(RfSurrogate::Options{});
+  EXPECT_EQ(surrogate.Fit({{0.1, 0.2}, {0.3}, {0.5, 0.6}}, {1.0, 2.0, 3.0}),
+            0.0);
+  EXPECT_FALSE(surrogate.fitted());
+  EXPECT_EQ(surrogate.Fit({{0.1}, {0.3, 0.4}}, {1.0, 2.0}), 0.0);
+  EXPECT_FALSE(surrogate.fitted());
+  EXPECT_EQ(surrogate.Fit({{}, {}, {}}, {1.0, 2.0, 3.0}), 0.0);
+  EXPECT_FALSE(surrogate.fitted());
+  EXPECT_EQ(surrogate.Fit({{0.1}, {0.3}}, {1.0}), 0.0);
+  EXPECT_FALSE(surrogate.fitted());
+
+  // A failed refit unfits a fitted surrogate.
+  std::vector<std::vector<double>> xs;
+  std::vector<double> ys;
+  MakeObservations(20, 3, 4, &xs, &ys);
+  EXPECT_GT(surrogate.Fit(xs, ys), 0.0);
+  ASSERT_TRUE(surrogate.fitted());
+  xs[7].pop_back();
+  EXPECT_EQ(surrogate.Fit(xs, ys), 0.0);
+  EXPECT_FALSE(surrogate.fitted());
+  EXPECT_EQ(surrogate.Predict({0.5, 0.5, 0.5}).mean, 0.0);
+}
+
+TEST(RfSurrogateTest, BatchRejectsWidthMismatch) {
+  RfSurrogate surrogate(RfSurrogate::Options{});
+  std::vector<std::vector<double>> xs;
+  std::vector<double> ys;
+  MakeObservations(20, 3, 4, &xs, &ys);
+  ASSERT_GT(surrogate.Fit(xs, ys), 0.0);
+  const std::vector<double> points(4, 0.5);
+  double out[2] = {0.0, 0.0};
+  EXPECT_DEATH(surrogate.ExpectedImprovementBatch(points.data(), 2, 2, 0.0,
+                                                  out),
+               "CHECK failed");
+}
+
+TEST(RfSurrogateTest, BatchEiEqualsPointEi) {
+  RfSurrogate surrogate(RfSurrogate::Options{});
+  std::vector<std::vector<double>> xs;
+  std::vector<double> ys;
+  MakeObservations(30, 5, 8, &xs, &ys);
+  ASSERT_GT(surrogate.Fit(xs, ys), 0.0);
+  const size_t count = 64;
+  const size_t dim = 5;
+  Rng rng(9);
+  std::vector<double> points(count * dim);
+  for (double& u : points) u = rng.NextDouble();
+  const double best = *std::max_element(ys.begin(), ys.end());
+  std::vector<double> batch(count);
+  surrogate.ExpectedImprovementBatch(points.data(), count, dim, best,
+                                     batch.data());
+  int positive = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const std::vector<double> point(points.begin() + i * dim,
+                                    points.begin() + (i + 1) * dim);
+    EXPECT_EQ(Bits(batch[i]), Bits(surrogate.ExpectedImprovement(point, best)))
+        << "point " << i;
+    if (batch[i] > 0.0) ++positive;
+  }
+  EXPECT_GT(positive, 0);
+}
+
+TEST(RfSurrogateTest, RefitMatchesFreshSurrogate) {
+  // One object refits on 40, 12 and again 40 observations, reusing its
+  // scratch and tree capacity; each fit must equal a fresh surrogate's.
+  RfSurrogate reused(RfSurrogate::Options{});
+  Rng probe_rng(13);
+  std::vector<std::vector<double>> probes(32, std::vector<double>(4));
+  for (auto& probe : probes) {
+    for (double& v : probe) v = probe_rng.NextDouble();
+  }
+  const std::pair<int, uint64_t> fits[] = {{40, 21}, {12, 22}, {40, 23}};
+  for (const auto& [n, seed] : fits) {
+    std::vector<std::vector<double>> xs;
+    std::vector<double> ys;
+    MakeObservations(n, 4, seed, &xs, &ys);
+    RfSurrogate fresh(RfSurrogate::Options{});
+    const double fresh_work = fresh.Fit(xs, ys);
+    EXPECT_EQ(Bits(reused.Fit(xs, ys)), Bits(fresh_work)) << "n=" << n;
+    for (const auto& probe : probes) {
+      const RfSurrogate::Prediction a = reused.Predict(probe);
+      const RfSurrogate::Prediction b = fresh.Predict(probe);
+      EXPECT_EQ(Bits(a.mean), Bits(b.mean)) << "n=" << n;
+      EXPECT_EQ(Bits(a.stddev), Bits(b.stddev)) << "n=" << n;
+    }
+  }
+}
+
 // --- BayesOpt ---
 
 TEST(BayesOptTest, ImprovesOverInitialRandomPhase) {
@@ -198,16 +313,67 @@ TEST(BayesOptTest, ImprovesOverInitialRandomPhase) {
   EXPECT_EQ(optimizer.num_observations(), 60);
 }
 
-TEST(BayesOptTest, TellManySeedsBest) {
+// FNV-1a over the bit patterns of a BO trajectory.
+class TrajectoryHash {
+ public:
+  void Add(double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    Add(bits);
+  }
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void Add(const std::string& s) {
+    Add(static_cast<uint64_t>(s.size()));
+    for (char c : s) Byte(static_cast<uint8_t>(c));
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  void Byte(uint8_t b) {
+    h_ ^= b;
+    h_ *= 1099511628211ull;
+  }
+  uint64_t h_ = 14695981039346656037ull;
+};
+
+// Pins every asked point (unit coordinates and decoded values) and the
+// work of every tell over a mixed space. The digest was computed with the
+// per-candidate Ask and the row-vector surrogate builder; any change to
+// RNG draws, split choices, summation order or candidate choice moves it.
+TEST(BayesOptTest, TrajectoryMatchesPinnedDigest) {
   ParamSpace space;
-  space.Add(ParamSpec::Double("x", 0.0, 1.0));
-  BayesOpt optimizer(&space, BayesOpt::Options{});
-  Rng rng(1);
-  std::vector<ParamPoint> points = {space.Sample(&rng),
-                                    space.Sample(&rng)};
-  optimizer.TellMany(points, {0.4, 0.9});
-  EXPECT_DOUBLE_EQ(optimizer.best_score(), 0.9);
-  EXPECT_EQ(optimizer.num_observations(), 2);
+  space.Add(ParamSpec::Double("lin", -1.0, 3.0));
+  space.Add(ParamSpec::Double("lr", 1e-3, 1.0, /*log_scale=*/true));
+  space.Add(ParamSpec::Int("depth", 1, 20));
+  space.Add(ParamSpec::Categorical("model", {"tree", "forest", "knn"}));
+  BayesOpt::Options options;
+  options.num_initial_random = 5;
+  options.seed = 2024;
+  BayesOpt optimizer(&space, options);
+  TrajectoryHash hash;
+  for (int i = 0; i < 60; ++i) {
+    const ParamPoint p = optimizer.Ask();
+    for (double u : p.unit) hash.Add(u);
+    for (const auto& [name, value] : p.values) {
+      hash.Add(name);
+      hash.Add(value);
+    }
+    for (const auto& [name, choice] : p.choices) {
+      hash.Add(name);
+      hash.Add(choice);
+    }
+    const double lin = p.values.at("lin");
+    const double lr = p.values.at("lr");
+    const double score = -(lin - 1.2) * (lin - 1.2) -
+                         10.0 * (lr - 0.05) * (lr - 0.05) -
+                         0.01 * std::abs(p.values.at("depth") - 7.0) +
+                         (p.choices.at("model") == "forest" ? 0.3 : 0.0);
+    hash.Add(optimizer.Tell(p, score));
+  }
+  hash.Add(optimizer.best_score());
+  EXPECT_EQ(hash.value(), 0xcec0b8e80368a804ull);
 }
 
 TEST(BayesOptTest, DeterministicGivenSeed) {
