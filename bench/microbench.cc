@@ -23,6 +23,8 @@
 #include "green/ml/models/gradient_boosting.h"
 #include "green/ml/models/knn.h"
 #include "green/ml/models/random_forest.h"
+#include "green/ml/preprocess/binning.h"
+#include "green/ml/preprocess/pca.h"
 #include "green/search/bayes_opt.h"
 #include "green/search/caruana.h"
 #include "green/search/param_space.h"
@@ -64,6 +66,50 @@ void BM_DecisionTreeFit(benchmark::State& state) {
                           static_cast<int64_t>(data.num_rows()));
 }
 BENCHMARK(BM_DecisionTreeFit)->Arg(200)->Arg(800);
+
+// One exact tree on 800 x 16 with the argument's class count: the split
+// scan's per-candidate Gini at 2, 3 and 10 classes.
+void BM_TreeSplitScan(benchmark::State& state) {
+  const Dataset data =
+      BenchData(800, 16, static_cast<int>(state.range(0)));
+  Ctx c;
+  for (auto _ : state) {
+    DecisionTreeParams params;
+    params.max_depth = 8;
+    DecisionTree tree(params);
+    benchmark::DoNotOptimize(tree.Fit(data, &c.ctx));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(data.num_rows()));
+}
+BENCHMARK(BM_TreeSplitScan)->Arg(2)->Arg(3)->Arg(10);
+
+// PCA to 8 components over 2116 rows (Fashion-MNIST's instantiated size
+// in large_tables) of the argument's width: 30 power iterations each.
+void BM_PcaFit(benchmark::State& state) {
+  const Dataset data =
+      BenchData(2116, static_cast<size_t>(state.range(0)), 2);
+  Ctx c;
+  for (auto _ : state) {
+    Pca pca(8);
+    benchmark::DoNotOptimize(pca.Fit(data, &c.ctx));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(data.num_rows()));
+}
+BENCHMARK(BM_PcaFit)->Arg(21)->Arg(67);
+
+void BM_QuantileBinnerFit(benchmark::State& state) {
+  const Dataset data = BenchData(2000, 16, 2);
+  Ctx c;
+  for (auto _ : state) {
+    QuantileBinner binner;
+    benchmark::DoNotOptimize(binner.Fit(data, &c.ctx));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(data.num_rows()));
+}
+BENCHMARK(BM_QuantileBinnerFit);
 
 void BM_RandomForestPredict(benchmark::State& state) {
   const Dataset data = BenchData(400, 16, 3);

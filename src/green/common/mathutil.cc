@@ -55,9 +55,13 @@ double Median(std::vector<double> v) {
 }
 
 double Quantile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  return QuantileSorted(v, p);
+}
+
+double QuantileSorted(const std::vector<double>& v, double p) {
   if (v.empty()) return 0.0;
   p = Clamp(p, 0.0, 1.0);
-  std::sort(v.begin(), v.end());
   const double pos = p * static_cast<double>(v.size() - 1);
   const size_t lo = static_cast<size_t>(pos);
   const size_t hi = std::min(lo + 1, v.size() - 1);

@@ -24,6 +24,11 @@ double Median(std::vector<double> v);
 /// p-quantile in [0,1] via linear interpolation (of a copy).
 double Quantile(std::vector<double> v, double p);
 
+/// Quantile's interpolation over an already ascending `v`, which it
+/// neither copies nor sorts: reading many quantiles of one column costs
+/// one sort.
+double QuantileSorted(const std::vector<double>& v, double p);
+
 /// Dot product; vectors must have equal length.
 double Dot(const std::vector<double>& a, const std::vector<double>& b);
 

@@ -49,12 +49,13 @@ uint64_t Rng::NextUint64() {
 }
 
 uint64_t Rng::NextBounded(uint64_t bound) {
-  // Lemire's nearly-divisionless method would be overkill here; simple
-  // rejection keeps the distribution exactly uniform.
-  const uint64_t threshold = -bound % bound;
+  // Simple rejection keeps the distribution exactly uniform: a draw is
+  // accepted iff r >= 2^64 mod bound. That threshold is below `bound`, so
+  // every r >= bound is accepted without computing it, which saves the
+  // common path a 64-bit division and keeps every draw as it was.
   for (;;) {
-    uint64_t r = NextUint64();
-    if (r >= threshold) return r % bound;
+    const uint64_t r = NextUint64();
+    if (r >= bound || r >= -bound % bound) return r % bound;
   }
 }
 

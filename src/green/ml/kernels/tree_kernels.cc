@@ -29,32 +29,126 @@
 // Such slots are duplicates of one bootstrap row: same value, label and
 // target, and every split flags them alike. So every scan, partition and
 // accumulation sees the same sequence of numbers either way, and the
-// outputs stay bit-identical.
+// outputs stay bit-identical. When the sample is the whole table in row
+// order, each row's bucket is its own slot and the stripes are the
+// presort itself, copied as is.
+//
+// Class counts are uint32_t. A count is an integer below 2^32, so it
+// converts to double exactly, and the difference of two counts equals the
+// difference of their doubles: each Gini term divides and subtracts the
+// same doubles a double-valued counter would hold, in class order. The scan is compiled for 2, 3 and 4 classes; with two classes it
+// counts class 1 alone and derives class 0 as n_left - count_1, which is
+// the same integer. A candidate's left and right terms share the two
+// lanes of one vector (V2 below); each lane rounds exactly as the scalar
+// operation would, so pairing them moves no bit.
+//
+// A split stable-partitions the stripes only for children that read
+// them. A child stops before any stripe read when it reaches max_depth
+// or holds fewer than 2 * min_samples_leaf rows, and it then needs only
+// the node-order slot list (always partitioned) for its counts and sums.
+// When both children stop that way the stripes' [lo, hi) range is left in
+// the parent's order: no later node reads it, because every other node
+// works on a disjoint range. The best feature's own stripe needs no pass
+// at all: its left block is already the `v <= thr` prefix.
 
 namespace green {
 
 namespace {
 
-/// Gini impurity of a count vector with total `n`.
-double Gini(const std::vector<double>& counts, double n) {
+/// Gini impurity of `k` class counts with total `n`.
+double Gini(const uint32_t* counts, size_t k, double n) {
   if (n <= 0.0) return 0.0;
   double g = 1.0;
-  for (double c : counts) {
-    const double p = c / n;
+  for (size_t c = 0; c < k; ++c) {
+    const double p = static_cast<double>(counts[c]) / n;
     g -= p * p;
   }
   return g;
 }
 
-void Normalize(std::vector<double>* v) {
-  double sum = 0.0;
-  for (double x : *v) sum += x;
-  if (sum <= 0.0) {
-    const double u = 1.0 / static_cast<double>(v->size());
-    for (double& x : *v) x = u;
-    return;
+/// Two doubles operated on lane by lane, each lane rounding exactly as a
+/// scalar operation would; the scans put a split's left and right side
+/// in one so that both sides' divisions issue together.
+using V2 = double __attribute__((vector_size(16)));
+
+/// The best split a node has found so far. `score` starts at the node's
+/// impurity; a candidate must beat it by more than 1e-12.
+struct SplitChoice {
+  double score;
+  int feature = -1;
+  double threshold = 0.0;
+};
+
+/// Exact Gini scan of one presorted stripe: every boundary between
+/// distinct values that leaves `min_leaf` (>= 1) rows on each side is a
+/// candidate. Rows before the first candidate only feed the counts, and
+/// rows after the last are never read. `K` is the class count when it is
+/// known at compile time, 0 otherwise (then `k` counts in `scratch`).
+template <size_t K>
+void ScanClsStripe(const uint32_t* sp, const double* sv, const int32_t* lab,
+                   size_t lo, size_t hi, size_t min_leaf,
+                   const uint32_t* counts, size_t k, uint32_t* scratch,
+                   int feature, SplitChoice* best) {
+  const double n = static_cast<double>(hi - lo);
+  const size_t first = lo + min_leaf - 1;  // n_left == min_leaf
+  const size_t last = hi - min_leaf;       // n_right == min_leaf
+  SplitChoice b = *best;
+  double bar = b.score - 1e-12;
+  const auto consider = [&](size_t i, double score) {
+    if (score < bar) {
+      b.score = score;
+      b.feature = feature;
+      b.threshold = 0.5 * (sv[i] + sv[i + 1]);
+      bar = score - 1e-12;
+    }
+  };
+  size_t i = lo;
+  if constexpr (K == 2) {
+    // Labels are 0 or 1: count class 1 only.
+    uint32_t left1 = 0;
+    for (; i < first; ++i) left1 += static_cast<uint32_t>(lab[sp[i]]);
+    for (; i < last; ++i) {
+      left1 += static_cast<uint32_t>(lab[sp[i]]);
+      if (sv[i + 1] - sv[i] <= 1e-12) continue;
+      const uint32_t nl = static_cast<uint32_t>(i - lo + 1);
+      const uint32_t left0 = nl - left1;
+      const double n_left = static_cast<double>(nl);
+      const double n_right = n - n_left;
+      const V2 sides = {n_left, n_right};
+      const V2 p0 = V2{static_cast<double>(left0),
+                       static_cast<double>(counts[0] - left0)} /
+                    sides;
+      const V2 p1 = V2{static_cast<double>(left1),
+                       static_cast<double>(counts[1] - left1)} /
+                    sides;
+      const V2 gini = V2{1.0, 1.0} - p0 * p0 - p1 * p1;
+      consider(i, (n_left * gini[0] + n_right * gini[1]) / n);
+    }
+  } else {
+    const size_t kk = K != 0 ? K : k;
+    uint32_t local[K != 0 ? K : 1] = {};
+    uint32_t* left = K != 0 ? local : scratch;
+    if constexpr (K == 0) std::fill(left, left + kk, uint32_t{0});
+    for (; i < first; ++i) ++left[lab[sp[i]]];
+    for (; i < last; ++i) {
+      ++left[lab[sp[i]]];
+      if (sv[i + 1] - sv[i] <= 1e-12) continue;
+      const double n_left = static_cast<double>(
+          static_cast<uint32_t>(i - lo + 1));
+      const double n_right = n - n_left;
+      // Lane 0 is the left side, lane 1 the right.
+      const V2 sides = {n_left, n_right};
+      V2 gini = {1.0, 1.0};
+      for (size_t c = 0; c < kk; ++c) {
+        const V2 p = V2{static_cast<double>(left[c]),
+                        static_cast<double>(counts[c] - left[c])} /
+                     sides;
+        gini -= p * p;
+      }
+      consider(i, (n_left * gini[0] + n_right * gini[1]) / n);
+    }
   }
-  for (double& x : *v) x /= sum;
+  *best = b;
 }
 
 /// Per-tree working set. A "slot" is a position in the original row
@@ -114,18 +208,32 @@ void InitSlots(const std::vector<size_t>& rows, size_t d, Arena* arena,
 /// presort in O(d * (n + m)): buckets the sample's slots by row id
 /// (CSR: per-row offsets into one flat slot array, each bucket in
 /// ascending slot order), then walks each feature's table order and
-/// emits every row's bucket.
+/// emits every row's bucket. A sample that is the table in row order
+/// (slot i holds row i) copies the presort instead.
 void DeriveStripes(const TablePresort& presort, Arena* arena,
                    TreeWorkspace* ws) {
   const size_t n = presort.num_rows();
   const size_t m = ws->m;
   ws->spos = arena->AllocArray<uint32_t>(ws->d * m);
   ws->sval = arena->AllocArray<double>(ws->d * m);
+  bool identity = m == n;
+  for (size_t slot = 0; identity && slot < m; ++slot) {
+    identity = ws->rid[slot] == slot;
+  }
+  if (identity) {
+    for (size_t f = 0; f < ws->d; ++f) {
+      std::memcpy(ws->spos + f * m, presort.order(f), m * sizeof(uint32_t));
+      std::memcpy(ws->sval + f * m, presort.values(f), m * sizeof(double));
+    }
+    return;
+  }
   // The buckets only feed the stripes; reclaim them.
   ArenaScope bucket_scope(arena);
   uint32_t* start = arena->AllocArray<uint32_t>(n + 1);
   uint32_t* next = arena->AllocArray<uint32_t>(n);
-  uint32_t* bucket = arena->AllocArray<uint32_t>(m);
+  // One spare entry: an empty bucket may start at m (see below).
+  uint32_t* bucket = arena->AllocArray<uint32_t>(m + 1);
+  bucket[m] = 0;
   std::fill(start, start + n + 1, uint32_t{0});
   for (size_t slot = 0; slot < m; ++slot) ++start[ws->rid[slot] + 1];
   for (size_t r = 0; r < n; ++r) start[r + 1] += start[r];
@@ -138,15 +246,22 @@ void DeriveStripes(const TablePresort& presort, Arena* arena,
     const double* values = presort.values(f);
     uint32_t* sp = ws->spos + f * m;
     double* sv = ws->sval + f * m;
+    // Stops once all m slots are out. Every row writes its bucket's
+    // first slot unconditionally: while out < m a slot is still to come,
+    // and it overwrites an empty bucket's write.
     size_t out = 0;
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; out < m; ++i) {
       const uint32_t row = order[i];
       const double v = values[i];
-      for (uint32_t b = start[row]; b < start[row + 1]; ++b) {
-        sp[out] = bucket[b];
-        sv[out] = v;
-        ++out;
+      const uint32_t b = start[row];
+      const uint32_t e = start[row + 1];
+      sp[out] = bucket[b];
+      sv[out] = v;
+      for (uint32_t x = b + 1; x < e; ++x) {
+        sp[out + (x - b)] = bucket[x];
+        sv[out + (x - b)] = v;
       }
+      out += e - b;
     }
   }
 }
@@ -183,51 +298,62 @@ void InitWorkspace(const Dataset& train, const TablePresort* presort,
   }
 }
 
+// The partitions below are branch-free: each element is written to
+// both the left block and the right scratch, and only the side its flag
+// (0 or 1) names advances. A write at the left index lands on an
+// element already read (the index never passes the read index) and is
+// overwritten by the next left element or the right block's copy.
+
 /// Stable-partitions the node-order slot list [lo, hi) by per-slot flag
 /// (1 = left). Returns the left-block size.
 size_t PartitionNodeOrder(TreeWorkspace* ws, size_t lo, size_t hi) {
   uint32_t* ns = ws->nslot + lo;
+  const uint8_t* flag = ws->flag;
+  uint32_t* right = ws->uscratch;
   const size_t len = hi - lo;
   size_t nl = 0;
   size_t nr = 0;
   for (size_t i = 0; i < len; ++i) {
     const uint32_t slot = ns[i];
-    if (ws->flag[slot]) {
-      ns[nl++] = slot;
-    } else {
-      ws->uscratch[nr++] = slot;
-    }
+    const size_t left = flag[slot];
+    ns[nl] = slot;
+    right[nr] = slot;
+    nl += left;
+    nr += 1 - left;
   }
-  std::memcpy(ns + nl, ws->uscratch, nr * sizeof(uint32_t));
+  std::memcpy(ns + nl, right, nr * sizeof(uint32_t));
   return nl;
 }
 
-/// Stable-partitions every presorted stripe's [lo, hi) subrange by the
-/// per-slot flags. Left-compaction writes in place (the write index
-/// never passes the read index); the right side stages through scratch.
-/// A sorted subsequence filtered stably stays sorted, so each child
-/// stripe needs no re-sort.
-void PartitionStripes(TreeWorkspace* ws, size_t lo, size_t hi) {
+/// Stable-partitions every presorted stripe's [lo, hi) subrange but
+/// `skip`'s (already split: its left block is its prefix) by the
+/// per-slot flags, the right side staging through scratch. A sorted
+/// subsequence filtered stably stays sorted, so each child stripe needs
+/// no re-sort.
+void PartitionStripes(TreeWorkspace* ws, size_t lo, size_t hi, size_t skip) {
   const size_t len = hi - lo;
+  const uint8_t* flag = ws->flag;
+  uint32_t* right_slot = ws->uscratch;
+  double* right_value = ws->dscratch;
   for (size_t f = 0; f < ws->d; ++f) {
+    if (f == skip) continue;
     uint32_t* sp = ws->spos + f * ws->m + lo;
     double* sv = ws->sval + f * ws->m + lo;
     size_t nl = 0;
     size_t nr = 0;
     for (size_t i = 0; i < len; ++i) {
       const uint32_t slot = sp[i];
-      if (ws->flag[slot]) {
-        sp[nl] = slot;
-        sv[nl] = sv[i];
-        ++nl;
-      } else {
-        ws->uscratch[nr] = slot;
-        ws->dscratch[nr] = sv[i];
-        ++nr;
-      }
+      const double v = sv[i];
+      const size_t left = flag[slot];
+      sp[nl] = slot;
+      sv[nl] = v;
+      right_slot[nr] = slot;
+      right_value[nr] = v;
+      nl += left;
+      nr += 1 - left;
     }
-    std::memcpy(sp + nl, ws->uscratch, nr * sizeof(uint32_t));
-    std::memcpy(sv + nl, ws->dscratch, nr * sizeof(double));
+    std::memcpy(sp + nl, right_slot, nr * sizeof(uint32_t));
+    std::memcpy(sv + nl, right_value, nr * sizeof(double));
   }
 }
 
@@ -249,10 +375,21 @@ struct TreeBuilder {
   TreeWorkspace ws;
 
   // Reused per-node scratch (consumed before recursing).
-  std::vector<double> counts;
-  std::vector<double> left_counts;
-  std::vector<double> right_counts;
+  std::vector<uint32_t> counts;
+  std::vector<uint32_t> left_counts;
+  std::vector<uint32_t> right_counts;
   std::vector<size_t> features;
+
+  /// min_samples_leaf, at least 1: every split leaves a row on each side.
+  size_t MinLeaf() const {
+    return static_cast<size_t>(std::max(1, params->min_samples_leaf));
+  }
+
+  /// True when a node of `len` rows is too small to split, whatever its
+  /// impurity.
+  bool StopsOnSize(size_t len) const {
+    return len < 2 * static_cast<size_t>(params->min_samples_leaf);
+  }
 
   /// Candidate feature subset. The RNG stream is part of the snapshot
   /// contract: the full index vector is shuffled, then truncated.
@@ -288,10 +425,12 @@ struct TreeBuilder {
     *hi_v = hiv;
   }
 
-  /// Flags + partitions for an exact-mode split: the left block is the
-  /// `v <= thr` prefix of the best feature's sorted subrange, and every
-  /// other stripe plus the node-order list partitions stably by slot.
-  size_t SplitExact(size_t lo, size_t hi, size_t best_feature,
+  /// Flags + partitions for an exact-mode split of a node at `depth`:
+  /// the left block is the `v <= thr` prefix of the best feature's
+  /// sorted subrange, and the node-order list partitions stably by slot.
+  /// Every other stripe partitions too, unless both children stop on
+  /// depth or size alone and so never read a stripe.
+  size_t SplitExact(size_t lo, size_t hi, int depth, size_t best_feature,
                     double threshold) {
     const double* svb = ws.sval + best_feature * ws.m;
     const uint32_t* spb = ws.spos + best_feature * ws.m;
@@ -300,7 +439,10 @@ struct TreeBuilder {
     for (size_t i = lo; i < hi; ++i) {
       ws.flag[spb[i]] = i < lo + nl ? 1 : 0;
     }
-    PartitionStripes(&ws, lo, hi);
+    const bool children_stop =
+        depth + 1 >= params->max_depth ||
+        (StopsOnSize(nl) && StopsOnSize(hi - lo - nl));
+    if (!children_stop) PartitionStripes(&ws, lo, hi, best_feature);
     PartitionNodeOrder(&ws, lo, hi);
     return nl;
   }
@@ -321,11 +463,47 @@ struct TreeBuilder {
   int GrowReg(size_t lo, size_t hi, int depth);
   int GrowGb(size_t lo, size_t hi, int depth);
 
+  /// Exact scan of feature `f`'s stripe, compiled for the class count.
+  void ScanCls(size_t f, size_t lo, size_t hi, SplitChoice* best) {
+    const uint32_t* sp = ws.spos + f * ws.m;
+    const double* sv = ws.sval + f * ws.m;
+    const size_t min_leaf = MinLeaf();
+    const size_t k = counts.size();
+    const int feature = static_cast<int>(f);
+    switch (k) {
+      case 2:
+        ScanClsStripe<2>(sp, sv, ws.lab, lo, hi, min_leaf, counts.data(), k,
+                         nullptr, feature, best);
+        break;
+      case 3:
+        ScanClsStripe<3>(sp, sv, ws.lab, lo, hi, min_leaf, counts.data(), k,
+                         nullptr, feature, best);
+        break;
+      case 4:
+        ScanClsStripe<4>(sp, sv, ws.lab, lo, hi, min_leaf, counts.data(), k,
+                         nullptr, feature, best);
+        break;
+      default:
+        ScanClsStripe<0>(sp, sv, ws.lab, lo, hi, min_leaf, counts.data(), k,
+                         left_counts.data(), feature, best);
+    }
+  }
+
   /// Finishes `node` as a classification leaf holding the normalized
-  /// class distribution.
+  /// class distribution. The counts are integers, so their sum is exact.
   void SetClsLeaf(int node) {
-    Normalize(&counts);
-    std::copy(counts.begin(), counts.end(), tree->leaf(node));
+    double* leaf = tree->leaf(node);
+    double sum = 0.0;
+    for (size_t c = 0; c < counts.size(); ++c) {
+      leaf[c] = static_cast<double>(counts[c]);
+      sum += leaf[c];
+    }
+    if (sum <= 0.0) {
+      const double u = 1.0 / static_cast<double>(counts.size());
+      std::fill(leaf, leaf + counts.size(), u);
+      return;
+    }
+    for (size_t c = 0; c < counts.size(); ++c) leaf[c] /= sum;
   }
 };
 
@@ -336,17 +514,13 @@ int TreeBuilder::GrowCls(int num_classes, size_t lo, size_t hi, int depth) {
   const double n = static_cast<double>(len);
   const size_t kk = static_cast<size_t>(num_classes);
 
-  counts.assign(kk, 0.0);
-  for (size_t i = lo; i < hi; ++i) {
-    counts[static_cast<size_t>(ws.lab[ws.nslot[i]])] += 1.0;
-  }
-  const double node_gini = Gini(counts, n);
+  counts.assign(kk, 0);
+  for (size_t i = lo; i < hi; ++i) ++counts[ws.lab[ws.nslot[i]]];
+  const double node_gini = Gini(counts.data(), kk, n);
   *flops += n;
 
   const bool stop =
-      depth >= p.max_depth ||
-      len < 2 * static_cast<size_t>(p.min_samples_leaf) ||
-      node_gini <= 1e-12;
+      depth >= p.max_depth || StopsOnSize(len) || node_gini <= 1e-12;
   if (stop) {
     SetClsLeaf(node_index);
     return node_index;
@@ -362,9 +536,7 @@ int TreeBuilder::GrowCls(int num_classes, size_t lo, size_t hi, int depth) {
     }
   }
 
-  int best_feature = -1;
-  double best_threshold = 0.0;
-  double best_score = node_gini;  // Must strictly improve.
+  SplitChoice best{node_gini};  // Must strictly improve.
   left_counts.resize(kk);
 
   for (size_t f : features) {
@@ -376,30 +548,32 @@ int TreeBuilder::GrowCls(int num_classes, size_t lo, size_t hi, int depth) {
       *flops += n;
       if (hiv - lov <= 1e-12) continue;
       const double thr = rng->NextUniform(lov, hiv);
-      std::fill(left_counts.begin(), left_counts.end(), 0.0);
-      double n_left = 0.0;
+      // Branch-free: every row adds its 0/1 side to its class.
+      std::fill(left_counts.begin(), left_counts.end(), 0);
+      uint32_t nl = 0;
       for (size_t i = 0; i < len; ++i) {
-        if (ws.vals[i] <= thr) {
-          left_counts[static_cast<size_t>(ws.nlab[i])] += 1.0;
-          n_left += 1.0;
-        }
+        const uint32_t goes_left = ws.vals[i] <= thr ? 1 : 0;
+        left_counts[ws.nlab[i]] += goes_left;
+        nl += goes_left;
       }
       *flops += n;
+      const double n_left = static_cast<double>(nl);
       const double n_right = n - n_left;
       if (n_left < p.min_samples_leaf || n_right < p.min_samples_leaf) {
         continue;
       }
-      right_counts.assign(kk, 0.0);
+      right_counts.resize(kk);
       for (size_t c = 0; c < kk; ++c) {
         right_counts[c] = counts[c] - left_counts[c];
       }
-      const double score = (n_left * Gini(left_counts, n_left) +
-                            n_right * Gini(right_counts, n_right)) /
-                           n;
-      if (score < best_score - 1e-12) {
-        best_score = score;
-        best_feature = static_cast<int>(f);
-        best_threshold = thr;
+      const double score =
+          (n_left * Gini(left_counts.data(), kk, n_left) +
+           n_right * Gini(right_counts.data(), kk, n_right)) /
+          n;
+      if (score < best.score - 1e-12) {
+        best.score = score;
+        best.feature = static_cast<int>(f);
+        best.threshold = thr;
       }
       continue;
     }
@@ -407,53 +581,25 @@ int TreeBuilder::GrowCls(int num_classes, size_t lo, size_t hi, int depth) {
     // Exact search over the presorted stripe. The stripe already holds
     // this node's rows in sorted order; only the sort's logical cost is
     // charged.
-    const uint32_t* sp = ws.spos + f * ws.m;
-    const double* sv = ws.sval + f * ws.m;
     *flops += n * std::log2(std::max(2.0, n));
-
-    std::fill(left_counts.begin(), left_counts.end(), 0.0);
-    double n_left = 0.0;
-    for (size_t i = lo; i + 1 < hi; ++i) {
-      left_counts[static_cast<size_t>(ws.lab[sp[i]])] += 1.0;
-      n_left += 1.0;
-      if (sv[i + 1] - sv[i] <= 1e-12) continue;
-      const double n_right = n - n_left;
-      if (n_left < p.min_samples_leaf || n_right < p.min_samples_leaf) {
-        continue;
-      }
-      double right_gini = 1.0;
-      double left_gini = 1.0;
-      for (size_t c = 0; c < kk; ++c) {
-        const double pl = left_counts[c] / n_left;
-        const double pr = (counts[c] - left_counts[c]) / n_right;
-        left_gini -= pl * pl;
-        right_gini -= pr * pr;
-      }
-      const double score = (n_left * left_gini + n_right * right_gini) / n;
-      if (score < best_score - 1e-12) {
-        best_score = score;
-        best_feature = static_cast<int>(f);
-        best_threshold = 0.5 * (sv[i] + sv[i + 1]);
-      }
-    }
+    ScanCls(f, lo, hi, &best);
     *flops += n * static_cast<double>(kk);
   }
 
-  if (best_feature < 0) {
+  if (best.feature < 0) {
     SetClsLeaf(node_index);
     return node_index;
   }
 
+  const size_t best_feature = static_cast<size_t>(best.feature);
   const size_t nl =
       random_thresholds
-          ? SplitByColumn(lo, hi, static_cast<size_t>(best_feature),
-                          best_threshold)
-          : SplitExact(lo, hi, static_cast<size_t>(best_feature),
-                       best_threshold);
+          ? SplitByColumn(lo, hi, best_feature, best.threshold)
+          : SplitExact(lo, hi, depth, best_feature, best.threshold);
   const size_t mid = lo + nl;
   const int left = GrowCls(num_classes, lo, mid, depth + 1);
   const int right = GrowCls(num_classes, mid, hi, depth + 1);
-  tree->SetSplit(node_index, best_feature, best_threshold, left, right);
+  tree->SetSplit(node_index, best.feature, best.threshold, left, right);
   return node_index;
 }
 
@@ -475,9 +621,8 @@ int TreeBuilder::GrowReg(size_t lo, size_t hi, int depth) {
   const double mean = sum / n;
   const double node_sse = sumsq - sum * sum / n;
 
-  const bool stop = depth >= p.max_depth ||
-                    len < 2 * static_cast<size_t>(p.min_samples_leaf) ||
-                    node_sse <= 1e-12;
+  const bool stop =
+      depth >= p.max_depth || StopsOnSize(len) || node_sse <= 1e-12;
   if (stop) {
     tree->leaf(node_index)[0] = mean;
     return node_index;
@@ -535,23 +680,32 @@ int TreeBuilder::GrowReg(size_t lo, size_t hi, int depth) {
     const double* sv = ws.sval + f * ws.m;
     *flops += n * std::log2(std::max(2.0, n));
 
+    // Candidates as in ScanClsStripe; lane 0 is the left side.
+    const size_t min_leaf = MinLeaf();
+    const size_t first = lo + min_leaf - 1;
+    const size_t last = hi - min_leaf;
     double left_sum = 0.0;
     double left_sumsq = 0.0;
-    double n_left = 0.0;
-    for (size_t i = lo; i + 1 < hi; ++i) {
+    size_t i = lo;
+    for (; i < first; ++i) {
       const double y = ws.tgt[sp[i]];
       left_sum += y;
       left_sumsq += y * y;
-      n_left += 1.0;
+    }
+    for (; i < last; ++i) {
+      const double y = ws.tgt[sp[i]];
+      left_sum += y;
+      left_sumsq += y * y;
       if (sv[i + 1] - sv[i] <= 1e-12) continue;
+      const double n_left =
+          static_cast<double>(static_cast<uint32_t>(i - lo + 1));
       const double n_right = n - n_left;
-      if (n_left < p.min_samples_leaf || n_right < p.min_samples_leaf) {
-        continue;
-      }
       const double right_sum = sum - left_sum;
-      const double right_sumsq = sumsq - left_sumsq;
-      const double sse = (left_sumsq - left_sum * left_sum / n_left) +
-                         (right_sumsq - right_sum * right_sum / n_right);
+      const V2 part =
+          V2{left_sumsq, sumsq - left_sumsq} -
+          V2{left_sum * left_sum, right_sum * right_sum} /
+              V2{n_left, n_right};
+      const double sse = part[0] + part[1];
       if (sse < best_sse - 1e-12) {
         best_sse = sse;
         best_feature = static_cast<int>(f);
@@ -570,7 +724,7 @@ int TreeBuilder::GrowReg(size_t lo, size_t hi, int depth) {
       random_thresholds
           ? SplitByColumn(lo, hi, static_cast<size_t>(best_feature),
                           best_threshold)
-          : SplitExact(lo, hi, static_cast<size_t>(best_feature),
+          : SplitExact(lo, hi, depth, static_cast<size_t>(best_feature),
                        best_threshold);
   const size_t mid = lo + nl;
   const int left = GrowReg(lo, mid, depth + 1);
@@ -590,10 +744,13 @@ int TreeBuilder::GrowGb(size_t lo, size_t hi, int depth) {
   const double mean = n > 0.0 ? sum / n : 0.0;
   *flops += n;
 
-  const bool stop = depth >= p.max_depth ||
-                    len < 2 * static_cast<size_t>(p.min_samples_leaf);
-  if (!stop) {
-    // Exact variance-reduction split search over all features.
+  if (depth < p.max_depth && !StopsOnSize(len)) {
+    // Exact variance-reduction split search over all features, over the
+    // candidates of ScanClsStripe.
+    const size_t min_leaf = MinLeaf();
+    const size_t first = lo + min_leaf - 1;
+    const size_t last = hi - min_leaf;
+    const double node_term = sum * sum / n;
     double best_gain = 1e-10;
     int best_feature = -1;
     double best_threshold = 0.0;
@@ -602,20 +759,19 @@ int TreeBuilder::GrowGb(size_t lo, size_t hi, int depth) {
       const double* sv = ws.sval + f * ws.m;
       *flops += n * std::log2(std::max(2.0, n));
       double left_sum = 0.0;
-      double left_n = 0.0;
-      for (size_t i = lo; i + 1 < hi; ++i) {
+      size_t i = lo;
+      for (; i < first; ++i) left_sum += ws.tgt[sp[i]];
+      for (; i < last; ++i) {
         left_sum += ws.tgt[sp[i]];
-        left_n += 1.0;
         if (sv[i + 1] - sv[i] <= 1e-12) continue;
+        const double left_n =
+            static_cast<double>(static_cast<uint32_t>(i - lo + 1));
         const double right_n = n - left_n;
-        if (left_n < p.min_samples_leaf || right_n < p.min_samples_leaf) {
-          continue;
-        }
         const double right_sum = sum - left_sum;
         // Variance-reduction gain (up to constants).
-        const double gain = left_sum * left_sum / left_n +
-                            right_sum * right_sum / right_n -
-                            sum * sum / n;
+        const V2 part = V2{left_sum * left_sum, right_sum * right_sum} /
+                        V2{left_n, right_n};
+        const double gain = part[0] + part[1] - node_term;
         if (gain > best_gain) {
           best_gain = gain;
           best_feature = static_cast<int>(f);
@@ -625,8 +781,8 @@ int TreeBuilder::GrowGb(size_t lo, size_t hi, int depth) {
       *flops += n;
     }
     if (best_feature >= 0) {
-      const size_t nl = SplitExact(lo, hi, static_cast<size_t>(best_feature),
-                                   best_threshold);
+      const size_t nl = SplitExact(
+          lo, hi, depth, static_cast<size_t>(best_feature), best_threshold);
       const size_t mid = lo + nl;
       const int left = GrowGb(lo, mid, depth + 1);
       const int right = GrowGb(mid, hi, depth + 1);
@@ -658,31 +814,38 @@ void FlatTree::SetSplit(int node, int feature, double threshold, int left,
   right_[i] = right;
 }
 
-TablePresort::TablePresort(const Dataset& train)
-    : n_(train.num_rows()),
-      d_(train.num_features()),
-      order_(n_ * d_),
-      values_(n_ * d_) {
+Result<TablePresort> TablePresort::Build(const Dataset& train) {
+  const size_t n = train.num_rows();
+  const size_t d = train.num_features();
+  TablePresort presort(n, d);
   struct Key {
     double value;
     uint32_t row;
   };
-  std::vector<Key> keys(n_);
-  for (size_t f = 0; f < d_; ++f) {
-    for (size_t r = 0; r < n_; ++r) {
-      keys[r] = {train.At(r, f), static_cast<uint32_t>(r)};
+  std::vector<Key> keys(n);
+  for (size_t f = 0; f < d; ++f) {
+    for (size_t r = 0; r < n; ++r) {
+      const double v = train.At(r, f);
+      // The comparator below is a strict weak order only without NaN.
+      if (std::isnan(v)) {
+        return Status::InvalidArgument(StrFormat(
+            "tree: feature %zu of row %zu is NaN; impute before fitting",
+            f, r));
+      }
+      keys[r] = {v, static_cast<uint32_t>(r)};
     }
     std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
       if (a.value != b.value) return a.value < b.value;
       return a.row < b.row;
     });
-    uint32_t* order = order_.data() + f * n_;
-    double* values = values_.data() + f * n_;
-    for (size_t i = 0; i < n_; ++i) {
+    uint32_t* order = presort.order_.data() + f * n;
+    double* values = presort.values_.data() + f * n;
+    for (size_t i = 0; i < n; ++i) {
       order[i] = keys[i].row;
       values[i] = keys[i].value;
     }
   }
+  return presort;
 }
 
 Status CheckTreeIndexRange(size_t num_rows, size_t sample_size) {

@@ -42,6 +42,12 @@ class FlatTree {
   bool is_leaf(int node) const { return feature_[Index(node)] < 0; }
   int left(int node) const { return left_[Index(node)]; }
   int right(int node) const { return right_[Index(node)]; }
+  /// Split feature (-1 for a leaf) and threshold of `node`.
+  int feature(int node) const { return feature_[Index(node)]; }
+  double threshold(int node) const { return threshold_[Index(node)]; }
+  const double* leaf(int node) const {
+    return leaf_.data() + Index(node) * width_;
+  }
 
   /// Removes every node, keeping the stripes' capacity for a rebuild.
   void Clear() {
@@ -95,7 +101,10 @@ Status CheckTreeIndexRange(size_t num_rows, size_t sample_size);
 /// CheckTreeIndexRange first.
 class TablePresort {
  public:
-  explicit TablePresort(const Dataset& train);
+  /// Sorts every column of `train`. A NaN has no place in a (value,
+  /// row id) order, so a table holding one is refused (InvalidArgument)
+  /// before any sort runs: impute first.
+  static Result<TablePresort> Build(const Dataset& train);
 
   size_t num_rows() const { return n_; }
   size_t num_features() const { return d_; }
@@ -105,6 +114,9 @@ class TablePresort {
   const double* values(size_t f) const { return values_.data() + f * n_; }
 
  private:
+  TablePresort(size_t n, size_t d)
+      : n_(n), d_(d), order_(n * d), values_(n * d) {}
+
   size_t n_;
   size_t d_;
   std::vector<uint32_t> order_;  ///< d x n

@@ -29,7 +29,8 @@ Status AdaBoost::Fit(const Dataset& train, ExecutionContext* ctx) {
   tree_params.min_samples_leaf = 2;
   // Every stage's weighted bootstrap draws n rows from the same table.
   GREEN_RETURN_IF_ERROR(CheckTreeIndexRange(n, n));
-  const TablePresort presort(train);
+  GREEN_ASSIGN_OR_RETURN(const TablePresort presort,
+                         TablePresort::Build(train));
 
   for (int round = 0; round < params_.num_rounds; ++round) {
     if (ctx->Interrupted()) {

@@ -31,6 +31,7 @@ class AdaBoost : public Estimator {
   double ComplexityProxy() const override;
 
   int rounds_fitted() const { return static_cast<int>(stages_.size()); }
+  const DecisionTree& stage_tree(size_t i) const { return stages_[i].tree; }
 
  private:
   struct Stage {

@@ -14,7 +14,9 @@ Status DecisionTree::Fit(const Dataset& train, ExecutionContext* ctx) {
   GREEN_RETURN_IF_ERROR(
       CheckTreeIndexRange(train.num_rows(), train.num_rows()));
   std::optional<TablePresort> presort;
-  if (!params_.random_thresholds) presort.emplace(train);
+  if (!params_.random_thresholds) {
+    GREEN_ASSIGN_OR_RETURN(presort, TablePresort::Build(train));
+  }
   std::vector<size_t> all(train.num_rows());
   std::iota(all.begin(), all.end(), 0);
   Rng rng(params_.seed);

@@ -49,6 +49,7 @@ class DecisionTree : public Estimator {
                               double* flops) const;
 
   size_t num_nodes() const { return tree_.num_nodes(); }
+  const FlatTree& flat_tree() const { return tree_; }
   double mean_leaf_depth() const { return mean_leaf_depth_; }
 
  private:

@@ -31,6 +31,7 @@ class ExtraTrees : public Estimator {
   double ComplexityProxy() const override;
 
   size_t num_trees() const { return trees_.size(); }
+  const DecisionTree& tree(size_t t) const { return trees_[t]; }
 
  private:
   ExtraTreesParams params_;

@@ -46,7 +46,8 @@ Status GradientBoosting::Fit(const Dataset& train, ExecutionContext* ctx) {
   std::vector<double> target(n);
   std::vector<double> proba;
   // Every round's trees derive their stripes from one presort.
-  const TablePresort presort(train);
+  GREEN_ASSIGN_OR_RETURN(const TablePresort presort,
+                         TablePresort::Build(train));
   TreeKernelParams kp;
   kp.max_depth = params_.max_depth;
   kp.min_samples_leaf = params_.min_samples_leaf;

@@ -36,6 +36,10 @@ class GradientBoosting : public Estimator {
   double ComplexityProxy() const override;
 
   int rounds_fitted() const { return rounds_fitted_; }
+  /// Round `round`'s tree for class (or regression target) `c`.
+  const FlatTree& tree(size_t round, size_t c) const {
+    return trees_[round][c];
+  }
 
  private:
   GradientBoostingParams params_;

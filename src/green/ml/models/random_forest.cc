@@ -27,7 +27,8 @@ Status RandomForest::Fit(const Dataset& train, ExecutionContext* ctx) {
                              static_cast<double>(train.num_rows())));
   // One presort of the table serves every tree's bootstrap sample.
   GREEN_RETURN_IF_ERROR(CheckTreeIndexRange(train.num_rows(), sample_size));
-  const TablePresort presort(train);
+  GREEN_ASSIGN_OR_RETURN(const TablePresort presort,
+                         TablePresort::Build(train));
   for (int t = 0; t < params_.num_trees; ++t) {
     if (ctx->Interrupted()) {
       return Status::DeadlineExceeded("random_forest: interrupted mid-fit");

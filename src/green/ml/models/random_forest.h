@@ -35,6 +35,7 @@ class RandomForest : public Estimator {
   double ComplexityProxy() const override;
 
   size_t num_trees() const { return trees_.size(); }
+  const DecisionTree& tree(size_t t) const { return trees_[t]; }
 
  private:
   RandomForestParams params_;

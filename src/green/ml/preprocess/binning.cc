@@ -28,9 +28,10 @@ Status QuantileBinner::Fit(const Dataset& train, ExecutionContext* ctx) {
       if (!std::isnan(v)) column.push_back(v);
     }
     if (column.size() < 2) continue;  // Degenerate: pass through.
+    std::sort(column.begin(), column.end());
     std::vector<double>& edges = edges_[j];
     for (int b = 1; b < num_bins_; ++b) {
-      edges.push_back(Quantile(
+      edges.push_back(QuantileSorted(
           column, static_cast<double>(b) / static_cast<double>(num_bins_)));
     }
     // Collapse duplicate edges (heavily tied columns).

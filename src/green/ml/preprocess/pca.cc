@@ -7,6 +7,50 @@
 
 namespace green {
 
+namespace {
+
+/// next = X^T (X v) in one pass over the row-major n x d matrix `x`,
+/// four rows per block. Each row's score (X v)_r sums its terms in
+/// ascending j, and next[j] adds the rows' terms in ascending r: the same
+/// sums in the same order as forming X v first and X^T of it second.
+void PowerStep(const double* x, size_t n, size_t d, const double* v,
+               double* next) {
+  std::fill(next, next + d, 0.0);
+  size_t r = 0;
+  for (; r + 4 <= n; r += 4) {
+    const double* r0 = x + r * d;
+    const double* r1 = r0 + d;
+    const double* r2 = r1 + d;
+    const double* r3 = r2 + d;
+    double s0 = 0.0;
+    double s1 = 0.0;
+    double s2 = 0.0;
+    double s3 = 0.0;
+    for (size_t j = 0; j < d; ++j) {
+      s0 += r0[j] * v[j];
+      s1 += r1[j] * v[j];
+      s2 += r2[j] * v[j];
+      s3 += r3[j] * v[j];
+    }
+    for (size_t j = 0; j < d; ++j) {
+      double t = next[j];
+      t += r0[j] * s0;
+      t += r1[j] * s1;
+      t += r2[j] * s2;
+      t += r3[j] * s3;
+      next[j] = t;
+    }
+  }
+  for (; r < n; ++r) {
+    const double* row = x + r * d;
+    double s = 0.0;
+    for (size_t j = 0; j < d; ++j) s += row[j] * v[j];
+    for (size_t j = 0; j < d; ++j) next[j] += row[j] * s;
+  }
+}
+
+}  // namespace
+
 Status Pca::Fit(const Dataset& train, ExecutionContext* ctx) {
   const size_t n = train.num_rows();
   const size_t d = train.num_features();
@@ -39,24 +83,14 @@ Status Pca::Fit(const Dataset& train, ExecutionContext* ctx) {
   explained_variance_ratio_.assign(k, 0.0);
   double flops = static_cast<double>(n * d) * 2.0;
 
-  std::vector<double> scores(n);
+  std::vector<double> v(d);
+  std::vector<double> next(d);
   for (size_t c = 0; c < k; ++c) {
     // Power iteration on X^T X with deflation through residualized X.
-    std::vector<double> v(d);
     for (double& vi : v) vi = rng.NextGaussian();
     for (int it = 0; it < power_iterations_; ++it) {
-      // scores = X v; v' = X^T scores; normalize.
-      for (size_t r = 0; r < n; ++r) {
-        double s = 0.0;
-        const double* row = &x[r * d];
-        for (size_t j = 0; j < d; ++j) s += row[j] * v[j];
-        scores[r] = s;
-      }
-      std::vector<double> next(d, 0.0);
-      for (size_t r = 0; r < n; ++r) {
-        const double* row = &x[r * d];
-        for (size_t j = 0; j < d; ++j) next[j] += row[j] * scores[r];
-      }
+      // v' = X^T X v; normalize.
+      PowerStep(x.data(), n, d, v.data(), next.data());
       double norm = 0.0;
       for (double nj : next) norm += nj * nj;
       norm = std::sqrt(norm);
@@ -64,20 +98,17 @@ Status Pca::Fit(const Dataset& train, ExecutionContext* ctx) {
       for (size_t j = 0; j < d; ++j) v[j] = next[j] / norm;
       flops += 4.0 * static_cast<double>(n * d);
     }
-    // Component variance and deflation.
+    // Component variance and deflation, one pass: a row's score is taken
+    // before that row is residualized.
     double variance = 0.0;
     for (size_t r = 0; r < n; ++r) {
+      double* row = &x[r * d];
       double s = 0.0;
-      const double* row = &x[r * d];
       for (size_t j = 0; j < d; ++j) s += row[j] * v[j];
-      scores[r] = s;
       variance += s * s;
+      for (size_t j = 0; j < d; ++j) row[j] -= s * v[j];
     }
     variance /= static_cast<double>(n - 1);
-    for (size_t r = 0; r < n; ++r) {
-      double* row = &x[r * d];
-      for (size_t j = 0; j < d; ++j) row[j] -= scores[r] * v[j];
-    }
     flops += 4.0 * static_cast<double>(n * d);
     std::copy(v.begin(), v.end(), components_.begin() + c * d);
     explained_variance_ratio_[c] =

@@ -42,6 +42,8 @@ class Pca : public Transformer {
     return explained_variance_ratio_;
   }
   size_t components_fitted() const { return components_fitted_; }
+  /// Row-major (components_fitted x input width) unit directions.
+  const std::vector<double>& components() const { return components_; }
 
  private:
   size_t num_components_;

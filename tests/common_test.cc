@@ -126,6 +126,41 @@ TEST(RngTest, BoundedStaysInRange) {
   }
 }
 
+/// The rejection sampler NextBounded used before it tested `r >= bound`
+/// first; counts the draws it rejected.
+uint64_t ReferenceBounded(Rng* rng, uint64_t bound, int* rejections) {
+  const uint64_t threshold = -bound % bound;
+  for (;;) {
+    const uint64_t r = rng->NextUint64();
+    if (r >= threshold) return r % bound;
+    ++*rejections;
+  }
+}
+
+TEST(RngTest, NextBoundedMatchesRejectionReference) {
+  const uint64_t kBounds[] = {1,
+                              2,
+                              17,
+                              (uint64_t{1} << 32) + 7,
+                              (uint64_t{1} << 63) + 1,
+                              UINT64_MAX};
+  int rejections = 0;
+  for (uint64_t seed : {1u, 29u, 404u}) {
+    Rng rng(seed);
+    Rng reference(seed);
+    for (int i = 0; i < 3000; ++i) {
+      const uint64_t bound = kBounds[i % 6];
+      ASSERT_EQ(rng.NextBounded(bound),
+                ReferenceBounded(&reference, bound, &rejections))
+          << "seed " << seed << ", draw " << i << ", bound " << bound;
+    }
+    // Same number of words consumed: the generators stay in step.
+    EXPECT_EQ(rng.NextUint64(), reference.NextUint64());
+  }
+  // 2^63 + 1 rejects almost half its draws, so the loop path is covered.
+  EXPECT_GT(rejections, 100);
+}
+
 TEST(RngTest, BoundedCoversAllValues) {
   Rng rng(11);
   std::set<uint64_t> seen;

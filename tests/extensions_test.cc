@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "green/automl/caml_system.h"
 #include "green/automl/random_search_system.h"
+#include "green/common/mathutil.h"
 #include "green/data/synthetic.h"
 #include "green/ml/metrics.h"
 #include "green/ml/model_registry.h"
@@ -16,6 +18,7 @@
 #include "green/ml/preprocess/binning.h"
 #include "green/ml/preprocess/pca.h"
 #include "green/table/split.h"
+#include "bit_hash.h"
 
 namespace green {
 namespace {
@@ -109,7 +112,72 @@ TEST_F(ExtensionsTest, PcaCapsComponentsAtWidth) {
   EXPECT_EQ(pca.components_fitted(), data.num_features());
 }
 
+// The values were recorded before the power iteration was blocked: any
+// change to the order of a floating-point sum moves them. 203 rows is not
+// a multiple of the four-row block, so the tail path is pinned too.
+using PcaTest = ExtensionsTest;
+
+TEST_F(PcaTest, FitMatchesPinnedDigest) {
+  struct Case {
+    size_t rows;
+    size_t components;
+    uint64_t pinned;
+  };
+  const Case kCases[] = {{203, 4, 0x2b4b73e32a703fdbULL},
+                         {256, 3, 0xb1d78f66ef3276dbULL},
+                         {97, 10, 0xbd1b50d88b6b6fedULL}};
+  for (const Case& c : kCases) {
+    const Dataset data = MakeTask(3, c.rows, 1.5, 40 + c.rows);
+    Pca pca(c.components);
+    ASSERT_TRUE(pca.Fit(data, &ctx_).ok());
+    BitHash hash;
+    for (double x : pca.components()) hash.Add(x);
+    for (double x : pca.explained_variance_ratio()) hash.Add(x);
+    EXPECT_EQ(hash.value(), c.pinned)
+        << c.rows << " rows: 0x" << std::hex << hash.value();
+  }
+}
+
 // --- QuantileBinner ---
+
+using QuantileBinnerTest = ExtensionsTest;
+
+TEST_F(QuantileBinnerTest, EdgesMatchPerEdgeQuantile) {
+  // Column 0: heavy ties and NaNs; column 1: distinct values; column 2:
+  // one non-NaN value (pass-through); column 3: categorical.
+  Dataset data("edges", 4, 2);
+  data.SetFeatureType(3, FeatureType::kCategorical);
+  Rng rng(8);
+  for (int r = 0; r < 157; ++r) {
+    const double tied = r % 7 == 0 ? NAN : std::floor(rng.NextDouble() * 5);
+    ASSERT_TRUE(data.AppendRow({tied, rng.NextGaussian(),
+                                r == 3 ? 1.0 : NAN,
+                                static_cast<double>(r % 3)},
+                               r % 2)
+                    .ok());
+  }
+  for (int bins : {2, 5, 8, 13}) {
+    QuantileBinner binner(bins);
+    ASSERT_TRUE(binner.Fit(data, &ctx_).ok());
+    for (size_t j = 0; j < data.num_features(); ++j) {
+      std::vector<double> expected;
+      std::vector<double> column;
+      for (size_t r = 0; r < data.num_rows(); ++r) {
+        if (!std::isnan(data.At(r, j))) column.push_back(data.At(r, j));
+      }
+      if (j != 3 && column.size() >= 2) {
+        for (int b = 1; b < bins; ++b) {
+          expected.push_back(Quantile(
+              column, static_cast<double>(b) / static_cast<double>(bins)));
+        }
+        expected.erase(std::unique(expected.begin(), expected.end()),
+                       expected.end());
+      }
+      EXPECT_EQ(binner.edges(j), expected) << bins << " bins, column " << j;
+    }
+  }
+}
+
 
 TEST_F(ExtensionsTest, BinnerProducesIntegerCodesInRange) {
   const Dataset data = MakeTask();

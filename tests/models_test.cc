@@ -6,9 +6,12 @@
 #include <memory>
 #include <numeric>
 
+#include "green/common/stringutil.h"
 #include "green/data/synthetic.h"
+#include "green/energy/energy_meter.h"
 #include "green/ml/kernels/tree_kernels.h"
 #include "green/ml/metrics.h"
+#include "green/ml/models/adaboost.h"
 #include "green/ml/models/attention_few_shot.h"
 #include "green/ml/models/decision_tree.h"
 #include "green/ml/models/extra_trees.h"
@@ -19,6 +22,7 @@
 #include "green/ml/models/naive_bayes.h"
 #include "green/ml/models/random_forest.h"
 #include "green/table/split.h"
+#include "bit_hash.h"
 
 namespace green {
 namespace {
@@ -474,7 +478,7 @@ TEST(TablePresortTest, OrdersEachColumnByValueThenRowId) {
     // Column 1 is one tied value: the order falls back to row ids.
     ASSERT_TRUE(data.AppendRow({col0[r], 5.0}, static_cast<int>(r % 2)).ok());
   }
-  const TablePresort presort(data);
+  const TablePresort presort = TablePresort::Build(data).value();
   EXPECT_EQ(presort.num_rows(), 5u);
   EXPECT_EQ(presort.num_features(), 2u);
   const std::vector<uint32_t> order0(presort.order(0), presort.order(0) + 5);
@@ -531,8 +535,9 @@ TEST(TablePresortTest, BootstrapFitMatchesMaterializedSample) {
       }
       std::vector<size_t> all(sample.size());
       std::iota(all.begin(), all.end(), size_t{0});
-      const TablePresort train_presort(train);
-      const TablePresort materialized_presort(materialized);
+      const TablePresort train_presort = TablePresort::Build(train).value();
+      const TablePresort materialized_presort =
+          TablePresort::Build(materialized).value();
 
       for (double fraction : {0.0, 0.5}) {
         DecisionTreeParams p;
@@ -581,15 +586,17 @@ TEST(TablePresortTest, ExactFitRejectsMissingOrMismatchedPresort) {
   double flops = 0.0;
   EXPECT_EQ(tree.FitCounted(train, nullptr, all, &rng, &flops).code(),
             Status::Code::kInvalidArgument);
-  const TablePresort short_presort(fewer_rows);
+  const TablePresort short_presort =
+      TablePresort::Build(fewer_rows).value();
   EXPECT_EQ(tree.FitCounted(train, &short_presort, all, &rng, &flops).code(),
             Status::Code::kInvalidArgument);
-  const TablePresort narrow_presort(fewer_features);
+  const TablePresort narrow_presort =
+      TablePresort::Build(fewer_features).value();
   EXPECT_EQ(
       tree.FitCounted(train, &narrow_presort, all, &rng, &flops).code(),
       Status::Code::kInvalidArgument);
   EXPECT_FALSE(tree.fitted());
-  const TablePresort presort(train);
+  const TablePresort presort = TablePresort::Build(train).value();
   EXPECT_TRUE(tree.FitCounted(train, &presort, all, &rng, &flops).ok());
 
   // Random thresholds need no order, so no presort.
@@ -597,6 +604,194 @@ TEST(TablePresortTest, ExactFitRejectsMissingOrMismatchedPresort) {
   random.random_thresholds = true;
   DecisionTree extra(random);
   EXPECT_TRUE(extra.FitCounted(train, nullptr, all, &rng, &flops).ok());
+}
+
+TEST(TablePresortTest, NanInputRejected) {
+  Dataset train = EasyTask(3, 60);
+  train.Set(17, 4, NAN);
+  const auto presort = TablePresort::Build(train);
+  ASSERT_FALSE(presort.ok());
+  EXPECT_EQ(presort.status().code(), Status::Code::kInvalidArgument);
+
+  VirtualClock clock;
+  EnergyModel energy(MachineModel::Minimal());
+  ExecutionContext ctx(&clock, &energy, 1);
+  DecisionTree tree(DecisionTreeParams{});
+  RandomForest forest(RandomForestParams{});
+  AdaBoost ada(AdaBoostParams{});
+  GradientBoosting gb(GradientBoostingParams{});
+  for (Estimator* model :
+       std::vector<Estimator*>{&tree, &forest, &ada, &gb}) {
+    const Status st = model->Fit(train, &ctx);
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << model->Name();
+    EXPECT_NE(st.message().find("NaN"), std::string::npos)
+        << model->Name() << ": " << st.message();
+    EXPECT_FALSE(model->fitted()) << model->Name();
+  }
+}
+
+// --- Pinned tree-kernel outputs ---
+
+/// Hashes every node's feature, threshold bits, children and leaf-value
+/// bits.
+void AddTree(const FlatTree& tree, BitHash* hash) {
+  hash->Add(static_cast<uint64_t>(tree.num_nodes()));
+  for (int i = 0; i < static_cast<int>(tree.num_nodes()); ++i) {
+    hash->AddInt(tree.feature(i));
+    hash->Add(tree.threshold(i));
+    hash->AddInt(tree.left(i));
+    hash->AddInt(tree.right(i));
+    for (size_t c = 0; c < tree.width(); ++c) hash->Add(tree.leaf(i)[c]);
+  }
+}
+
+/// Noisy classification task; even features sit on a 0.25 grid so the
+/// split scans meet tied values.
+Dataset KernelTask(int classes, size_t rows, uint64_t seed) {
+  SyntheticSpec spec;
+  spec.num_rows = rows;
+  spec.num_features = 9;
+  spec.num_informative = 6;
+  spec.num_classes = classes;
+  spec.separation = 1.5;
+  spec.label_noise = 0.1;
+  spec.seed = seed;
+  auto data = GenerateSynthetic(spec);
+  EXPECT_TRUE(data.ok());
+  Dataset task = std::move(data).value();
+  for (size_t r = 0; r < task.num_rows(); ++r) {
+    for (size_t f = 0; f < task.num_features(); f += 2) {
+      task.Set(r, f, std::round(task.At(r, f) * 4.0) / 4.0);
+    }
+  }
+  return task;
+}
+
+/// Fits `model` on `train` and digests the flops it charged.
+void FitAndDigestFlops(Estimator* model, const Dataset& train,
+                       BitHash* digest) {
+  VirtualClock clock;
+  EnergyModel energy(MachineModel::Minimal());
+  ExecutionContext ctx(&clock, &energy, 1);
+  EnergyMeter meter(&energy);
+  meter.Start(clock.Now());
+  ctx.SetMeter(&meter);
+  ASSERT_TRUE(model->Fit(train, &ctx).ok()) << model->Name();
+  const EnergyReading reading = meter.Stop(clock.Now());
+  ctx.SetMeter(nullptr);
+  double flops = 0.0;
+  for (const auto& [path, charge] : reading.scopes) flops += charge.flops;
+  EXPECT_GT(flops, 0.0) << model->Name();
+  digest->Add(flops);
+}
+
+// The values were recorded before the split-scan, stripe-partition and
+// RNG kernels were last rewritten: any change to a split choice, a leaf
+// value, an RNG draw or the charged work moves them.
+TEST(TreeKernelTest, FitsMatchPinnedDigest) {
+  std::vector<std::pair<std::string, uint64_t>> got;
+  const auto tree_case = [&](const std::string& name,
+                             const DecisionTreeParams& p,
+                             const Dataset& train) {
+    BitHash d;
+    DecisionTree tree(p);
+    FitAndDigestFlops(&tree, train, &d);
+    AddTree(tree.flat_tree(), &d);
+    got.emplace_back(name, d.value());
+  };
+  DecisionTreeParams exact;
+  exact.max_depth = 10;
+  exact.min_samples_leaf = 1;
+  tree_case("dt2", exact, KernelTask(2, 400, 11));
+  exact.max_depth = 7;
+  exact.min_samples_leaf = 3;
+  tree_case("dt3", exact, KernelTask(3, 350, 12));
+  exact.max_depth = 9;
+  exact.min_samples_leaf = 2;
+  tree_case("dt10", exact, KernelTask(10, 500, 13));
+
+  SyntheticRegressionSpec reg_spec;
+  reg_spec.num_rows = 300;
+  reg_spec.num_features = 7;
+  reg_spec.num_informative = 4;
+  reg_spec.seed = 14;
+  auto reg = GenerateSyntheticRegression(reg_spec);
+  ASSERT_TRUE(reg.ok());
+  tree_case("dt_reg", exact, *reg);
+
+  {
+    BitHash d;
+    RandomForestParams p;
+    p.num_trees = 6;
+    p.max_depth = 8;
+    RandomForest forest(p);
+    FitAndDigestFlops(&forest, KernelTask(3, 300, 15), &d);
+    for (size_t t = 0; t < forest.num_trees(); ++t) {
+      AddTree(forest.tree(t).flat_tree(), &d);
+    }
+    got.emplace_back("rf", d.value());
+  }
+  {
+    BitHash d;
+    ExtraTreesParams p;
+    p.num_trees = 6;
+    p.max_depth = 8;
+    ExtraTrees forest(p);
+    FitAndDigestFlops(&forest, KernelTask(3, 300, 16), &d);
+    for (size_t t = 0; t < forest.num_trees(); ++t) {
+      AddTree(forest.tree(t).flat_tree(), &d);
+    }
+    got.emplace_back("et", d.value());
+  }
+  {
+    BitHash d;
+    AdaBoostParams p;
+    p.num_rounds = 8;
+    AdaBoost ada(p);
+    FitAndDigestFlops(&ada, KernelTask(2, 300, 17), &d);
+    for (int i = 0; i < ada.rounds_fitted(); ++i) {
+      AddTree(ada.stage_tree(static_cast<size_t>(i)).flat_tree(), &d);
+    }
+    got.emplace_back("ada", d.value());
+  }
+  for (int classes : {2, 3}) {
+    for (double subsample : {1.0, 0.7}) {
+      BitHash d;
+      GradientBoostingParams p;
+      p.num_rounds = 6;
+      p.subsample = subsample;
+      GradientBoosting gb(p);
+      FitAndDigestFlops(&gb, KernelTask(classes, 300, 18), &d);
+      for (int r = 0; r < gb.rounds_fitted(); ++r) {
+        for (int c = 0; c < classes; ++c) {
+          AddTree(gb.tree(static_cast<size_t>(r), static_cast<size_t>(c)),
+                  &d);
+        }
+      }
+      got.emplace_back(StrFormat("gb%d_sub%.1f", classes, subsample),
+                       d.value());
+    }
+  }
+
+  const std::vector<std::pair<std::string, uint64_t>> pinned = {
+      {"dt2", 0xe1c077b61128279aULL},
+      {"dt3", 0xe08063ab357231e3ULL},
+      {"dt10", 0x90dfd8bc5696e8d4ULL},
+      {"dt_reg", 0x8bcfd03cc47d4833ULL},
+      {"rf", 0x9272592b17934bacULL},
+      {"et", 0x6027b74f4897060aULL},
+      {"ada", 0x2471142ac037252dULL},
+      {"gb2_sub1.0", 0xdeb0e6d527d93ba9ULL},
+      {"gb2_sub0.7", 0x0c3c4ca3e0412464ULL},
+      {"gb3_sub1.0", 0xa8c02a3d99d91001ULL},
+      {"gb3_sub0.7", 0xff31a6fad1e98534ULL},
+  };
+  ASSERT_EQ(got.size(), pinned.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, pinned[i].first);
+    EXPECT_EQ(got[i].second, pinned[i].second)
+        << got[i].first << ": 0x" << std::hex << got[i].second;
+  }
 }
 
 }  // namespace

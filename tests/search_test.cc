@@ -18,6 +18,7 @@
 #include "green/search/random_search.h"
 #include "green/search/rf_surrogate.h"
 #include "green/search/successive_halving.h"
+#include "bit_hash.h"
 
 namespace green {
 namespace {
@@ -313,31 +314,6 @@ TEST(BayesOptTest, ImprovesOverInitialRandomPhase) {
   EXPECT_EQ(optimizer.num_observations(), 60);
 }
 
-// FNV-1a over the bit patterns of a BO trajectory.
-class TrajectoryHash {
- public:
-  void Add(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    Add(bits);
-  }
-  void Add(uint64_t v) {
-    for (int i = 0; i < 8; ++i) Byte(static_cast<uint8_t>(v >> (8 * i)));
-  }
-  void Add(const std::string& s) {
-    Add(static_cast<uint64_t>(s.size()));
-    for (char c : s) Byte(static_cast<uint8_t>(c));
-  }
-  uint64_t value() const { return h_; }
-
- private:
-  void Byte(uint8_t b) {
-    h_ ^= b;
-    h_ *= 1099511628211ull;
-  }
-  uint64_t h_ = 14695981039346656037ull;
-};
-
 // Pins every asked point (unit coordinates and decoded values) and the
 // work of every tell over a mixed space. The digest was computed with the
 // per-candidate Ask and the row-vector surrogate builder; any change to
@@ -352,7 +328,7 @@ TEST(BayesOptTest, TrajectoryMatchesPinnedDigest) {
   options.num_initial_random = 5;
   options.seed = 2024;
   BayesOpt optimizer(&space, options);
-  TrajectoryHash hash;
+  BitHash hash;
   for (int i = 0; i < 60; ++i) {
     const ParamPoint p = optimizer.Ask();
     for (double u : p.unit) hash.Add(u);
