@@ -332,11 +332,6 @@ class ExperimentRunner {
   Result<std::unique_ptr<AutoMlSystem>> MakeSystem(
       const std::string& system_name, double paper_budget);
 
-  /// The runner's fault injector (seeded from config.seed and
-  /// config.faults). Exposed so benches can share it with subsystems
-  /// (e.g. PowercapReader).
-  const FaultInjector& fault_injector() const { return faults_; }
-
   /// Hit/miss/eviction counters of the runner's transform cache (all
   /// zero when config.transform_cache is off).
   TransformCacheStats transform_cache_stats() const {

@@ -318,55 +318,6 @@ Result<std::vector<RunRecord>> ReadRecordsJsonl(const std::string& path) {
   return records;
 }
 
-namespace {
-
-/// RFC 4180 quoting for the free-text CSV columns (error messages can
-/// contain commas and quotes).
-std::string CsvQuote(const std::string& s) {
-  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += "\"\"";
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
-std::string RecordsToCsv(const std::vector<RunRecord>& records) {
-  std::string out =
-      "system,dataset,budget_s,repetition,balanced_accuracy,"
-      "execution_seconds,execution_kwh,inference_kwh_per_instance,"
-      "inference_seconds_per_instance,num_pipelines,pipelines_evaluated,"
-      "best_validation_score,outcome,error,attempts\n";
-  for (const RunRecord& r : records) {
-    out += StrFormat(
-        "%s,%s,%.6g,%d,%.10g,%.10g,%.10g,%.10g,%.10g,%zu,%d,%.10g,%s,%s,"
-        "%d\n",
-        CsvQuote(r.system).c_str(), CsvQuote(r.dataset).c_str(),
-        r.paper_budget_seconds, r.repetition, r.test_balanced_accuracy,
-        r.execution_seconds, r.execution_kwh,
-        r.inference_kwh_per_instance, r.inference_seconds_per_instance,
-        r.num_pipelines, r.pipelines_evaluated, r.best_validation_score,
-        RunOutcomeName(r.outcome), CsvQuote(r.error).c_str(), r.attempts);
-  }
-  return out;
-}
-
-Status WriteRecordsCsv(const std::vector<RunRecord>& records,
-                       const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  const std::string text = RecordsToCsv(records);
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != text.size()) return Status::IoError("short write");
-  if (!closed) return Status::IoError("write failed at close: " + path);
-  return Status::Ok();
-}
-
 Status AppendRecordJsonl(const RunRecord& record, const std::string& path) {
   FILE* f = std::fopen(path.c_str(), "a");
   if (f == nullptr) return Status::IoError("cannot open " + path);

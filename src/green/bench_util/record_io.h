@@ -10,8 +10,7 @@ namespace green {
 
 /// Serialization of experiment records, mirroring the paper's practice of
 /// publishing "the raw results of all 10 runs for all search times,
-/// datasets, and systems" in its artifact repository. JSON Lines for
-/// programmatic use, CSV for spreadsheets.
+/// datasets, and systems" in its artifact repository, as JSON Lines.
 
 /// One record as a single-line JSON object.
 std::string RecordToJson(const RunRecord& record);
@@ -23,11 +22,6 @@ Result<RunRecord> RecordFromJson(const std::string& line);
 Status WriteRecordsJsonl(const std::vector<RunRecord>& records,
                          const std::string& path);
 Result<std::vector<RunRecord>> ReadRecordsJsonl(const std::string& path);
-
-/// CSV with a header row.
-std::string RecordsToCsv(const std::vector<RunRecord>& records);
-Status WriteRecordsCsv(const std::vector<RunRecord>& records,
-                       const std::string& path);
 
 /// Appends one record to a JSONL journal: open, write one line, flush,
 /// close. One syscall-bounded append per completed sweep cell keeps the

@@ -4,16 +4,35 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "green/common/logging.h"
 #include "green/common/rng.h"
+#include "green/common/stringutil.h"
 
 namespace green {
 
 namespace {
 
 thread_local FaultScope* g_current_scope = nullptr;
+
+/// Every site that a `FaultInjector::Check` call in the code names. A spec
+/// naming any other site would arm nothing, so ParseClause rejects it.
+constexpr const char* kFaultSites[] = {
+    "run.fit",        "run.predict", "askl.metastore.build", "sweep.cell",
+    "journal.append", "serve.admit", "serve.batch",          "serve.predict",
+};
+
+Status CheckKnownSite(const std::string& site) {
+  for (const char* known : kFaultSites) {
+    if (site == known) return Status::Ok();
+  }
+  const std::vector<std::string> known(std::begin(kFaultSites),
+                                       std::end(kFaultSites));
+  return Status::InvalidArgument("unknown fault site '" + site +
+                                 "' (known: " + Join(known, ", ") + ")");
+}
 
 Result<FaultKind> ParseKind(const std::string& word) {
   if (word == "fail") return FaultKind::kFail;
@@ -50,6 +69,7 @@ Result<FaultSpec> ParseClause(const std::string& clause) {
     return Status::InvalidArgument("fault clause '" + clause +
                                    "' has an empty site");
   }
+  GREEN_RETURN_IF_ERROR(CheckKnownSite(spec.site));
   const std::string arg = body.substr(sep + 1);
   if (arg.empty()) {
     return Status::InvalidArgument("fault clause '" + clause +

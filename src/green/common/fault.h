@@ -14,11 +14,11 @@ namespace green {
 /// Deterministic fault injection for exercising failure paths.
 ///
 /// Faults are declared at named *sites* — string labels compiled into the
-/// code wherever a fallible operation can be interrupted (`run.fit`,
-/// `run.predict`, `askl.metastore.build`, `powercap.read`, `sweep.cell`,
-/// ...). A `FaultInjector` holds a parsed spec of which sites fail, how
-/// often, and with which failure kind; code on the hot path calls
-/// `Check(site)` and propagates the returned Status like any organic
+/// code wherever a fallible operation can be interrupted. `kFaultSites` in
+/// fault.cc lists every site a `Check` call names; a spec naming any other
+/// site is rejected. A `FaultInjector` holds a parsed spec of which sites
+/// fail, how often, and with which failure kind; code on the hot path
+/// calls `Check(site)` and propagates the returned Status like any organic
 /// error. With an empty injector every Check is a branch on an empty
 /// vector — cheap enough to leave compiled in.
 ///
@@ -33,7 +33,7 @@ namespace green {
 ///                   resume testing)
 ///
 /// Examples: "run.fit@0.05", "run.fit#7=timeout",
-///           "sweep.cell#5=abort,powercap.read@0.5".
+///           "sweep.cell#5=abort,serve.predict@0.5".
 enum class FaultKind { kFail, kTimeout, kSkip, kAbort };
 
 struct FaultSpec {
@@ -43,7 +43,8 @@ struct FaultSpec {
   FaultKind kind = FaultKind::kFail;
 };
 
-/// Strict parser: any malformed clause fails the whole spec.
+/// Strict parser: any malformed clause, or one naming a site outside
+/// `kFaultSites`, fails the whole spec.
 Result<std::vector<FaultSpec>> ParseFaultSpecs(const std::string& config);
 
 /// The Status a firing fault produces. `kAbort` does not return: it goes

@@ -47,7 +47,6 @@ void LogInfo(const std::string& message) { Log(LogLevel::kInfo, message); }
 void LogWarning(const std::string& message) {
   Log(LogLevel::kWarning, message);
 }
-void LogError(const std::string& message) { Log(LogLevel::kError, message); }
 
 void FatalError(const std::string& message) {
   std::fprintf(stderr, "[FATAL] %s\n", message.c_str());

@@ -17,7 +17,6 @@ void Log(LogLevel level, const std::string& message);
 void LogDebug(const std::string& message);
 void LogInfo(const std::string& message);
 void LogWarning(const std::string& message);
-void LogError(const std::string& message);
 
 /// Aborts the process with a message. Used for programming errors only
 /// (violated preconditions), never for data-dependent failures.

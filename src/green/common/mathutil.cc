@@ -21,14 +21,6 @@ void SoftmaxInPlace(std::vector<double>* v) {
   for (double& x : *v) x /= sum;
 }
 
-double LogSumExp(const std::vector<double>& v) {
-  if (v.empty()) return -INFINITY;
-  const double mx = *std::max_element(v.begin(), v.end());
-  double sum = 0.0;
-  for (double x : v) sum += std::exp(x - mx);
-  return mx + std::log(sum);
-}
-
 double Mean(const std::vector<double>& v) {
   if (v.empty()) return 0.0;
   double s = 0.0;
@@ -69,13 +61,6 @@ double QuantileSorted(const std::vector<double>& v, double p) {
   return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
-double Dot(const std::vector<double>& a, const std::vector<double>& b) {
-  double s = 0.0;
-  const size_t n = std::min(a.size(), b.size());
-  for (size_t i = 0; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
 double SquaredDistance(const std::vector<double>& a,
                        const std::vector<double>& b) {
   double s = 0.0;
@@ -100,30 +85,6 @@ size_t ArgMax(const std::vector<double>& v) {
 
 double Clamp(double x, double lo, double hi) {
   return std::max(lo, std::min(hi, x));
-}
-
-double PearsonCorrelation(const std::vector<double>& a,
-                          const std::vector<double>& b) {
-  const size_t n = std::min(a.size(), b.size());
-  if (n < 2) return 0.0;
-  double ma = 0.0;
-  double mb = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    ma += a[i];
-    mb += b[i];
-  }
-  ma /= static_cast<double>(n);
-  mb /= static_cast<double>(n);
-  double cov = 0.0;
-  double va = 0.0;
-  double vb = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    cov += (a[i] - ma) * (b[i] - mb);
-    va += (a[i] - ma) * (a[i] - ma);
-    vb += (b[i] - mb) * (b[i] - mb);
-  }
-  if (va <= 0.0 || vb <= 0.0) return 0.0;
-  return cov / std::sqrt(va * vb);
 }
 
 }  // namespace green

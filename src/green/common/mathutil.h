@@ -9,9 +9,6 @@ namespace green {
 /// Numerically stable softmax; writes the result in place.
 void SoftmaxInPlace(std::vector<double>* v);
 
-/// log(sum(exp(v))) with the max-shift trick.
-double LogSumExp(const std::vector<double>& v);
-
 /// Arithmetic mean; 0 for an empty vector.
 double Mean(const std::vector<double>& v);
 
@@ -29,9 +26,6 @@ double Quantile(std::vector<double> v, double p);
 /// one sort.
 double QuantileSorted(const std::vector<double>& v, double p);
 
-/// Dot product; vectors must have equal length.
-double Dot(const std::vector<double>& a, const std::vector<double>& b);
-
 /// Squared Euclidean distance.
 double SquaredDistance(const std::vector<double>& a,
                        const std::vector<double>& b);
@@ -44,10 +38,6 @@ size_t ArgMax(const std::vector<double>& v);
 
 /// Clamps x into [lo, hi].
 double Clamp(double x, double lo, double hi);
-
-/// Pearson correlation of two equal-length vectors; 0 if degenerate.
-double PearsonCorrelation(const std::vector<double>& a,
-                          const std::vector<double>& b);
 
 }  // namespace green
 

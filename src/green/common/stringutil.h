@@ -27,7 +27,6 @@ std::string FormatSci(double v, int digits = 3);
 /// Thousands-separated integer formatting, e.g. 404649 -> "404,649".
 std::string FormatWithCommas(int64_t v);
 
-bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
 }  // namespace green

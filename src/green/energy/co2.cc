@@ -2,23 +2,6 @@
 
 namespace green {
 
-GridIntensityTable::GridIntensityTable() {
-  // kg CO2 per kWh, representative 2023 values per grid.
-  entries_ = {
-      {"DE", 0.222}, {"FR", 0.056}, {"PL", 0.662}, {"SE", 0.025},
-      {"US", 0.367}, {"CN", 0.582}, {"IN", 0.713}, {"NO", 0.019},
-      {"GB", 0.207}, {"ES", 0.165},
-  };
-}
-
-Result<double> GridIntensityTable::KgCo2PerKwh(
-    const std::string& country_code) const {
-  for (const auto& [code, value] : entries_) {
-    if (code == country_code) return value;
-  }
-  return Status::NotFound("no grid intensity for " + country_code);
-}
-
 ImpactEstimate EstimateImpact(double kwh, const EmissionFactors& factors) {
   ImpactEstimate out;
   out.kwh = kwh;

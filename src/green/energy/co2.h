@@ -1,40 +1,18 @@
 #ifndef GREEN_ENERGY_CO2_H_
 #define GREEN_ENERGY_CO2_H_
 
-#include <string>
-#include <vector>
-
-#include "green/common/status.h"
-
 namespace green {
 
 /// Converts measured energy into CO2 emissions and monetary cost, with the
 /// constants the paper uses for its Table 4 (German grid intensity of
-/// 0.222 kg CO2/kWh, average EU electricity price of 0.20 EUR/kWh).
+/// 0.222 kg CO2/kWh, average EU electricity price of 0.20 EUR/kWh). The
+/// paper stresses that emissions per kWh differ strongly across countries,
+/// which is why it reports kWh and treats CO2 as derived.
 struct EmissionFactors {
   double kg_co2_per_kwh = 0.222;
   double eur_per_kwh = 0.20;
 
   static EmissionFactors Germany2023() { return EmissionFactors{}; }
-};
-
-/// Grid carbon intensity per country (kg CO2 / kWh); a small subset of the
-/// electricitymaps-style table CodeCarbon bundles. The paper stresses that
-/// emissions per kWh differ strongly across countries, which is why it
-/// reports kWh and treats CO2 as derived.
-class GridIntensityTable {
- public:
-  GridIntensityTable();
-
-  /// ISO-3166 alpha-2 code lookup, e.g. "DE", "FR", "PL".
-  Result<double> KgCo2PerKwh(const std::string& country_code) const;
-
-  const std::vector<std::pair<std::string, double>>& entries() const {
-    return entries_;
-  }
-
- private:
-  std::vector<std::pair<std::string, double>> entries_;
 };
 
 /// Derived environmental + monetary cost for a given amount of energy.

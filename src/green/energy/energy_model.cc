@@ -52,10 +52,4 @@ WorkExecution EnergyModel::Execute(const Work& work, int cores) const {
   return out;
 }
 
-double EnergyModel::BaselineWatts() const {
-  double watts = machine_.cpu_static_watts;
-  if (machine_.has_gpu) watts += machine_.gpu_idle_watts;
-  return watts;
-}
-
 }  // namespace green

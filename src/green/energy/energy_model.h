@@ -53,10 +53,6 @@ class EnergyModel {
   /// (serial sections keep one core busy, parallel sections keep all).
   WorkExecution Execute(const Work& work, int cores) const;
 
-  /// Static + idle power of the machine (W): charged for every second of
-  /// metered wall time.
-  double BaselineWatts() const;
-
   const MachineModel& machine() const { return machine_; }
 
  private:

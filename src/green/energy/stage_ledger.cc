@@ -83,25 +83,12 @@ ScopeCharge StageLedger::Rollup(const std::string& system,
   return out;
 }
 
-double StageLedger::AttributedKwh(const std::string& system,
-                                  Stage stage) const {
-  return Rollup(system, StageName(stage)).kwh();
-}
-
 double StageLedger::AmortizationRuns(double development_kwh,
                                      double per_run_saving_kwh) {
   if (per_run_saving_kwh <= 0.0) {
     return std::numeric_limits<double>::infinity();
   }
   return development_kwh / per_run_saving_kwh;
-}
-
-std::vector<std::string> StageLedger::systems() const {
-  std::vector<std::string> out;
-  for (const auto& [key, value] : totals_) {
-    if (out.empty() || out.back() != key.first) out.push_back(key.first);
-  }
-  return out;
 }
 
 }  // namespace green

@@ -56,13 +56,11 @@ class StageLedger {
 
   /// Sum of all scope charges whose path equals `path_prefix` or lies
   /// beneath it ("execution/caml/search" rolls up the whole subtree).
+  /// A stage name as the prefix gives the stage's dynamic kWh; the
+  /// remainder of Get(system, stage).kwh() is baseline (static + idle)
+  /// power, which belongs to elapsed wall time rather than to any scope.
   ScopeCharge Rollup(const std::string& system,
                      const std::string& path_prefix) const;
-
-  /// Dynamic kWh attributed to scopes under `stage`. The remainder of
-  /// Get(system, stage).kwh() is baseline (static + idle) power, which
-  /// belongs to elapsed wall time rather than to any scope.
-  double AttributedKwh(const std::string& system, Stage stage) const;
 
   /// Amortization: number of executions after which investing
   /// `development_kwh` up-front pays off against a baseline whose
@@ -70,8 +68,6 @@ class StageLedger {
   /// Returns a large sentinel if the saving is non-positive.
   static double AmortizationRuns(double development_kwh,
                                  double per_run_saving_kwh);
-
-  std::vector<std::string> systems() const;
 
  private:
   std::map<std::pair<std::string, Stage>, EnergyReading> totals_;

@@ -93,8 +93,9 @@ Result<AutoMlTunerResult> AutoMlTuner::Tune(
   run_options.search_budget_seconds = options_.search_time_seconds;
   run_options.cores = ctx->cores();
 
-  // Accuracy of one CamlParams setting on one task, averaged over the
-  // configured repetitions (AutoML is nondeterministic; the paper uses 2).
+  // Balanced accuracy of one CamlParams setting on one task, averaged
+  // over the configured repetitions (AutoML is nondeterministic; the
+  // paper uses 2).
   auto evaluate_on_task =
       [&](const CamlParams& params, const TuningTask& task,
           uint64_t seed) -> Result<double> {

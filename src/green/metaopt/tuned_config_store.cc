@@ -3,8 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "green/common/stringutil.h"
-
 namespace green {
 
 void TunedConfigStore::Put(double budget_seconds,
@@ -95,21 +93,6 @@ TunedConfigStore TunedConfigStore::PaperDefaults() {
     store.Put(300.0, p);
   }
   return store;
-}
-
-std::string TunedConfigStore::Render() const {
-  std::string out;
-  for (const auto& [budget, p] : entries_) {
-    out += StrFormat("budget=%gs\n", budget);
-    out += "  search space: " + Join(p.models, ", ") + "\n";
-    out += StrFormat(
-        "  holdout=%.2f eval_fraction=%.2f sampling=%.2f refit=%s "
-        "random_val_split=%s incremental=%s\n",
-        p.holdout_fraction, p.evaluation_fraction, p.sampling_fraction,
-        p.refit ? "yes" : "no", p.random_validation_split ? "yes" : "no",
-        p.incremental_training ? "yes" : "no");
-  }
-  return out;
 }
 
 }  // namespace green

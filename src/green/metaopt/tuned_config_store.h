@@ -2,7 +2,6 @@
 #define GREEN_METAOPT_TUNED_CONFIG_STORE_H_
 
 #include <map>
-#include <string>
 
 #include "green/automl/caml_system.h"
 
@@ -24,9 +23,6 @@ class TunedConfigStore {
   /// (shipped so benchmarks can exercise CAML(tuned) without re-running
   /// the multi-hour tuning campaign; `AutoMlTuner` regenerates them).
   static TunedConfigStore PaperDefaults();
-
-  /// Human-readable rendering of the stored parameters (Table 5).
-  std::string Render() const;
 
  private:
   std::map<double, CamlParams> entries_;

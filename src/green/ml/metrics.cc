@@ -1,22 +1,10 @@
 #include "green/ml/metrics.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "green/common/logging.h"
 
 namespace green {
-
-double Accuracy(const std::vector<int>& truth,
-                const std::vector<int>& predicted) {
-  GREEN_CHECK(truth.size() == predicted.size());
-  if (truth.empty()) return 0.0;
-  size_t correct = 0;
-  for (size_t i = 0; i < truth.size(); ++i) {
-    if (truth[i] == predicted[i]) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(truth.size());
-}
 
 double BalancedAccuracy(const std::vector<int>& truth,
                         const std::vector<int>& predicted,
@@ -41,67 +29,6 @@ double BalancedAccuracy(const std::vector<int>& truth,
   return present > 0 ? sum / static_cast<double>(present) : 0.0;
 }
 
-double LogLoss(const std::vector<int>& truth, const ProbaMatrix& proba) {
-  GREEN_CHECK(truth.size() == proba.size());
-  if (truth.empty()) return 0.0;
-  constexpr double kEps = 1e-15;
-  double loss = 0.0;
-  for (size_t i = 0; i < truth.size(); ++i) {
-    GREEN_CHECK(truth[i] >= 0);
-    const size_t c = static_cast<size_t>(truth[i]);
-    // A truth class the model never saw (row too narrow) gets the clamp
-    // floor: maximally wrong, but finite and well-defined.
-    const double raw = c < proba[i].size() ? proba[i][c] : 0.0;
-    const double p = std::clamp(raw, kEps, 1.0 - kEps);
-    loss -= std::log(p);
-  }
-  return loss / static_cast<double>(truth.size());
-}
-
-double MacroF1(const std::vector<int>& truth,
-               const std::vector<int>& predicted, int num_classes) {
-  const auto cm = ConfusionMatrix(truth, predicted, num_classes);
-  double sum = 0.0;
-  int present = 0;
-  for (int c = 0; c < num_classes; ++c) {
-    const size_t cc = static_cast<size_t>(c);
-    int tp = cm[cc][cc];
-    int fp = 0;
-    int fn = 0;
-    for (int o = 0; o < num_classes; ++o) {
-      const size_t oo = static_cast<size_t>(o);
-      if (o != c) {
-        fp += cm[oo][cc];
-        fn += cm[cc][oo];
-      }
-    }
-    if (tp + fn == 0) continue;  // Class absent from truth.
-    ++present;
-    const double precision =
-        (tp + fp) > 0 ? static_cast<double>(tp) / (tp + fp) : 0.0;
-    const double recall = static_cast<double>(tp) / (tp + fn);
-    if (precision + recall > 0.0) {
-      sum += 2.0 * precision * recall / (precision + recall);
-    }
-  }
-  return present > 0 ? sum / static_cast<double>(present) : 0.0;
-}
-
-std::vector<std::vector<int>> ConfusionMatrix(
-    const std::vector<int>& truth, const std::vector<int>& predicted,
-    int num_classes) {
-  GREEN_CHECK(truth.size() == predicted.size());
-  std::vector<std::vector<int>> cm(
-      static_cast<size_t>(num_classes),
-      std::vector<int>(static_cast<size_t>(num_classes), 0));
-  for (size_t i = 0; i < truth.size(); ++i) {
-    GREEN_CHECK(truth[i] >= 0 && truth[i] < num_classes);
-    GREEN_CHECK(predicted[i] >= 0 && predicted[i] < num_classes);
-    ++cm[static_cast<size_t>(truth[i])][static_cast<size_t>(predicted[i])];
-  }
-  return cm;
-}
-
 double Rmse(const std::vector<double>& truth,
             const std::vector<double>& predicted) {
   GREEN_CHECK(truth.size() == predicted.size());
@@ -112,17 +39,6 @@ double Rmse(const std::vector<double>& truth,
     sse += e * e;
   }
   return std::sqrt(sse / static_cast<double>(truth.size()));
-}
-
-double Mae(const std::vector<double>& truth,
-           const std::vector<double>& predicted) {
-  GREEN_CHECK(truth.size() == predicted.size());
-  if (truth.empty()) return 0.0;
-  double sae = 0.0;
-  for (size_t i = 0; i < truth.size(); ++i) {
-    sae += std::fabs(truth[i] - predicted[i]);
-  }
-  return sae / static_cast<double>(truth.size());
 }
 
 double R2(const std::vector<double>& truth,

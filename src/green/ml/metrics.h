@@ -7,41 +7,17 @@
 
 namespace green {
 
-/// Fraction of correct predictions.
-double Accuracy(const std::vector<int>& truth,
-                const std::vector<int>& predicted);
-
 /// Mean per-class recall — the paper's primary quality metric because it
 /// "can handle multi-class and unbalanced classification problems".
 /// Classes absent from `truth` are skipped.
 double BalancedAccuracy(const std::vector<int>& truth,
                         const std::vector<int>& predicted, int num_classes);
 
-/// Multi-class cross-entropy with probability clipping: probabilities are
-/// clamped into [1e-15, 1 - 1e-15] before the log, and a truth class
-/// beyond the probability row's width (e.g. a class absent from the
-/// training data) scores as the clamp floor instead of reading out of
-/// bounds.
-double LogLoss(const std::vector<int>& truth, const ProbaMatrix& proba);
-
-/// Macro-averaged F1.
-double MacroF1(const std::vector<int>& truth,
-               const std::vector<int>& predicted, int num_classes);
-
-/// Row-major confusion matrix: counts[truth][predicted].
-std::vector<std::vector<int>> ConfusionMatrix(
-    const std::vector<int>& truth, const std::vector<int>& predicted,
-    int num_classes);
-
 // --- regression metrics ---
 
 /// Root mean squared error.
 double Rmse(const std::vector<double>& truth,
             const std::vector<double>& predicted);
-
-/// Mean absolute error.
-double Mae(const std::vector<double>& truth,
-           const std::vector<double>& predicted);
 
 /// Coefficient of determination; 0 when truth has zero variance and the
 /// prediction is not exact.

@@ -110,7 +110,7 @@ Result<ProbaMatrix> AttentionFewShot::PredictProba(
   // Each row is normalized once into a scratch vector and projected to
   // a bounded tanh embedding, like a trained encoder; the keys live in
   // one contiguous n_ctx x h buffer. Per-score dot products add in
-  // ascending index order, like Dot().
+  // ascending index order.
   std::vector<double> norm(d);
   std::vector<double> keys(n_ctx * h);
   for (size_t r = 0; r < n_ctx; ++r) {

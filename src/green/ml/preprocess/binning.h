@@ -1,6 +1,7 @@
 #ifndef GREEN_ML_PREPROCESS_BINNING_H_
 #define GREEN_ML_PREPROCESS_BINNING_H_
 
+#include <cmath>
 #include <vector>
 
 #include "green/ml/estimator.h"

@@ -119,24 +119,4 @@ CaruanaResult CaruanaEnsembleSelection(
                       });
 }
 
-ProbaMatrix BlendProba(const std::vector<ProbaMatrix>& library_proba,
-                       const std::vector<double>& weights) {
-  ProbaMatrix out;
-  GREEN_CHECK(library_proba.size() == weights.size());
-  if (library_proba.empty()) return out;
-  const size_t n = library_proba[0].size();
-  const size_t k = n > 0 ? library_proba[0][0].size() : 0;
-  out.assign(n, std::vector<double>(k, 0.0));
-  for (size_t j = 0; j < library_proba.size(); ++j) {
-    if (weights[j] <= 0.0) continue;
-    GREEN_CHECK(library_proba[j].size() == n);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t c = 0; c < k; ++c) {
-        out[i][c] += weights[j] * library_proba[j][i][c];
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace green

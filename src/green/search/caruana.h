@@ -44,10 +44,6 @@ CaruanaResult CaruanaEnsembleSelection(
     const std::vector<ProbaMatrix>& library_proba, const Dataset& val_data,
     const CaruanaOptions& options);
 
-/// Weighted average of library probabilities on new data.
-ProbaMatrix BlendProba(const std::vector<ProbaMatrix>& library_proba,
-                       const std::vector<double>& weights);
-
 }  // namespace green
 
 #endif  // GREEN_SEARCH_CARUANA_H_

@@ -17,9 +17,4 @@ void MedianPruner::ReportIntermediate(int step, double value) {
   history_[step].push_back(value);
 }
 
-size_t MedianPruner::NumObservations(int step) const {
-  auto it = history_.find(step);
-  return it == history_.end() ? 0 : it->second.size();
-}
-
 }  // namespace green

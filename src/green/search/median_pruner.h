@@ -20,9 +20,6 @@ class MedianPruner {
   /// Records an intermediate value of a still-running trial.
   void ReportIntermediate(int step, double value);
 
-  /// Number of completed observations at `step`.
-  size_t NumObservations(int step) const;
-
   /// Minimum completed trials at a step before pruning activates.
   void set_min_trials(int min_trials) { min_trials_ = min_trials; }
 

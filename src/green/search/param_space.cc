@@ -100,11 +100,4 @@ Result<ParamPoint> ParamSpace::Decode(
   return point;
 }
 
-Result<size_t> ParamSpace::IndexOf(const std::string& name) const {
-  for (size_t i = 0; i < specs_.size(); ++i) {
-    if (specs_[i].name == name) return i;
-  }
-  return Status::NotFound("no param named " + name);
-}
-
 }  // namespace green

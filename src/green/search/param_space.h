@@ -56,9 +56,6 @@ class ParamSpace {
   /// size must equal dimension().
   Result<ParamPoint> Decode(const std::vector<double>& unit) const;
 
-  /// Index of a named spec, or NotFound.
-  Result<size_t> IndexOf(const std::string& name) const;
-
  private:
   std::vector<ParamSpec> specs_;
 };

@@ -383,20 +383,6 @@ void ReplayEngine::Run() {
 
 }  // namespace
 
-const char* RequestOutcomeName(RequestOutcome outcome) {
-  switch (outcome) {
-    case RequestOutcome::kCompleted:
-      return "completed";
-    case RequestOutcome::kDegraded:
-      return "degraded";
-    case RequestOutcome::kRejected:
-      return "rejected";
-    case RequestOutcome::kDeadlineExceeded:
-      return "deadline";
-  }
-  return "?";
-}
-
 double ServeReport::LatencyPercentile(double p) const {
   std::vector<double> latencies;
   latencies.reserve(results.size());

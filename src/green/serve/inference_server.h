@@ -23,8 +23,6 @@ enum class RequestOutcome {
   kDeadlineExceeded = 3,  ///< No answer before the deadline (kFail policy).
 };
 
-const char* RequestOutcomeName(RequestOutcome outcome);
-
 struct RequestResult {
   size_t request_index = 0;
   RequestOutcome outcome = RequestOutcome::kRejected;

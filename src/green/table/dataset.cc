@@ -176,13 +176,6 @@ void Dataset::SetNominalSize(int64_t rows, int64_t features) {
   nominal_features_ = features;
 }
 
-double Dataset::ScaleFactor() const {
-  if (nominal_rows_ <= 0 || num_rows() == 0) return 1.0;
-  const double f =
-      static_cast<double>(nominal_rows_) / static_cast<double>(num_rows());
-  return f < 1.0 ? 1.0 : f;
-}
-
 std::vector<double> Dataset::Row(size_t row) const {
   const double* p = RowPtr(row);
   return std::vector<double>(p, p + num_features_);

@@ -7,10 +7,13 @@
 #include <vector>
 
 #include "green/common/status.h"
-#include "green/table/column.h"
 #include "green/table/task_type.h"
 
 namespace green {
+
+/// The two attribute kinds the paper's scope covers ("tabular data with
+/// numeric and categorical attributes").
+enum class FeatureType { kNumeric = 0, kCategorical = 1 };
 
 /// Per-column metadata of a Dataset: one type per column and optional
 /// names. Copies, views and fitted encoders share one Schema through a
@@ -118,10 +121,6 @@ class Dataset {
   TaskType task() const { return task_; }
   int64_t nominal_rows() const { return nominal_rows_; }
   int64_t nominal_features() const { return nominal_features_; }
-
-  /// Ratio of nominal to instantiated row count (>= 1 for scaled-down
-  /// instantiations); used to extrapolate work to the task's true size.
-  double ScaleFactor() const;
 
   // --- access ---
   double At(size_t row, size_t col) const {

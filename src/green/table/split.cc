@@ -99,10 +99,6 @@ std::vector<std::vector<size_t>> KFoldForTask(const Dataset& data, int k,
              : StratifiedKFold(data, k, rng);
 }
 
-const char* SplitterNameForTask(TaskType task) {
-  return task == TaskType::kRegression ? "plain" : "stratified";
-}
-
 std::vector<size_t> SamplePerClass(const Dataset& data, int per_class,
                                    Rng* rng) {
   std::vector<size_t> out;

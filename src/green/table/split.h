@@ -44,9 +44,6 @@ TrainTestIndices SplitForTask(const Dataset& data, double train_fraction,
 std::vector<std::vector<size_t>> KFoldForTask(const Dataset& data, int k,
                                               Rng* rng);
 
-/// Name of the splitter SplitForTask would choose: "stratified"/"plain".
-const char* SplitterNameForTask(TaskType task);
-
 /// Draws up to `per_class` rows per class (without replacement); the
 /// incremental-training strategy of CAML grows samples this way.
 std::vector<size_t> SamplePerClass(const Dataset& data, int per_class,

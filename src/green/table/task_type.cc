@@ -1,9 +1,5 @@
 #include "green/table/task_type.h"
 
-#include <algorithm>
-#include <cmath>
-#include <set>
-
 namespace green {
 
 const char* TaskTypeName(TaskType task) {
@@ -27,29 +23,6 @@ Result<TaskType> ParseTaskType(const std::string& name) {
 
 TaskType TaskTypeForClasses(int num_classes) {
   return num_classes >= 3 ? TaskType::kMulticlass : TaskType::kBinary;
-}
-
-TaskType InferTaskType(const std::vector<double>& targets,
-                       int max_classes) {
-  if (targets.empty()) return TaskType::kBinary;
-  std::set<double> levels;
-  for (double y : targets) {
-    if (std::isnan(y)) continue;
-    // Fractional or negative values can only be a continuous target.
-    if (y < 0.0 || y != std::floor(y)) return TaskType::kRegression;
-    levels.insert(y);
-    if (levels.size() > static_cast<size_t>(max_classes)) {
-      return TaskType::kRegression;
-    }
-  }
-  if (levels.empty()) return TaskType::kBinary;
-  // Integer levels but sparse/large codes (e.g. years, zip codes) are a
-  // continuous target, not class indices.
-  const double max_level = *levels.rbegin();
-  if (max_level >= static_cast<double>(max_classes)) {
-    return TaskType::kRegression;
-  }
-  return levels.size() >= 3 ? TaskType::kMulticlass : TaskType::kBinary;
 }
 
 }  // namespace green

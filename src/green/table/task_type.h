@@ -2,7 +2,6 @@
 #define GREEN_TABLE_TASK_TYPE_H_
 
 #include <string>
-#include <vector>
 
 #include "green/common/status.h"
 
@@ -11,7 +10,7 @@ namespace green {
 /// The learning task a dataset represents. Everything downstream — the
 /// splitter, the primary metric, the search score direction, which model
 /// families are admissible — dispatches on this enum, so a dataset's task
-/// is decided exactly once, at construction or inference time.
+/// is decided exactly once, when the dataset is constructed.
 enum class TaskType {
   kBinary,      ///< Two-class classification.
   kMulticlass,  ///< N-class classification, N >= 3.
@@ -31,15 +30,6 @@ inline bool IsClassification(TaskType task) {
 /// Task implied by a class count (classification side only): 2 or fewer
 /// distinct classes is binary, 3+ is multiclass.
 TaskType TaskTypeForClasses(int num_classes);
-
-/// Task detection from a raw target column, the automl-tabular heuristic:
-/// a target whose values are all small non-negative integers with few
-/// distinct levels is classification (binary for two levels, multiclass
-/// above); anything fractional, negative, or high-cardinality is
-/// regression. `max_classes` caps the distinct-level count still treated
-/// as classification.
-TaskType InferTaskType(const std::vector<double>& targets,
-                       int max_classes = 50);
 
 }  // namespace green
 

@@ -438,7 +438,7 @@ TEST_F(ChargeScopeTest, LedgerScopeRowsRollupAndAttribution) {
 
   // Attribution + flat totals: attributed kWh is the dynamic part; the
   // flat Get() keeps the full reading (baseline included).
-  const double attributed = ledger.AttributedKwh("caml", Stage::kExecution);
+  const double attributed = ledger.Rollup("caml", "execution").kwh();
   EXPECT_NEAR(attributed * 3.6e6, DynamicJoules(reading.breakdown),
               1e-9 * DynamicJoules(reading.breakdown));
   EXPECT_DOUBLE_EQ(ledger.Get("caml", Stage::kExecution).kwh(),

@@ -1,17 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
 
 #include "green/energy/co2.h"
 #include "green/energy/energy_meter.h"
 #include "green/energy/energy_model.h"
 #include "green/energy/machine_model.h"
-#include "green/energy/powercap_reader.h"
-#include "green/energy/rapl_simulator.h"
 #include "green/energy/stage_ledger.h"
 
 namespace green {
@@ -120,16 +114,6 @@ TEST(EnergyModelTest, GpuWorkFallsBackToCpu) {
   EXPECT_EQ(exec.gpu_busy_seconds, 0.0);
 }
 
-TEST(EnergyModelTest, BaselineIncludesGpuIdle) {
-  EnergyModel cpu_only(MachineModel::XeonGold6132());
-  EnergyModel with_gpu(MachineModel::GpuNodeT4());
-  EXPECT_DOUBLE_EQ(cpu_only.BaselineWatts(),
-                   MachineModel::XeonGold6132().cpu_static_watts);
-  EXPECT_DOUBLE_EQ(with_gpu.BaselineWatts(),
-                   MachineModel::GpuNodeT4().cpu_static_watts +
-                       MachineModel::GpuNodeT4().gpu_idle_watts);
-}
-
 TEST(EnergyModelTest, DramEnergyCharged) {
   EnergyModel model(MachineModel::Minimal());
   Work w = CpuWork(1e6);
@@ -210,206 +194,6 @@ TEST(EnergyMeterTest, ReadingAccumulates) {
   EXPECT_DOUBLE_EQ(a.joules(), 30.0);
 }
 
-// --- RaplSimulator ---
-
-TEST(RaplTest, CountsDeposits) {
-  RaplSimulator rapl;
-  const uint32_t before = rapl.ReadPackageCounter();
-  rapl.Deposit(/*package_joules=*/1.0, /*dram_joules=*/0.5);
-  const uint32_t after = rapl.ReadPackageCounter();
-  EXPECT_NEAR(RaplSimulator::CounterDeltaJoules(before, after), 1.0,
-              2 * RaplSimulator::kJoulesPerUnit);
-}
-
-TEST(RaplTest, DramCounterSeparate) {
-  RaplSimulator rapl;
-  rapl.Deposit(0.0, 2.0);
-  EXPECT_EQ(rapl.ReadPackageCounter(), 0u);
-  EXPECT_GT(rapl.ReadDramCounter(), 0u);
-}
-
-TEST(RaplTest, WraparoundHandled) {
-  // 32-bit counter wraps at 2^32 units = 65536 J; delta math must survive
-  // one wrap like CodeCarbon's sampler does.
-  const uint32_t before = 0xfffffff0u;
-  const uint32_t after = 0x10u;
-  EXPECT_NEAR(RaplSimulator::CounterDeltaJoules(before, after),
-              32.0 * RaplSimulator::kJoulesPerUnit, 1e-9);
-}
-
-TEST(RaplTest, ManyDepositsMatchMeterTotal) {
-  // The high-level meter and the low-level RAPL substrate must agree.
-  EnergyModel model(MachineModel::Minimal());
-  RaplSimulator rapl;
-  double expected = 0.0;
-  const uint32_t before = rapl.ReadPackageCounter();
-  for (int i = 0; i < 100; ++i) {
-    const WorkExecution exec = model.Execute(CpuWork(1e5), 1);
-    rapl.Deposit(exec.dynamic_joules, 0.0);
-    expected += exec.dynamic_joules;
-  }
-  const uint32_t after = rapl.ReadPackageCounter();
-  EXPECT_NEAR(RaplSimulator::CounterDeltaJoules(before, after), expected,
-              100 * RaplSimulator::kJoulesPerUnit);
-}
-
-// --- Powercap ---
-
-TEST(PowercapTest, MissingRootIsNotFound) {
-  auto reader = PowercapReader::Discover("/nonexistent/powercap");
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), Status::Code::kNotFound);
-}
-
-TEST(PowercapTest, WrapCorrectedDelta) {
-  // Plain forward delta.
-  EXPECT_DOUBLE_EQ(
-      PowercapReader::WrapCorrectedDeltaUj(1000.0, 1500.0, 262144.0),
-      500.0);
-  // Counter wrapped: delta spans the wrap point.
-  EXPECT_DOUBLE_EQ(
-      PowercapReader::WrapCorrectedDeltaUj(262000.0, 1000.0, 262144.0),
-      1144.0);
-  // Unknown range: clamp to zero instead of reporting negative energy.
-  EXPECT_DOUBLE_EQ(PowercapReader::WrapCorrectedDeltaUj(5000.0, 100.0, 0.0),
-                   0.0);
-  // Zero-length interval.
-  EXPECT_DOUBLE_EQ(
-      PowercapReader::WrapCorrectedDeltaUj(42.0, 42.0, 262144.0), 0.0);
-}
-
-// Fake sysfs tree exercising Discover + the wrap-corrected interval API.
-class PowercapFakeSysfsTest : public ::testing::Test {
- protected:
-  void SetUp() override { SetUpRoot("powercap_fake"); }
-
-  // Each fixture gets its own root: TempDir persists across test runs,
-  // so a shared tree would leak zones between fixtures.
-  void SetUpRoot(const std::string& subdir) {
-    root_ = ::testing::TempDir() + "/" + subdir;
-    zone_ = root_ + "/intel-rapl:0";
-    ASSERT_EQ(mkdir(root_.c_str(), 0755) == 0 || errno == EEXIST, true);
-    ASSERT_EQ(mkdir(zone_.c_str(), 0755) == 0 || errno == EEXIST, true);
-    WriteFile(zone_ + "/name", "package-0\n");
-    WriteFile(zone_ + "/max_energy_range_uj", "2000000\n");
-    WriteFile(zone_ + "/energy_uj", "1000000\n");
-  }
-
-  static void WriteFile(const std::string& path,
-                        const std::string& content) {
-    FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr) << path;
-    std::fwrite(content.data(), 1, content.size(), f);
-    std::fclose(f);
-  }
-
-  std::string root_;
-  std::string zone_;
-};
-
-TEST_F(PowercapFakeSysfsTest, DiscoverReadsZoneAndRange) {
-  auto reader = PowercapReader::Discover(root_);
-  ASSERT_TRUE(reader.ok());
-  ASSERT_EQ(reader->zones().size(), 1u);
-  EXPECT_EQ(reader->zones()[0].name, "package-0");
-  EXPECT_DOUBLE_EQ(reader->zones()[0].max_energy_range_uj, 2000000.0);
-  auto joules = reader->ReadZoneJoules(0);
-  ASSERT_TRUE(joules.ok());
-  EXPECT_DOUBLE_EQ(*joules, 1.0);  // 1e6 uJ.
-}
-
-TEST_F(PowercapFakeSysfsTest, IntervalAcrossWrapStaysPositive) {
-  auto reader = PowercapReader::Discover(root_);
-  ASSERT_TRUE(reader.ok());
-  ASSERT_TRUE(reader->BeginInterval().ok());
-  // Counter wraps at 2e6 uJ: 1e6 -> (2e6) -> 0 -> 5e5. True consumption
-  // is 1.5e6 uJ = 1.5 J; a naive delta would be -0.5 J.
-  WriteFile(zone_ + "/energy_uj", "500000\n");
-  auto delta = reader->IntervalJoules();
-  ASSERT_TRUE(delta.ok());
-  EXPECT_DOUBLE_EQ(*delta, 1.5);
-}
-
-TEST_F(PowercapFakeSysfsTest, IntervalWithoutBeginFails) {
-  auto reader = PowercapReader::Discover(root_);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_FALSE(reader->IntervalJoules().ok());
-}
-
-// Second zone for the degradation tests.
-class PowercapTwoZoneTest : public PowercapFakeSysfsTest {
- protected:
-  void SetUp() override {
-    SetUpRoot("powercap_fake_two_zone");
-    zone1_ = root_ + "/intel-rapl:1";
-    ASSERT_EQ(mkdir(zone1_.c_str(), 0755) == 0 || errno == EEXIST, true);
-    WriteFile(zone1_ + "/name", "dram\n");
-    WriteFile(zone1_ + "/max_energy_range_uj", "2000000\n");
-    WriteFile(zone1_ + "/energy_uj", "100000\n");
-  }
-
-  std::string zone1_;
-};
-
-TEST_F(PowercapTwoZoneTest, ZoneVanishingMidIntervalDegradesGracefully) {
-  auto reader = PowercapReader::Discover(root_);
-  ASSERT_TRUE(reader.ok());
-  ASSERT_EQ(reader->zones().size(), 2u);
-  ASSERT_TRUE(reader->BeginInterval().ok());
-  // One zone advances; the other's counter file disappears (hotplug,
-  // permission flip). The interval must still report the surviving
-  // zone's energy instead of failing the whole measurement.
-  WriteFile(zone_ + "/energy_uj", "1400000\n");
-  ASSERT_EQ(std::remove((zone1_ + "/energy_uj").c_str()), 0);
-  auto delta = reader->IntervalJoules();
-  ASSERT_TRUE(delta.ok());
-  EXPECT_DOUBLE_EQ(*delta, 0.4);  // Only zone 0's 4e5 uJ.
-}
-
-TEST_F(PowercapTwoZoneTest, ZoneAbsentAtIntervalStartIsExcluded) {
-  auto reader = PowercapReader::Discover(root_);
-  ASSERT_TRUE(reader.ok());
-  // Zone 1 is already gone when the interval begins: no baseline, so it
-  // must not contribute even if it reappears before the read-back.
-  ASSERT_EQ(std::remove((zone1_ + "/energy_uj").c_str()), 0);
-  ASSERT_TRUE(reader->BeginInterval().ok());
-  WriteFile(zone_ + "/energy_uj", "1200000\n");
-  WriteFile(zone1_ + "/energy_uj", "900000\n");  // Reappears: ignored.
-  auto delta = reader->IntervalJoules();
-  ASSERT_TRUE(delta.ok());
-  EXPECT_DOUBLE_EQ(*delta, 0.2);
-}
-
-TEST_F(PowercapTwoZoneTest, AllZonesGoneIsAnError) {
-  auto reader = PowercapReader::Discover(root_);
-  ASSERT_TRUE(reader.ok());
-  ASSERT_TRUE(reader->BeginInterval().ok());
-  ASSERT_EQ(std::remove((zone_ + "/energy_uj").c_str()), 0);
-  ASSERT_EQ(std::remove((zone1_ + "/energy_uj").c_str()), 0);
-  EXPECT_FALSE(reader->IntervalJoules().ok());
-  EXPECT_FALSE(reader->ReadTotalJoules().ok());
-  EXPECT_FALSE(reader->BeginInterval().ok());
-}
-
-TEST_F(PowercapTwoZoneTest, InjectedReadFaultsExerciseDegradation) {
-  auto reader = PowercapReader::Discover(root_);
-  ASSERT_TRUE(reader.ok());
-  const FaultInjector always =
-      FaultInjector::Lenient("powercap.read@1.0", 9);
-  reader->set_fault_injector(&always);
-  EXPECT_FALSE(reader->ReadTotalJoules().ok());  // Every read fails.
-  reader->set_fault_injector(nullptr);
-  EXPECT_TRUE(reader->ReadTotalJoules().ok());  // Recovers when cleared.
-
-  // A single-shot fault kills exactly one zone read; the total degrades
-  // to the surviving zone instead of erroring.
-  const FaultInjector once = FaultInjector::Lenient("powercap.read#1", 9);
-  reader->set_fault_injector(&once);
-  auto total = reader->ReadTotalJoules();
-  ASSERT_TRUE(total.ok());
-  EXPECT_DOUBLE_EQ(*total, 0.1);  // Zone 1 only: 1e5 uJ.
-}
-
 // --- CO2 ---
 
 TEST(Co2Test, PaperConstants) {
@@ -424,17 +208,6 @@ TEST(Co2Test, ImpactEstimate) {
       EstimateImpact(404649.0, EmissionFactors::Germany2023());
   EXPECT_NEAR(impact.kg_co2, 89832.0, 10.0);
   EXPECT_NEAR(impact.eur, 80929.8, 1.0);
-}
-
-TEST(Co2Test, GridTableLookup) {
-  GridIntensityTable table;
-  auto de = table.KgCo2PerKwh("DE");
-  ASSERT_TRUE(de.ok());
-  EXPECT_DOUBLE_EQ(de.value(), 0.222);
-  EXPECT_FALSE(table.KgCo2PerKwh("ZZ").ok());
-  // France's grid is far cleaner than Poland's.
-  EXPECT_LT(table.KgCo2PerKwh("FR").value(),
-            table.KgCo2PerKwh("PL").value());
 }
 
 // --- StageLedger ---
@@ -465,14 +238,6 @@ TEST(StageLedgerTest, AmortizationMatchesPaper) {
   EXPECT_NEAR(StageLedger::AmortizationRuns(21.0, 21.0 / 885.0), 885.0,
               1e-6);
   EXPECT_TRUE(std::isinf(StageLedger::AmortizationRuns(21.0, 0.0)));
-}
-
-TEST(StageLedgerTest, ListsSystems) {
-  StageLedger ledger;
-  EnergyReading r;
-  ledger.Add("a", Stage::kExecution, r);
-  ledger.Add("b", Stage::kInference, r);
-  EXPECT_EQ(ledger.systems().size(), 2u);
 }
 
 // --- Parameterized property: energy monotone in work for any machine ---

@@ -30,7 +30,7 @@ TEST(ParseFaultSpecsTest, EmptyConfigParsesToNoSpecs) {
 TEST(ParseFaultSpecsTest, ValidClauses) {
   auto specs = ParseFaultSpecs(
       "run.fit@0.05, run.predict#7=timeout, sweep.cell#5=abort,"
-      "powercap.read@1.0=skip");
+      "journal.append@1.0=skip");
   ASSERT_TRUE(specs.ok());
   ASSERT_EQ(specs->size(), 4u);
 
@@ -47,7 +47,7 @@ TEST(ParseFaultSpecsTest, ValidClauses) {
   EXPECT_EQ((*specs)[2].nth, 5);
   EXPECT_EQ((*specs)[2].kind, FaultKind::kAbort);
 
-  EXPECT_EQ((*specs)[3].site, "powercap.read");
+  EXPECT_EQ((*specs)[3].site, "journal.append");
   EXPECT_DOUBLE_EQ((*specs)[3].probability, 1.0);
   EXPECT_EQ((*specs)[3].kind, FaultKind::kSkip);
 }
@@ -90,6 +90,24 @@ TEST(ParseFaultSpecsTest, LenientDropsBadClausesKeepsGood) {
   const FaultInjector mixed = FaultInjector::Lenient(
       "garbage, run.fit@2.0, run.fit#0, @0.5, run.fit#3", 1);
   EXPECT_EQ(mixed.size(), 1u);  // Only run.fit#3 survives.
+}
+
+TEST(ParseFaultSpecsTest, UnknownSiteRejected) {
+  // A misspelled site would arm nothing, so a chaos run would quietly run
+  // clean: the strict parse fails and names the site.
+  const auto typo = FaultInjector::Parse("run.fti@1", 7);
+  ASSERT_FALSE(typo.ok());
+  EXPECT_EQ(typo.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(typo.status().message().find("run.fti"), std::string::npos);
+  EXPECT_FALSE(ParseFaultSpecs("run.fit@0.5, serve.admitt#1").ok());
+
+  // Lenient drops only the unknown clause and keeps its valid neighbours.
+  const FaultInjector lenient = FaultInjector::Lenient(
+      "serve.admit@1, run.fti@1, journal.append#1", 7);
+  EXPECT_EQ(lenient.size(), 2u);
+  EXPECT_FALSE(lenient.Check("serve.admit").ok());
+  EXPECT_FALSE(lenient.Check("journal.append").ok());
+  EXPECT_TRUE(lenient.Check("run.fti").ok());
 }
 
 // --- injected status ---
@@ -136,7 +154,7 @@ TEST(FaultInjectorTest, SiteMismatchNeverFires) {
   auto injector = FaultInjector::Parse("run.fit@1.0,run.predict#1", 1);
   ASSERT_TRUE(injector.ok());
   for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(injector->Check("powercap.read").ok());
+    EXPECT_TRUE(injector->Check("journal.append").ok());
   }
 }
 
@@ -218,14 +236,14 @@ TEST(FaultScopeTest, ScopedDecisionsIndependentOfExecutionOrder) {
 // --- concurrency (run under TSan via the `concurrency` ctest label) ---
 
 TEST(FaultInjectorConcurrencyTest, NthFiresExactlyOnceUnderContention) {
-  auto injector = FaultInjector::Parse("hammer#100", 3);
+  auto injector = FaultInjector::Parse("run.fit#100", 3);
   ASSERT_TRUE(injector.ok());
   std::atomic<int> fired{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 100; ++i) {
-        if (!injector->Check("hammer").ok()) fired.fetch_add(1);
+        if (!injector->Check("run.fit").ok()) fired.fetch_add(1);
       }
     });
   }
@@ -235,14 +253,14 @@ TEST(FaultInjectorConcurrencyTest, NthFiresExactlyOnceUnderContention) {
 
 TEST(FaultInjectorConcurrencyTest, ScopedChecksRaceFree) {
   const FaultInjector injector =
-      FaultInjector::Lenient("hammer@0.5", 5);
+      FaultInjector::Lenient("run.fit@0.5", 5);
   std::vector<std::thread> threads;
   std::atomic<int> fired{0};
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
       FaultScope scope("thread-" + std::to_string(t));
       for (int i = 0; i < 200; ++i) {
-        if (!injector.Check("hammer").ok()) fired.fetch_add(1);
+        if (!injector.Check("run.fit").ok()) fired.fetch_add(1);
       }
     });
   }

@@ -184,12 +184,5 @@ TEST(TunedStoreTest, PaperDefaultsCoverAllBudgets) {
   EXPECT_FALSE(store.Get(300.0)->refit);
 }
 
-TEST(TunedStoreTest, RenderMentionsParameters) {
-  const std::string text = TunedConfigStore::PaperDefaults().Render();
-  EXPECT_NE(text.find("decision_tree"), std::string::npos);
-  EXPECT_NE(text.find("incremental"), std::string::npos);
-  EXPECT_NE(text.find("budget=300"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace green

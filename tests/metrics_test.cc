@@ -1,19 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
 #include "green/common/rng.h"
 #include "green/ml/metrics.h"
 
 namespace green {
 namespace {
-
-TEST(AccuracyTest, Basic) {
-  EXPECT_DOUBLE_EQ(Accuracy({0, 1, 1, 0}, {0, 1, 0, 0}), 0.75);
-  EXPECT_DOUBLE_EQ(Accuracy({}, {}), 0.0);
-  EXPECT_DOUBLE_EQ(Accuracy({1}, {1}), 1.0);
-}
 
 TEST(BalancedAccuracyTest, EqualsAccuracyWhenBalanced) {
   const std::vector<int> truth = {0, 0, 1, 1};
@@ -28,7 +21,6 @@ TEST(BalancedAccuracyTest, HandlesImbalance) {
   std::fill(truth.begin() + 90, truth.end(), 1);
   const std::vector<int> all_zero(100, 0);
   EXPECT_DOUBLE_EQ(BalancedAccuracy(truth, all_zero, 2), 0.5);
-  EXPECT_DOUBLE_EQ(Accuracy(truth, all_zero), 0.9);
 }
 
 TEST(BalancedAccuracyTest, SkipsAbsentClasses) {
@@ -38,38 +30,6 @@ TEST(BalancedAccuracyTest, SkipsAbsentClasses) {
 TEST(BalancedAccuracyTest, PerfectAndWorst) {
   EXPECT_DOUBLE_EQ(BalancedAccuracy({0, 1, 2}, {0, 1, 2}, 3), 1.0);
   EXPECT_DOUBLE_EQ(BalancedAccuracy({0, 1, 2}, {1, 2, 0}, 3), 0.0);
-}
-
-TEST(LogLossTest, PerfectPredictionIsZero) {
-  EXPECT_NEAR(LogLoss({0, 1}, {{1.0, 0.0}, {0.0, 1.0}}), 0.0, 1e-9);
-}
-
-TEST(LogLossTest, UniformIsLogK) {
-  EXPECT_NEAR(LogLoss({0, 1}, {{0.5, 0.5}, {0.5, 0.5}}), std::log(2.0),
-              1e-12);
-}
-
-TEST(LogLossTest, ClipsZeros) {
-  const double loss = LogLoss({0}, {{0.0, 1.0}});
-  EXPECT_TRUE(std::isfinite(loss));
-  EXPECT_GT(loss, 30.0);
-}
-
-TEST(MacroF1Test, PerfectIsOne) {
-  EXPECT_DOUBLE_EQ(MacroF1({0, 1, 2}, {0, 1, 2}, 3), 1.0);
-}
-
-TEST(MacroF1Test, KnownValue) {
-  // Class 0: P=1, R=0.5 -> F1=2/3. Class 1: P=0.5, R=1 -> F1=2/3.
-  EXPECT_NEAR(MacroF1({0, 0, 1}, {0, 1, 1}, 2), 2.0 / 3.0, 1e-12);
-}
-
-TEST(ConfusionMatrixTest, Counts) {
-  const auto cm = ConfusionMatrix({0, 0, 1, 1, 1}, {0, 1, 1, 1, 0}, 2);
-  EXPECT_EQ(cm[0][0], 1);
-  EXPECT_EQ(cm[0][1], 1);
-  EXPECT_EQ(cm[1][0], 1);
-  EXPECT_EQ(cm[1][1], 2);
 }
 
 // --- property sweeps ---
@@ -86,15 +46,11 @@ TEST_P(MetricPropertyTest, MetricsBoundedAndPermutationInvariant) {
     truth[i] = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(k)));
     pred[i] = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(k)));
   }
-  const double acc = Accuracy(truth, pred);
   const double bacc = BalancedAccuracy(truth, pred, k);
-  const double f1 = MacroF1(truth, pred, k);
-  for (double m : {acc, bacc, f1}) {
-    EXPECT_GE(m, 0.0);
-    EXPECT_LE(m, 1.0);
-  }
+  EXPECT_GE(bacc, 0.0);
+  EXPECT_LE(bacc, 1.0);
 
-  // Shuffling (truth, pred) pairs jointly must not change any metric.
+  // Shuffling (truth, pred) pairs jointly must not change the metric.
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = i;
   rng.Shuffle(&order);
@@ -104,24 +60,10 @@ TEST_P(MetricPropertyTest, MetricsBoundedAndPermutationInvariant) {
     truth2[i] = truth[order[i]];
     pred2[i] = pred[order[i]];
   }
-  EXPECT_DOUBLE_EQ(Accuracy(truth2, pred2), acc);
   EXPECT_DOUBLE_EQ(BalancedAccuracy(truth2, pred2, k), bacc);
-  EXPECT_DOUBLE_EQ(MacroF1(truth2, pred2, k), f1);
 
   // Random guessing has expected balanced accuracy ~ 1/k.
   EXPECT_NEAR(bacc, 1.0 / k, 0.15);
-
-  // Confusion matrix row sums equal class supports.
-  const auto cm = ConfusionMatrix(truth, pred, k);
-  for (int c = 0; c < k; ++c) {
-    int row_sum = 0;
-    for (int o = 0; o < k; ++o) row_sum += cm[c][o];
-    int support = 0;
-    for (int t : truth) {
-      if (t == c) ++support;
-    }
-    EXPECT_EQ(row_sum, support);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(ClassCounts, MetricPropertyTest,

@@ -126,8 +126,6 @@ TEST(RecordIoTest, WriteFailingAtCloseIsAnError) {
   if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
   const Status jsonl = WriteRecordsJsonl({SampleRecord()}, "/dev/full");
   EXPECT_EQ(jsonl.code(), Status::Code::kIoError) << jsonl.ToString();
-  const Status csv = WriteRecordsCsv({SampleRecord()}, "/dev/full");
-  EXPECT_EQ(csv.code(), Status::Code::kIoError) << csv.ToString();
 }
 
 TEST(RecordIoTest, ReadErrorIsNotAShortFile) {
@@ -138,24 +136,6 @@ TEST(RecordIoTest, ReadErrorIsNotAShortFile) {
   const auto journal = ReadJournal(::testing::TempDir());
   ASSERT_FALSE(journal.ok());
   EXPECT_EQ(journal.status().code(), Status::Code::kIoError);
-}
-
-TEST(RecordIoTest, CsvHasHeaderAndRows) {
-  const std::string csv = RecordsToCsv({SampleRecord()});
-  EXPECT_NE(csv.find("system,dataset,budget_s"), std::string::npos);
-  EXPECT_NE(csv.find("caml,credit-g,30"), std::string::npos);
-  // Header + one row + trailing newline.
-  int lines = 0;
-  for (char c : csv) {
-    if (c == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, 2);
-}
-
-TEST(RecordIoTest, CsvFileWrite) {
-  const std::string path = ::testing::TempDir() + "/green_records.csv";
-  EXPECT_TRUE(WriteRecordsCsv({SampleRecord()}, path).ok());
-  EXPECT_FALSE(WriteRecordsCsv({}, "/nonexistent/dir/records.csv").ok());
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "green/search/median_pruner.h"
 #include "green/search/nsga2.h"
 #include "green/search/param_space.h"
-#include "green/search/random_search.h"
 #include "green/search/rf_surrogate.h"
 #include "green/search/successive_halving.h"
 #include "bit_hash.h"
@@ -74,56 +73,12 @@ TEST(ParamSpaceTest, DimensionMismatchRejected) {
   EXPECT_FALSE(space.Decode({0.1, 0.2}).ok());
 }
 
-TEST(ParamSpaceTest, IndexOf) {
-  ParamSpace space;
-  space.Add(ParamSpec::Double("x", 0, 1));
-  space.Add(ParamSpec::Double("y", 0, 1));
-  EXPECT_EQ(space.IndexOf("y").value(), 1u);
-  EXPECT_FALSE(space.IndexOf("z").ok());
-}
-
 TEST(ParamSpaceTest, SampleClampsOutOfRangeUnit) {
   ParamSpace space;
   space.Add(ParamSpec::Double("x", 0.0, 1.0));
   auto p = space.Decode({1.7});
   ASSERT_TRUE(p.ok());
   EXPECT_LE(p->values.at("x"), 1.0);
-}
-
-// --- RandomSearch ---
-
-double Sphere(const ParamPoint& p) {
-  // Maximum 1.0 at x = 0.7.
-  const double x = p.values.at("x");
-  return 1.0 - (x - 0.7) * (x - 0.7);
-}
-
-TEST(RandomSearchTest, FindsNearOptimum) {
-  ParamSpace space;
-  space.Add(ParamSpec::Double("x", 0.0, 1.0));
-  Rng rng(3);
-  auto result = RandomSearch(
-      space, 200, &rng,
-      [](const ParamPoint& p) -> Result<double> { return Sphere(p); });
-  EXPECT_EQ(result.evaluations, 200);
-  EXPECT_GT(result.best_score, 0.99);
-}
-
-TEST(RandomSearchTest, SkipsErrorsAndStops) {
-  ParamSpace space;
-  space.Add(ParamSpec::Double("x", 0.0, 1.0));
-  Rng rng(3);
-  int calls = 0;
-  auto result = RandomSearch(
-      space, 100, &rng,
-      [&](const ParamPoint& p) -> Result<double> {
-        ++calls;
-        if (calls % 2 == 0) return Status::Internal("boom");
-        return Sphere(p);
-      },
-      [&]() { return calls >= 10; });
-  EXPECT_LE(calls, 10);
-  EXPECT_EQ(result.evaluations, 5);
 }
 
 // --- RfSurrogate ---
@@ -561,14 +516,6 @@ TEST(CaruanaTest, EmptyLibrary) {
   EXPECT_TRUE(result.weights.empty());
 }
 
-TEST(CaruanaTest, BlendProbaWeighted) {
-  ProbaMatrix a = {{1.0, 0.0}};
-  ProbaMatrix b = {{0.0, 1.0}};
-  const ProbaMatrix blended = BlendProba({a, b}, {0.75, 0.25});
-  EXPECT_NEAR(blended[0][0], 0.75, 1e-12);
-  EXPECT_NEAR(blended[0][1], 0.25, 1e-12);
-}
-
 // --- KMeans ---
 
 TEST(KMeansTest, SeparatesObviousClusters) {
@@ -656,8 +603,6 @@ TEST(MedianPrunerTest, PrunesBelowMedian) {
   for (double v : {1.0, 2.0, 3.0}) pruner.ReportIntermediate(0, v);
   EXPECT_TRUE(pruner.ShouldPrune(0, 1.5));   // Below median 2.
   EXPECT_FALSE(pruner.ShouldPrune(0, 2.5));  // Above median.
-  EXPECT_EQ(pruner.NumObservations(0), 3u);
-  EXPECT_EQ(pruner.NumObservations(7), 0u);
 }
 
 TEST(MedianPrunerTest, StepsIndependent) {

@@ -7,7 +7,6 @@
 
 #include "green/ml/preprocess/imputer.h"
 #include "green/ml/preprocess/scaler.h"
-#include "green/table/column.h"
 #include "green/table/csv.h"
 #include "green/table/dataset.h"
 #include "green/table/metafeatures.h"
@@ -38,31 +37,6 @@ Dataset MakeDataset(size_t n, size_t d, int k, uint64_t seed = 1) {
             .ok());
   }
   return data;
-}
-
-// --- Column ---
-
-TEST(ColumnTest, BasicStats) {
-  Column col("x", FeatureType::kNumeric);
-  for (double v : std::vector<double>{1.0, 2.0, NAN, 4.0}) col.Append(v);
-  EXPECT_EQ(col.size(), 4u);
-  EXPECT_EQ(col.MissingCount(), 1u);
-  EXPECT_NEAR(col.MeanIgnoringMissing(), 7.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(col.MinIgnoringMissing(), 1.0);
-  EXPECT_DOUBLE_EQ(col.MaxIgnoringMissing(), 4.0);
-}
-
-TEST(ColumnTest, AllMissing) {
-  Column col("x", FeatureType::kNumeric);
-  col.Append(NAN);
-  EXPECT_EQ(col.MeanIgnoringMissing(), 0.0);
-  EXPECT_EQ(col.Cardinality(), 0);
-}
-
-TEST(ColumnTest, Cardinality) {
-  Column col("c", FeatureType::kCategorical);
-  for (double v : {0.0, 2.0, 1.0, 2.0}) col.Append(v);
-  EXPECT_EQ(col.Cardinality(), 3);
 }
 
 // --- Dataset ---
@@ -192,15 +166,6 @@ TEST(SchemaTest, ScalerAndImputerKeepInputNames) {
   ASSERT_FALSE(std::isnan(imputed->At(4, 0)));  // Copied, not a view.
   EXPECT_EQ(imputed->feature_name(0), "a");
   EXPECT_EQ(imputed->feature_name(1), "b");
-}
-
-TEST(DatasetTest, ScaleFactor) {
-  Dataset data = TinyDataset();
-  EXPECT_DOUBLE_EQ(data.ScaleFactor(), 1.0);
-  data.SetNominalSize(400, 2);
-  EXPECT_DOUBLE_EQ(data.ScaleFactor(), 100.0);
-  data.SetNominalSize(1, 2);  // Nominal smaller than instantiated.
-  EXPECT_DOUBLE_EQ(data.ScaleFactor(), 1.0);
 }
 
 // --- splits ---

@@ -1,5 +1,5 @@
-// TaskType plumbing: inference from raw targets, the per-task splitter
-// and primary-metric dispatch, the higher-is-better score adapter,
+// TaskType plumbing: names and the class-count mapping, the per-task
+// splitter and primary-metric dispatch, the higher-is-better score adapter,
 // regression dataset/CSV round trips, the synthetic regression
 // generator's determinism, and which model families admit which tasks.
 
@@ -23,7 +23,7 @@
 namespace green {
 namespace {
 
-// --- Task inference ---------------------------------------------------
+// --- Task names and class counts --------------------------------------
 
 TEST(TaskTypeTest, NamesRoundTrip) {
   for (TaskType task : {TaskType::kBinary, TaskType::kMulticlass,
@@ -41,38 +41,6 @@ TEST(TaskTypeTest, ClassCountsImplyTask) {
   EXPECT_EQ(TaskTypeForClasses(2), TaskType::kBinary);
   EXPECT_EQ(TaskTypeForClasses(3), TaskType::kMulticlass);
   EXPECT_EQ(TaskTypeForClasses(17), TaskType::kMulticlass);
-}
-
-TEST(TaskTypeTest, InfersBinaryFromTwoIntegerLevels) {
-  EXPECT_EQ(InferTaskType({0, 1, 1, 0, 1}), TaskType::kBinary);
-  EXPECT_EQ(InferTaskType({0, 0, 0}), TaskType::kBinary);
-}
-
-TEST(TaskTypeTest, InfersMulticlassFromFewIntegerLevels) {
-  EXPECT_EQ(InferTaskType({0, 1, 2, 1, 0, 2}), TaskType::kMulticlass);
-  std::vector<double> ten_levels;
-  for (int i = 0; i < 40; ++i) {
-    ten_levels.push_back(static_cast<double>(i % 10));
-  }
-  EXPECT_EQ(InferTaskType(ten_levels), TaskType::kMulticlass);
-}
-
-TEST(TaskTypeTest, FractionalTargetsAreRegression) {
-  EXPECT_EQ(InferTaskType({0.5, 1.25, -3.75}), TaskType::kRegression);
-  EXPECT_EQ(InferTaskType({1.0, 2.0, 2.0000001}), TaskType::kRegression);
-}
-
-TEST(TaskTypeTest, NegativeIntegersAreRegression) {
-  EXPECT_EQ(InferTaskType({-1, 0, 1, 2}), TaskType::kRegression);
-}
-
-TEST(TaskTypeTest, HighCardinalityIntegersAreRegression) {
-  std::vector<double> many;
-  for (int i = 0; i < 80; ++i) many.push_back(static_cast<double>(i));
-  EXPECT_EQ(InferTaskType(many), TaskType::kRegression);
-  // The same column under a higher cap flips back to classification.
-  EXPECT_EQ(InferTaskType(many, /*max_classes=*/100),
-            TaskType::kMulticlass);
 }
 
 // --- Regression dataset invariants -------------------------------------
@@ -94,12 +62,6 @@ TEST(RegressionDatasetTest, FactorySetsTaskAndGuardsAppend) {
 }
 
 // --- Splitter dispatch --------------------------------------------------
-
-TEST(SplitDispatchTest, SplitterNames) {
-  EXPECT_STREQ(SplitterNameForTask(TaskType::kBinary), "stratified");
-  EXPECT_STREQ(SplitterNameForTask(TaskType::kMulticlass), "stratified");
-  EXPECT_STREQ(SplitterNameForTask(TaskType::kRegression), "plain");
-}
 
 TEST(SplitDispatchTest, ClassificationSplitMatchesStratifiedExactly) {
   SyntheticSpec spec;
@@ -148,7 +110,6 @@ TEST(RegressionMetricsTest, HandComputedValues) {
   const std::vector<double> pred = {1.5, 2.0, 2.5, 5.0};
   EXPECT_NEAR(Rmse(truth, pred), std::sqrt((0.25 + 0.0 + 0.25 + 1.0) / 4),
               1e-12);
-  EXPECT_NEAR(Mae(truth, pred), (0.5 + 0.0 + 0.5 + 1.0) / 4, 1e-12);
   // R2 = 1 - SSE/SST; SST around the truth mean 2.5 is 5.0.
   EXPECT_NEAR(R2(truth, pred), 1.0 - 1.5 / 5.0, 1e-12);
 }
@@ -157,7 +118,6 @@ TEST(RegressionMetricsTest, PerfectPrediction) {
   const std::vector<double> truth = {3.0, -1.0, 7.0};
   const std::vector<double> pred = {3.0, -1.0, 7.0};
   EXPECT_DOUBLE_EQ(Rmse(truth, pred), 0.0);
-  EXPECT_DOUBLE_EQ(Mae(truth, pred), 0.0);
   EXPECT_DOUBLE_EQ(R2(truth, pred), 1.0);
 }
 
