@@ -275,6 +275,38 @@ void BM_SmallBatchPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_SmallBatchPredict)->Arg(1)->Arg(8);
 
+// The serving deployment of bench/serve_trace (FitServeDeployment): a
+// stack of 13 autogluon pipelines, each imputer, one-hot, standard scaler
+// and model, on a table with categorical columns. Predicts Arg-row views
+// of its test split, the serving layer's micro-batches: the per-request
+// costs of every member's transform chain and of the stacking
+// augmentation show here.
+void BM_StackedPredict(benchmark::State& state) {
+  const ExperimentConfig config;
+  const EnergyModel model(config.machine);
+  VirtualClock clock;
+  ExecutionContext ctx(&clock, &model, config.cores);
+  auto deployment = FitServeDeployment(config, &ctx);
+  if (!deployment.ok() || !deployment->artifact.stacked()) {
+    state.SkipWithError("autogluon fit failed");
+    return;
+  }
+  const FittedArtifact& artifact = deployment->artifact;
+  const Dataset& test = deployment->data.test;
+  std::vector<size_t> batch(static_cast<size_t>(state.range(0)));
+  size_t next = 0;
+  for (auto _ : state) {
+    for (size_t& r : batch) {
+      r = next;
+      next = (next + 1) % test.num_rows();
+    }
+    benchmark::DoNotOptimize(
+        artifact.PredictProba(test.Subset(batch), &ctx));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_StackedPredict)->Arg(1)->Arg(8);
+
 void BM_RfSurrogateFit(benchmark::State& state) {
   Rng rng(1);
   std::vector<std::vector<double>> xs;

@@ -16,13 +16,11 @@
 #include <string>
 #include <vector>
 
-#include "green/automl/automl_system.h"
 #include "green/bench_util/experiment.h"
 #include "green/bench_util/table_printer.h"
 #include "green/common/fault.h"
 #include "green/common/knobs.h"
 #include "green/common/stringutil.h"
-#include "green/data/synthetic.h"
 #include "green/energy/energy_model.h"
 #include "green/serve/inference_server.h"
 #include "green/sim/execution_context.h"
@@ -118,45 +116,20 @@ int Main(int argc, char** argv) {
   ExperimentConfig config;
   config.faults = EnvKnob<std::string>(knob::kFaults).value_or(config.faults);
 
-  SyntheticSpec spec;
-  spec.name = "serve-bench";
-  spec.num_rows = 600;
-  spec.num_features = 12;
-  spec.num_informative = 7;
-  spec.num_categorical = 3;
-  spec.num_classes = 3;
-  spec.separation = 2.2;
-  spec.label_noise = 0.05;
-  spec.seed = 4242;
-  const Dataset dataset = GenerateSynthetic(spec).value();
-  Rng split_rng(1);
-  TrainTestData data =
-      Materialize(dataset, StratifiedSplit(dataset, 0.66, &split_rng));
   EnergyModel energy_model(config.machine);
-
   // One ensembling artifact serves every cell: AutoGluon gives the
   // ladder all three rungs (full stack -> best single -> constant).
-  ExperimentRunner runner(config);
-  auto system = runner.MakeSystem("autogluon", 60.0);
-  if (!system.ok()) {
-    std::fprintf(stderr, "serve bench: %s\n",
-                 system.status().ToString().c_str());
-    return 1;
-  }
   VirtualClock fit_clock;
   ExecutionContext fit_ctx(&fit_clock, &energy_model, config.cores);
-  AutoMlOptions options;
-  options.search_budget_seconds = 60.0 * config.budget_scale;
-  options.cores = config.cores;
-  options.seed = config.seed;
-  auto run = (*system)->Fit(data.train, options, &fit_ctx);
-  if (!run.ok()) {
+  auto deployment = FitServeDeployment(config, &fit_ctx);
+  if (!deployment.ok()) {
     std::fprintf(stderr, "serve bench: fit failed: %s\n",
-                 run.status().ToString().c_str());
+                 deployment.status().ToString().c_str());
     return 1;
   }
+  const TrainTestData& data = deployment->data;
   auto ladder =
-      ArtifactLadder::Build(run->artifact, data.train, &energy_model);
+      ArtifactLadder::Build(deployment->artifact, data.train, &energy_model);
   if (!ladder.ok()) {
     std::fprintf(stderr, "serve bench: %s\n",
                  ladder.status().ToString().c_str());

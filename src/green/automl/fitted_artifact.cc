@@ -1,5 +1,7 @@
 #include "green/automl/fitted_artifact.h"
 
+#include <algorithm>
+
 #include "green/common/logging.h"
 #include "green/common/mathutil.h"
 #include "green/common/stringutil.h"
@@ -55,11 +57,21 @@ FittedArtifact FittedArtifact::Weighted(std::vector<Member> members) {
   return out;
 }
 
-FittedArtifact FittedArtifact::Stacked(std::vector<Member> base,
-                                       std::vector<Member> meta) {
+FittedArtifact FittedArtifact::Stacked(
+    std::vector<Member> base, std::vector<Member> meta,
+    std::shared_ptr<const Schema> raw_columns) {
+  GREEN_CHECK(raw_columns != nullptr);
   FittedArtifact out;
   out.base_ = std::move(base);
   out.meta_ = std::move(meta);
+  const Estimator* model = out.base_.empty() || out.base_[0].folds.empty()
+                               ? nullptr
+                               : out.base_[0].folds[0]->model();
+  const size_t k = model != nullptr && model->num_classes() > 0
+                       ? static_cast<size_t>(model->num_classes())
+                       : 0;
+  out.augmented_columns_ = raw_columns->Widened(out.base_.size() * k);
+  out.raw_columns_ = std::move(raw_columns);
   return out;
 }
 
@@ -145,23 +157,25 @@ Result<ProbaMatrix> FittedArtifact::PredictProba(
   const size_t k = base_probas[0][0].size();
   const size_t aug_width =
       data.num_features() + base_.size() * k;
-  Dataset augmented = Dataset::Like(data, data.name(), aug_width);
-  augmented.SetNominalSize(data.nominal_rows(), data.nominal_features());
-  for (size_t j = 0; j < data.num_features(); ++j) {
-    augmented.SetFeatureType(j, data.feature_type(j));
-    augmented.SetFeatureName(j, data.feature_name(j));
-  }
-  augmented.Reserve(data.num_rows());
-  std::vector<double> row(aug_width);
+  // Pointer equality first (the training table or a view of it), then
+  // contents (fresh data with the same column names and types).
+  const Schema& raw = *data.schema();
+  const bool fitted_columns =
+      augmented_columns_->size() == aug_width &&
+      (&raw == raw_columns_.get() ||
+       (raw.SameNames(*raw_columns_) && raw.SameTypes(*raw_columns_)));
+  Dataset augmented = Dataset::WithColumns(
+      data, fitted_columns ? augmented_columns_
+                           : raw.Widened(aug_width - data.num_features()));
+  double* x = augmented.MutableData();
   for (size_t i = 0; i < data.num_rows(); ++i) {
     const double* p = data.RowPtr(i);
-    std::copy(p, p + data.num_features(), row.begin());
+    double* row = x + i * aug_width;
+    std::copy(p, p + data.num_features(), row);
     size_t o = data.num_features();
     for (size_t j = 0; j < base_.size(); ++j) {
       for (size_t c = 0; c < k; ++c) row[o++] = base_probas[j][i][c];
     }
-    Status st = augmented.AppendRowLike(data, i, row);
-    if (!st.ok()) return st;
   }
   ctx->ChargeCpu(static_cast<double>(data.num_rows() * aug_width),
                  augmented.FeatureBytes());

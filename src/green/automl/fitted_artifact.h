@@ -34,8 +34,12 @@ class FittedArtifact {
   static FittedArtifact Weighted(std::vector<Member> members);
   /// `base` members produce class probabilities that are appended to the
   /// raw features before `meta` members score the instance.
+  /// `raw_columns` describes the raw features (the training table's
+  /// schema): the meta layer's input columns are built from it once, here,
+  /// and shared with every predict input named and typed alike.
   static FittedArtifact Stacked(std::vector<Member> base,
-                                std::vector<Member> meta);
+                                std::vector<Member> meta,
+                                std::shared_ptr<const Schema> raw_columns);
 
   bool empty() const { return base_.empty(); }
   bool stacked() const { return !meta_.empty(); }
@@ -75,6 +79,10 @@ class FittedArtifact {
 
   std::vector<Member> base_;
   std::vector<Member> meta_;
+  /// Stacked only: the raw feature columns, and the meta layer's input
+  /// columns for them (never written after Stacked).
+  std::shared_ptr<const Schema> raw_columns_;
+  std::shared_ptr<Schema> augmented_columns_;
 };
 
 }  // namespace green

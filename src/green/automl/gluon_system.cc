@@ -330,8 +330,8 @@ Result<AutoMlRunResult> GluonSystem::Fit(const Dataset& train,
     if (!refit_members.empty()) base_members = std::move(refit_members);
   }
 
-  result.artifact = FittedArtifact::Stacked(std::move(base_members),
-                                            std::move(meta_members));
+  result.artifact = FittedArtifact::Stacked(
+      std::move(base_members), std::move(meta_members), train.schema());
   result.best_validation_score = caruana.validation_score;
   result.execution = scope.Stop();
   result.actual_seconds = ctx->Now() - start;

@@ -20,6 +20,7 @@
 #include "green/common/stringutil.h"
 #include "green/common/thread_pool.h"
 #include "green/data/meta_corpus.h"
+#include "green/data/synthetic.h"
 #include "green/ml/metrics.h"
 #include "green/table/split.h"
 
@@ -871,6 +872,36 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
         config_.transform_cache_mb));
   }
   return records;
+}
+
+Result<ServeDeployment> FitServeDeployment(const ExperimentConfig& config,
+                                           ExecutionContext* ctx) {
+  SyntheticSpec spec;
+  spec.name = "serve-bench";
+  spec.num_rows = 600;
+  spec.num_features = 12;
+  spec.num_informative = 7;
+  spec.num_categorical = 3;
+  spec.num_classes = 3;
+  spec.separation = 2.2;
+  spec.label_noise = 0.05;
+  spec.seed = 4242;
+  GREEN_ASSIGN_OR_RETURN(const Dataset dataset, GenerateSynthetic(spec));
+  Rng split_rng(1);
+  ServeDeployment out;
+  out.data =
+      Materialize(dataset, StratifiedSplit(dataset, 0.66, &split_rng));
+  ExperimentRunner runner(config);
+  GREEN_ASSIGN_OR_RETURN(std::unique_ptr<AutoMlSystem> system,
+                         runner.MakeSystem("autogluon", 60.0));
+  AutoMlOptions options;
+  options.search_budget_seconds = 60.0 * config.budget_scale;
+  options.cores = config.cores;
+  options.seed = config.seed;
+  GREEN_ASSIGN_OR_RETURN(AutoMlRunResult run,
+                         system->Fit(out.data.train, options, ctx));
+  out.artifact = std::move(run.artifact);
+  return out;
 }
 
 }  // namespace green

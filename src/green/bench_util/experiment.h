@@ -18,6 +18,7 @@
 #include "green/energy/machine_model.h"
 #include "green/metaopt/tuned_config_store.h"
 #include "green/ml/transform_cache.h"
+#include "green/table/split.h"
 
 namespace green {
 
@@ -359,6 +360,18 @@ class ExperimentRunner {
   size_t last_sweep_journal_append_failures_ = 0;
   bool last_sweep_resumed_from_incomplete_journal_ = false;
 };
+
+/// bench/serve_trace's deployment: the 600-row 3-class "serve-bench" task
+/// (12 features, 3 of them categorical) split 66/34, and the autogluon
+/// artifact fitted on its train split at the 60 s paper budget, charged to
+/// `ctx`. The serving bench, the stacked-predict microbench and the
+/// small-batch artifact test all serve this one deployment.
+struct ServeDeployment {
+  TrainTestData data;
+  FittedArtifact artifact;
+};
+Result<ServeDeployment> FitServeDeployment(const ExperimentConfig& config,
+                                           ExecutionContext* ctx);
 
 }  // namespace green
 

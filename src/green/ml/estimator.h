@@ -2,6 +2,7 @@
 #define GREEN_ML_ESTIMATOR_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,14 +76,36 @@ class Estimator {
   TaskType task_ = TaskType::kBinary;
 };
 
+/// The CPU work one transform charges: the arguments of its ChargeCpu.
+struct TransformCharge {
+  double flops = 0.0;
+  double bytes = 0.0;
+  double parallel_fraction = 0.9;
+};
+
 /// Base interface for feature transformers (preprocessors).
+///
+/// A fitted transformer is a row map. It implements three pieces, and
+/// every transform (one transformer or a pipeline's whole chain, see
+/// RunTransformChain) is built from them:
+///   * TransformRow maps one input row to one output row;
+///   * ChargeFor is the work a transform of `rows` rows charges, a
+///     function of shape alone, so a chain can run first and charge after;
+///   * OutputSchema describes the output columns. A transformer that
+///     renames or retypes columns builds its schema once, in Fit, and
+///     rebuilds it only for an input named differently.
+/// Transform and the row pieces are const and may run concurrently on a
+/// fitted transformer shared through the TransformCache.
 class Transformer {
  public:
   virtual ~Transformer() = default;
 
   virtual Status Fit(const Dataset& train, ExecutionContext* ctx) = 0;
-  virtual Result<Dataset> Transform(const Dataset& data,
-                                    ExecutionContext* ctx) const = 0;
+
+  /// Transforms `data` through this transformer alone: a chain of length
+  /// one.
+  Result<Dataset> Transform(const Dataset& data, ExecutionContext* ctx) const;
+
   virtual std::string Name() const = 0;
 
   /// Deterministic signature of the transformer's *configuration*
@@ -101,7 +124,51 @@ class Transformer {
   virtual size_t OutputWidth(size_t input_width) const {
     return input_width;
   }
+
+  // --- row kernel; valid after Fit ---
+  /// Writes the OutputWidth(input_width()) values of the row `in` (one of
+  /// input_width() values) maps to. `in` and `out` never overlap.
+  virtual void TransformRow(const double* in, double* out) const = 0;
+
+  /// The work transforming `rows` rows charges.
+  virtual TransformCharge ChargeFor(size_t rows) const = 0;
+
+  /// The output columns for input columns `input`; null when the input's
+  /// own columns pass through unchanged (the default).
+  virtual std::shared_ptr<Schema> OutputSchema(const Schema& input) const {
+    return nullptr;
+  }
+
+  bool fitted() const { return fitted_; }
+  /// The feature count Fit saw; a transform input must match it.
+  size_t input_width() const { return input_width_; }
+
+ protected:
+  void MarkFitted(size_t input_width) {
+    fitted_ = true;
+    input_width_ = input_width;
+  }
+
+  /// Logical footprint of a rows x width matrix, as Dataset::FeatureBytes.
+  static double MatrixBytes(size_t rows, size_t width) {
+    return static_cast<double>(rows) * static_cast<double>(width) *
+           sizeof(double);
+  }
+
+ private:
+  bool fitted_ = false;
+  size_t input_width_ = 0;
 };
+
+/// Sends every row of `data` through `chain` in order, ping-ponging
+/// between two row buffers, into one output dataset: `data`'s rows,
+/// labels (or targets), name and nominal size with the last
+/// transformer's columns. Then charges each transformer's ChargeFor under
+/// its own ChargeScope(ctx, Name()), in chain order. An unfitted
+/// transformer or a width mismatch anywhere in the chain fails before any
+/// charge. An empty chain returns `data` itself.
+Result<Dataset> RunTransformChain(std::span<const Transformer* const> chain,
+                                  const Dataset& data, ExecutionContext* ctx);
 
 }  // namespace green
 

@@ -20,6 +20,7 @@ Status GaussianNaiveBayes::Fit(const Dataset& train,
   num_features_ = d;
   mean_.assign(static_cast<size_t>(k) * d, 0.0);
   var_.assign(static_cast<size_t>(k) * d, 0.0);
+  log_norm_.assign(static_cast<size_t>(k) * d, 0.0);
   log_prior_.assign(static_cast<size_t>(k), 0.0);
 
   const std::vector<int> counts = train.ClassCounts();
@@ -48,6 +49,7 @@ Status GaussianNaiveBayes::Fit(const Dataset& train,
     for (size_t j = 0; j < d; ++j) {
       var_[cc * d + j] =
           var_[cc * d + j] / nc + params_.var_smoothing + 1e-9;
+      log_norm_[cc * d + j] = std::log(2.0 * M_PI * var_[cc * d + j]);
     }
   }
   ctx->ChargeCpu(4.0 * static_cast<double>(n * d), train.FeatureBytes(),
@@ -75,7 +77,7 @@ Result<ProbaMatrix> GaussianNaiveBayes::PredictProba(
       for (size_t j = 0; j < d; ++j) {
         const double v = var_[cc * d + j];
         const double dlt = data.At(r, j) - mean_[cc * d + j];
-        ll += -0.5 * (std::log(2.0 * M_PI * v) + dlt * dlt / v);
+        ll += -0.5 * (log_norm_[cc * d + j] + dlt * dlt / v);
       }
       log_like[cc] = ll;
     }

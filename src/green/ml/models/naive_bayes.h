@@ -37,6 +37,8 @@ class GaussianNaiveBayes : public Estimator {
   /// Row-major (k x d).
   std::vector<double> mean_;
   std::vector<double> var_;
+  /// log(2 pi var_), the Gaussian normalizer; row-major (k x d).
+  std::vector<double> log_norm_;
   std::vector<double> log_prior_;
 };
 

@@ -107,24 +107,17 @@ Result<Dataset> Pipeline::RunTransforms(const Dataset& data,
     }
   }
 
+  std::vector<const Transformer*> chain;
+  chain.reserve(transformers_.size());
+  for (const auto& t : transformers_) chain.push_back(t.get());
   ChargeTape tape;
   const bool recording = memoable && ctx->StartTapeRecording(&tape);
-  Dataset current = data;
-  Status status = Status::Ok();
-  for (const auto& t : transformers_) {
-    Result<Dataset> transformed = t->Transform(current, ctx);
-    if (!transformed.ok()) {
-      status = transformed.status();
-      break;
-    }
-    current = std::move(transformed).value();
-  }
+  Result<Dataset> transformed = RunTransformChain(chain, data, ctx);
   if (recording) ctx->StopTapeRecording();
-  GREEN_RETURN_IF_ERROR(status);
-  if (recording && !ctx->charge_truncated()) {
-    cache->InsertPredict(cache_entry_, data, current, std::move(tape));
+  if (transformed.ok() && recording && !ctx->charge_truncated()) {
+    cache->InsertPredict(cache_entry_, data, *transformed, std::move(tape));
   }
-  return current;
+  return transformed;
 }
 
 Result<ProbaMatrix> Pipeline::PredictProba(const Dataset& data,

@@ -15,7 +15,6 @@ Status QuantileBinner::Fit(const Dataset& train, ExecutionContext* ctx) {
     return Status::InvalidArgument("binner: need at least 2 bins");
   }
   ChargeScope scope(ctx, Name());
-  input_width_ = d;
   edges_.assign(d, {});
 
   std::vector<double> column;
@@ -40,42 +39,20 @@ Status QuantileBinner::Fit(const Dataset& train, ExecutionContext* ctx) {
   ctx->ChargeCpu(static_cast<double>(n * d) *
                      std::log2(std::max(2.0, static_cast<double>(n))),
                  train.FeatureBytes());
-  fitted_ = true;
+  MarkFitted(d);
   return Status::Ok();
 }
 
-Result<Dataset> QuantileBinner::Transform(const Dataset& data,
-                                          ExecutionContext* ctx) const {
-  if (!fitted_) return Status::FailedPrecondition("binner not fitted");
-  if (data.num_features() != input_width_) {
-    return Status::InvalidArgument("binner: feature count mismatch");
+void QuantileBinner::TransformRow(const double* in, double* out) const {
+  for (size_t j = 0; j < edges_.size(); ++j) {
+    const std::vector<double>& edges = edges_[j];
+    const double v = in[j];
+    out[j] = edges.empty() || std::isnan(v)
+                 ? v
+                 : static_cast<double>(
+                       std::upper_bound(edges.begin(), edges.end(), v) -
+                       edges.begin());
   }
-  ChargeScope scope(ctx, Name());
-  Dataset out = data;
-  // With no learned edges at all the input passes through as a view.
-  const bool any_binned =
-      std::any_of(edges_.begin(), edges_.end(),
-                  [](const std::vector<double>& e) { return !e.empty(); });
-  if (any_binned) {
-    const size_t n = out.num_rows();
-    double* x = out.MutableData();
-    for (size_t j = 0; j < input_width_; ++j) {
-      const std::vector<double>& edges = edges_[j];
-      if (edges.empty()) continue;
-      for (size_t r = 0; r < n; ++r) {
-        double& v = x[r * input_width_ + j];
-        if (std::isnan(v)) continue;
-        v = static_cast<double>(
-            std::upper_bound(edges.begin(), edges.end(), v) -
-            edges.begin());
-      }
-    }
-  }
-  ctx->ChargeCpu(static_cast<double>(out.num_rows() * input_width_) *
-                     std::max(1.0, std::log2(static_cast<double>(
-                                      num_bins_))),
-                 out.FeatureBytes());
-  return out;
 }
 
 }  // namespace green

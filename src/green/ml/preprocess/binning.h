@@ -19,8 +19,6 @@ class QuantileBinner : public Transformer {
   explicit QuantileBinner(int num_bins = 8) : num_bins_(num_bins) {}
 
   Status Fit(const Dataset& train, ExecutionContext* ctx) override;
-  Result<Dataset> Transform(const Dataset& data,
-                            ExecutionContext* ctx) const override;
   std::string Name() const override { return "quantile_binner"; }
   std::string ConfigSignature() const override {
     return "quantile_binner(" + std::to_string(num_bins_) + ")";
@@ -29,6 +27,12 @@ class QuantileBinner : public Transformer {
     return static_cast<double>(num_features) *
            std::max(1.0, std::log2(static_cast<double>(num_bins_)));
   }
+  void TransformRow(const double* in, double* out) const override;
+  TransformCharge ChargeFor(size_t rows) const override {
+    return {static_cast<double>(rows * input_width()) *
+                std::max(1.0, std::log2(static_cast<double>(num_bins_))),
+            MatrixBytes(rows, input_width())};
+  }
 
   int num_bins() const { return num_bins_; }
   /// Bin edges of column j (empty for pass-through columns).
@@ -36,11 +40,9 @@ class QuantileBinner : public Transformer {
 
  private:
   int num_bins_;
-  size_t input_width_ = 0;
   /// Per column: ascending inner edges (size num_bins-1), or empty for
   /// categorical pass-through.
   std::vector<std::vector<double>> edges_;
-  bool fitted_ = false;
 };
 
 }  // namespace green

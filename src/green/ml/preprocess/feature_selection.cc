@@ -14,31 +14,42 @@ std::string VarianceThreshold::ConfigSignature() const {
   return StrFormat("variance_threshold(%.17g)", threshold_);
 }
 
-namespace {
-
-Result<Dataset> KeepColumns(const Dataset& data,
-                            const std::vector<size_t>& keep,
-                            size_t input_width, bool fitted,
-                            ExecutionContext* ctx) {
-  if (!fitted) return Status::FailedPrecondition("selector not fitted");
-  if (data.num_features() != input_width) {
-    return Status::InvalidArgument("selector: feature count mismatch");
-  }
-  Dataset out = data.SelectFeatures(keep);
-  ctx->ChargeCpu(static_cast<double>(data.num_rows() * keep.size()),
-                 out.FeatureBytes());
-  return out;
+void ColumnSelector::Keep(const Dataset& train, std::vector<size_t> keep) {
+  keep_ = std::move(keep);
+  input_schema_ = train.schema();
+  output_schema_ = BuildSchema(*input_schema_);
+  MarkFitted(train.num_features());
 }
 
-}  // namespace
+std::shared_ptr<Schema> ColumnSelector::BuildSchema(
+    const Schema& input) const {
+  auto schema = std::make_shared<Schema>(keep_.size());
+  for (size_t k = 0; k < keep_.size(); ++k) {
+    schema->set_type(k, input.type(keep_[k]));
+    schema->set_name(k, input.name(keep_[k]));
+  }
+  return schema;
+}
+
+std::shared_ptr<Schema> ColumnSelector::OutputSchema(
+    const Schema& input) const {
+  if (&input == input_schema_.get() ||
+      (input.SameNames(*input_schema_) && input.SameTypes(*input_schema_))) {
+    return output_schema_;
+  }
+  return BuildSchema(input);
+}
+
+void ColumnSelector::TransformRow(const double* in, double* out) const {
+  for (size_t k = 0; k < keep_.size(); ++k) out[k] = in[keep_[k]];
+}
 
 Status VarianceThreshold::Fit(const Dataset& train, ExecutionContext* ctx) {
   const size_t n = train.num_rows();
   const size_t d = train.num_features();
   if (n == 0) return Status::InvalidArgument("selector: empty dataset");
   ChargeScope scope(ctx, Name());
-  input_width_ = d;
-  keep_.clear();
+  std::vector<size_t> keep;
   for (size_t j = 0; j < d; ++j) {
     double sum = 0.0;
     for (size_t r = 0; r < n; ++r) sum += train.At(r, j);
@@ -49,18 +60,12 @@ Status VarianceThreshold::Fit(const Dataset& train, ExecutionContext* ctx) {
       var += dlt * dlt;
     }
     var /= static_cast<double>(n);
-    if (var > threshold_) keep_.push_back(j);
+    if (var > threshold_) keep.push_back(j);
   }
-  if (keep_.empty()) keep_.push_back(0);  // Never emit a zero-width table.
+  if (keep.empty()) keep.push_back(0);  // Never emit a zero-width table.
   ctx->ChargeCpu(2.0 * static_cast<double>(n * d), train.FeatureBytes());
-  fitted_ = true;
+  Keep(train, std::move(keep));
   return Status::Ok();
-}
-
-Result<Dataset> VarianceThreshold::Transform(const Dataset& data,
-                                             ExecutionContext* ctx) const {
-  ChargeScope scope(ctx, Name());
-  return KeepColumns(data, keep_, input_width_, fitted_, ctx);
 }
 
 Status SelectKBest::Fit(const Dataset& train, ExecutionContext* ctx) {
@@ -69,7 +74,6 @@ Status SelectKBest::Fit(const Dataset& train, ExecutionContext* ctx) {
   const int k_classes = train.num_classes();
   if (n == 0) return Status::InvalidArgument("selector: empty dataset");
   ChargeScope scope(ctx, Name());
-  input_width_ = d;
 
   std::vector<double> scores(d, 0.0);
   const std::vector<int> counts = train.ClassCounts();
@@ -109,18 +113,12 @@ Status SelectKBest::Fit(const Dataset& train, ExecutionContext* ctx) {
     return scores[a] > scores[b];
   });
   const size_t take = std::max<size_t>(1, std::min(k_, d));
-  keep_.assign(order.begin(), order.begin() + take);
-  std::sort(keep_.begin(), keep_.end());
+  std::vector<size_t> keep(order.begin(), order.begin() + take);
+  std::sort(keep.begin(), keep.end());
 
   ctx->ChargeCpu(3.0 * static_cast<double>(n * d), train.FeatureBytes());
-  fitted_ = true;
+  Keep(train, std::move(keep));
   return Status::Ok();
-}
-
-Result<Dataset> SelectKBest::Transform(const Dataset& data,
-                                       ExecutionContext* ctx) const {
-  ChargeScope scope(ctx, Name());
-  return KeepColumns(data, keep_, input_width_, fitted_, ctx);
 }
 
 }  // namespace green

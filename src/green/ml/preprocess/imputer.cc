@@ -1,6 +1,7 @@
 #include "green/ml/preprocess/imputer.h"
 
 #include <cmath>
+#include <limits>
 #include <map>
 
 namespace green {
@@ -16,8 +17,9 @@ Status MeanModeImputer::Fit(const Dataset& train, ExecutionContext* ctx) {
     if (train.feature_type(j) == FeatureType::kCategorical) {
       std::map<int, int> counts;
       for (size_t r = 0; r < n; ++r) {
-        const double v = train.At(r, j);
-        if (!std::isnan(v)) ++counts[static_cast<int>(v)];
+        const int code =
+            CategoryCode(train.At(r, j), std::numeric_limits<int>::max());
+        if (code >= 0) ++counts[code];
       }
       int best_code = 0;
       int best_count = -1;
@@ -42,44 +44,14 @@ Status MeanModeImputer::Fit(const Dataset& train, ExecutionContext* ctx) {
     }
   }
   ctx->ChargeCpu(static_cast<double>(n * d), static_cast<double>(n * d) * 8);
-  fitted_ = true;
+  MarkFitted(d);
   return Status::Ok();
 }
 
-Result<Dataset> MeanModeImputer::Transform(const Dataset& data,
-                                           ExecutionContext* ctx) const {
-  if (!fitted_) return Status::FailedPrecondition("imputer not fitted");
-  if (data.num_features() != fill_values_.size()) {
-    return Status::InvalidArgument("imputer: feature count mismatch");
+void MeanModeImputer::TransformRow(const double* in, double* out) const {
+  for (size_t j = 0; j < fill_values_.size(); ++j) {
+    out[j] = std::isnan(in[j]) ? fill_values_[j] : in[j];
   }
-  ChargeScope scope(ctx, Name());
-  Dataset out = data;
-  const size_t n = data.num_rows();
-  const size_t d = data.num_features();
-  // Scan first: NaN-free data (the common case) passes through as a view
-  // with no copy at all.
-  bool has_nan = false;
-  for (size_t r = 0; r < n && !has_nan; ++r) {
-    const double* row = data.RowPtr(r);
-    for (size_t j = 0; j < d; ++j) {
-      if (std::isnan(row[j])) {
-        has_nan = true;
-        break;
-      }
-    }
-  }
-  if (has_nan) {
-    double* x = out.MutableData();
-    for (size_t r = 0; r < n; ++r) {
-      double* row = x + r * d;
-      for (size_t j = 0; j < d; ++j) {
-        if (std::isnan(row[j])) row[j] = fill_values_[j];
-      }
-    }
-  }
-  ctx->ChargeCpu(static_cast<double>(out.num_rows() * out.num_features()),
-                 out.FeatureBytes());
-  return out;
 }
 
 }  // namespace green

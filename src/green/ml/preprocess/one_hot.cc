@@ -1,6 +1,6 @@
 #include "green/ml/preprocess/one_hot.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "green/common/stringutil.h"
 
@@ -9,19 +9,22 @@ namespace green {
 Status OneHotEncoder::Fit(const Dataset& train, ExecutionContext* ctx) {
   ChargeScope scope(ctx, Name());
   const size_t d = train.num_features();
-  input_width_ = d;
   cardinality_.assign(d, 0);
   output_width_ = 0;
+  const double cap = static_cast<double>(max_cardinality_);
   for (size_t j = 0; j < d; ++j) {
     if (train.feature_type(j) == FeatureType::kCategorical) {
       int card = 0;
+      bool within_cap = true;
       for (size_t r = 0; r < train.num_rows(); ++r) {
         const double v = train.At(r, j);
-        if (!std::isnan(v)) {
-          card = std::max(card, static_cast<int>(v) + 1);
+        if (v >= cap) {
+          within_cap = false;
+          break;
         }
+        card = std::max(card, CategoryCode(v, max_cardinality_) + 1);
       }
-      if (card >= 2 && card <= max_cardinality_) {
+      if (within_cap && card >= 2) {
         cardinality_[j] = card;
         output_width_ += static_cast<size_t>(card);
         continue;
@@ -30,18 +33,17 @@ Status OneHotEncoder::Fit(const Dataset& train, ExecutionContext* ctx) {
     output_width_ += 1;  // Pass-through.
   }
   input_schema_ = train.schema();
-  output_schema_ = OutputSchema(*input_schema_);
+  output_schema_ = BuildSchema(*input_schema_);
   ctx->ChargeCpu(static_cast<double>(train.num_rows() * d),
                  train.FeatureBytes());
-  fitted_ = true;
+  MarkFitted(d);
   return Status::Ok();
 }
 
-std::shared_ptr<Schema> OneHotEncoder::OutputSchema(
-    const Schema& input) const {
+std::shared_ptr<Schema> OneHotEncoder::BuildSchema(const Schema& input) const {
   auto schema = std::make_shared<Schema>(output_width_);
   size_t o = 0;
-  for (size_t j = 0; j < input_width_; ++j) {
+  for (size_t j = 0; j < cardinality_.size(); ++j) {
     if (cardinality_[j] == 0) {
       schema->set_name(o++, input.name(j));
       continue;
@@ -53,67 +55,28 @@ std::shared_ptr<Schema> OneHotEncoder::OutputSchema(
   return schema;
 }
 
-Result<Dataset> OneHotEncoder::Transform(const Dataset& data,
-                                         ExecutionContext* ctx) const {
-  if (!fitted_) return Status::FailedPrecondition("one_hot not fitted");
-  if (data.num_features() != input_width_) {
-    return Status::InvalidArgument("one_hot: feature count mismatch");
-  }
-  ChargeScope scope(ctx, Name());
-
-  // Identity shortcut: nothing to encode and every input column is
-  // already numeric, so the output would be a column-for-column copy.
-  // Return the input as a view instead of rebuilding it row by row.
-  if (output_width_ == input_width_) {
-    bool identity = true;
-    for (size_t j = 0; j < input_width_; ++j) {
-      if (cardinality_[j] != 0 ||
-          data.feature_type(j) != FeatureType::kNumeric) {
-        identity = false;
-        break;
-      }
-    }
-    if (identity) {
-      Dataset out = data;
-      ctx->ChargeCpu(static_cast<double>(data.num_rows() * output_width_),
-                     out.FeatureBytes());
-      return out;
-    }
-  }
-
+std::shared_ptr<Schema> OneHotEncoder::OutputSchema(
+    const Schema& input) const {
   // Pointer equality first (the fit-time input or a view of it), then
   // contents (fresh data with the same column names).
-  const std::shared_ptr<const Schema> input = data.schema();
-  const bool fitted_names =
-      input == input_schema_ || input->SameNames(*input_schema_);
-  Dataset out = Dataset::Like(
-      data, data.name(), fitted_names ? output_schema_ : OutputSchema(*input));
-  out.SetNominalSize(data.nominal_rows(), data.nominal_features());
-  out.Reserve(data.num_rows());
-
-  std::vector<double> row(output_width_);
-  for (size_t r = 0; r < data.num_rows(); ++r) {
-    size_t o = 0;
-    for (size_t j = 0; j < input_width_; ++j) {
-      const double v = data.At(r, j);
-      if (cardinality_[j] == 0) {
-        row[o++] = v;
-      } else {
-        for (int c = 0; c < cardinality_[j]; ++c) row[o + c] = 0.0;
-        if (!std::isnan(v)) {
-          const int code = static_cast<int>(v);
-          if (code >= 0 && code < cardinality_[j]) {
-            row[o + static_cast<size_t>(code)] = 1.0;
-          }
-        }
-        o += static_cast<size_t>(cardinality_[j]);
-      }
-    }
-    GREEN_RETURN_IF_ERROR(out.AppendRowLike(data, r, row));
+  if (&input == input_schema_.get() || input.SameNames(*input_schema_)) {
+    return output_schema_;
   }
-  ctx->ChargeCpu(static_cast<double>(data.num_rows() * output_width_),
-                 out.FeatureBytes());
-  return out;
+  return BuildSchema(input);
+}
+
+void OneHotEncoder::TransformRow(const double* in, double* out) const {
+  for (size_t j = 0; j < cardinality_.size(); ++j) {
+    const int card = cardinality_[j];
+    if (card == 0) {
+      *out++ = in[j];
+      continue;
+    }
+    std::fill(out, out + card, 0.0);
+    const int code = CategoryCode(in[j], card);
+    if (code >= 0) out[code] = 1.0;
+    out += card;
+  }
 }
 
 }  // namespace green

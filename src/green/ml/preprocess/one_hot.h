@@ -9,24 +9,22 @@
 namespace green {
 
 /// Expands categorical columns into indicator columns; numeric columns are
-/// copied through. Categories unseen at fit time map to all-zeros.
-/// Columns whose cardinality exceeds `max_cardinality` are passed through
-/// as numeric codes instead (the standard high-cardinality guard).
+/// copied through. A code that names no category seen at fit time (see
+/// CategoryCode: unseen, negative, non-finite or missing) maps to
+/// all-zeros. Columns whose cardinality exceeds `max_cardinality` (any fit
+/// code at or past the cap, infinity included) are passed through as
+/// numeric codes instead (the standard high-cardinality guard).
 ///
 /// The output schema (indicator columns named `<name>=<code>`) is built
-/// once, in Fit, and only read by Transform, which may run concurrently on
-/// a fitted encoder shared through the TransformCache. Transform shares it
-/// whenever the input names equal the fitted input's names and builds a
-/// fresh one otherwise, so output names always follow the transform-time
-/// input.
+/// once, in Fit, and only read afterwards. OutputSchema shares it whenever
+/// the input names equal the fitted input's names and builds a fresh one
+/// otherwise, so output names always follow the transform-time input.
 class OneHotEncoder : public Transformer {
  public:
   explicit OneHotEncoder(int max_cardinality = 32)
       : max_cardinality_(max_cardinality) {}
 
   Status Fit(const Dataset& train, ExecutionContext* ctx) override;
-  Result<Dataset> Transform(const Dataset& data,
-                            ExecutionContext* ctx) const override;
   std::string Name() const override { return "one_hot"; }
   std::string ConfigSignature() const override {
     return "one_hot(" + std::to_string(max_cardinality_) + ")";
@@ -43,17 +41,23 @@ class OneHotEncoder : public Transformer {
 
   size_t output_width() const { return output_width_; }
 
+  void TransformRow(const double* in, double* out) const override;
+  TransformCharge ChargeFor(size_t rows) const override {
+    return {static_cast<double>(rows * output_width_),
+            MatrixBytes(rows, output_width_)};
+  }
+  std::shared_ptr<Schema> OutputSchema(const Schema& input) const override;
+
  private:
-  /// Output schema for an input whose columns are named like `input`.
-  std::shared_ptr<Schema> OutputSchema(const Schema& input) const;
+  /// A fresh output schema for an input whose columns are named like
+  /// `input`.
+  std::shared_ptr<Schema> BuildSchema(const Schema& input) const;
 
   int max_cardinality_;
   std::vector<int> cardinality_;  ///< 0 = pass-through column.
-  size_t input_width_ = 0;
   size_t output_width_ = 0;
   std::shared_ptr<const Schema> input_schema_;  ///< Fitted input's columns.
   std::shared_ptr<Schema> output_schema_;  ///< Never written after Fit.
-  bool fitted_ = false;
 };
 
 }  // namespace green

@@ -56,7 +56,6 @@ Status Pca::Fit(const Dataset& train, ExecutionContext* ctx) {
   const size_t d = train.num_features();
   if (n < 2) return Status::InvalidArgument("pca: need at least 2 rows");
   ChargeScope scope(ctx, Name());
-  input_width_ = d;
   const size_t k = std::max<size_t>(1, std::min(num_components_, d));
 
   // Column means.
@@ -115,40 +114,21 @@ Status Pca::Fit(const Dataset& train, ExecutionContext* ctx) {
         total_variance > 1e-12 ? variance / total_variance : 0.0;
   }
   components_fitted_ = k;
+  output_schema_ = std::make_shared<Schema>(k);
   ctx->ChargeCpu(flops, static_cast<double>(n * d) * 8,
                  /*parallel_fraction=*/0.85);
-  fitted_ = true;
+  MarkFitted(d);
   return Status::Ok();
 }
 
-Result<Dataset> Pca::Transform(const Dataset& data,
-                               ExecutionContext* ctx) const {
-  if (!fitted_) return Status::FailedPrecondition("pca not fitted");
-  if (data.num_features() != input_width_) {
-    return Status::InvalidArgument("pca: feature count mismatch");
+void Pca::TransformRow(const double* in, double* out) const {
+  const size_t d = input_width();
+  for (size_t c = 0; c < components_fitted_; ++c) {
+    const double* comp = &components_[c * d];
+    double s = 0.0;
+    for (size_t j = 0; j < d; ++j) s += (in[j] - mean_[j]) * comp[j];
+    out[c] = s;
   }
-  ChargeScope scope(ctx, Name());
-  Dataset out = Dataset::Like(data, data.name(), components_fitted_);
-  out.SetNominalSize(data.nominal_rows(), data.nominal_features());
-  out.Reserve(data.num_rows());
-  std::vector<double> row(components_fitted_);
-  for (size_t r = 0; r < data.num_rows(); ++r) {
-    const double* in = data.RowPtr(r);
-    for (size_t c = 0; c < components_fitted_; ++c) {
-      const double* comp = &components_[c * input_width_];
-      double s = 0.0;
-      for (size_t j = 0; j < input_width_; ++j) {
-        s += (in[j] - mean_[j]) * comp[j];
-      }
-      row[c] = s;
-    }
-    GREEN_RETURN_IF_ERROR(out.AppendRowLike(data, r, row));
-  }
-  ctx->ChargeCpu(2.0 * static_cast<double>(data.num_rows() *
-                                           input_width_ *
-                                           components_fitted_),
-                 out.FeatureBytes(), /*parallel_fraction=*/0.9);
-  return out;
 }
 
 }  // namespace green

@@ -1,6 +1,7 @@
 #ifndef GREEN_ML_PREPROCESS_PCA_H_
 #define GREEN_ML_PREPROCESS_PCA_H_
 
+#include <memory>
 #include <vector>
 
 #include "green/ml/estimator.h"
@@ -21,8 +22,6 @@ class Pca : public Transformer {
         seed_(seed) {}
 
   Status Fit(const Dataset& train, ExecutionContext* ctx) override;
-  Result<Dataset> Transform(const Dataset& data,
-                            ExecutionContext* ctx) const override;
   std::string Name() const override { return "pca"; }
   std::string ConfigSignature() const override {
     return "pca(" + std::to_string(num_components_) + "," +
@@ -37,6 +36,18 @@ class Pca : public Transformer {
     return components_fitted_ > 0 ? components_fitted_ : input_width;
   }
 
+  void TransformRow(const double* in, double* out) const override;
+  TransformCharge ChargeFor(size_t rows) const override {
+    return {2.0 * static_cast<double>(rows * input_width() *
+                                      components_fitted_),
+            MatrixBytes(rows, components_fitted_),
+            /*parallel_fraction=*/0.9};
+  }
+  /// Unnamed numeric component columns, whatever the input.
+  std::shared_ptr<Schema> OutputSchema(const Schema& input) const override {
+    return output_schema_;
+  }
+
   /// Fraction of total variance captured by each fitted component.
   const std::vector<double>& explained_variance_ratio() const {
     return explained_variance_ratio_;
@@ -49,13 +60,12 @@ class Pca : public Transformer {
   size_t num_components_;
   int power_iterations_;
   uint64_t seed_;
-  size_t input_width_ = 0;
   size_t components_fitted_ = 0;
   std::vector<double> mean_;
   /// Row-major (components x input_width).
   std::vector<double> components_;
   std::vector<double> explained_variance_ratio_;
-  bool fitted_ = false;
+  std::shared_ptr<Schema> output_schema_;  ///< Never written after Fit.
 };
 
 }  // namespace green

@@ -12,11 +12,9 @@ Status Scaler::Fit(const Dataset& train, ExecutionContext* ctx) {
   ChargeScope scope(ctx, Name());
   offset_.assign(d, 0.0);
   scale_.assign(d, 1.0);
-  apply_.assign(d, false);
 
   for (size_t j = 0; j < d; ++j) {
     if (train.feature_type(j) == FeatureType::kCategorical) continue;
-    apply_[j] = true;
     if (kind_ == ScalerKind::kStandard) {
       double sum = 0.0;
       for (size_t r = 0; r < n; ++r) sum += train.At(r, j);
@@ -42,37 +40,15 @@ Status Scaler::Fit(const Dataset& train, ExecutionContext* ctx) {
     }
   }
   ctx->ChargeCpu(2.0 * static_cast<double>(n * d), train.FeatureBytes());
-  fitted_ = true;
+  MarkFitted(d);
   return Status::Ok();
 }
 
-Result<Dataset> Scaler::Transform(const Dataset& data,
-                                  ExecutionContext* ctx) const {
-  if (!fitted_) return Status::FailedPrecondition("scaler not fitted");
-  if (data.num_features() != offset_.size()) {
-    return Status::InvalidArgument("scaler: feature count mismatch");
+void Scaler::TransformRow(const double* in, double* out) const {
+  for (size_t j = 0; j < offset_.size(); ++j) {
+    const double v = in[j];
+    out[j] = std::isnan(v) ? v : (v - offset_[j]) / scale_[j];
   }
-  ChargeScope scope(ctx, Name());
-  Dataset out = data;
-  const bool any_scaled =
-      std::find(apply_.begin(), apply_.end(), true) != apply_.end();
-  if (any_scaled) {  // All-categorical input passes through as a view.
-    const size_t n = out.num_rows();
-    const size_t d = out.num_features();
-    double* x = out.MutableData();
-    for (size_t r = 0; r < n; ++r) {
-      double* row = x + r * d;
-      for (size_t j = 0; j < d; ++j) {
-        if (!apply_[j]) continue;
-        const double v = row[j];
-        if (!std::isnan(v)) row[j] = (v - offset_[j]) / scale_[j];
-      }
-    }
-  }
-  ctx->ChargeCpu(2.0 * static_cast<double>(out.num_rows() *
-                                           out.num_features()),
-                 out.FeatureBytes());
-  return out;
 }
 
 }  // namespace green

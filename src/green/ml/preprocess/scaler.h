@@ -16,8 +16,6 @@ class Scaler : public Transformer {
   explicit Scaler(ScalerKind kind) : kind_(kind) {}
 
   Status Fit(const Dataset& train, ExecutionContext* ctx) override;
-  Result<Dataset> Transform(const Dataset& data,
-                            ExecutionContext* ctx) const override;
   std::string Name() const override {
     return kind_ == ScalerKind::kStandard ? "standard_scaler"
                                           : "minmax_scaler";
@@ -27,13 +25,18 @@ class Scaler : public Transformer {
   double TransformFlopsPerRow(size_t num_features) const override {
     return 2.0 * static_cast<double>(num_features);
   }
+  void TransformRow(const double* in, double* out) const override;
+  TransformCharge ChargeFor(size_t rows) const override {
+    return {2.0 * static_cast<double>(rows * input_width()),
+            MatrixBytes(rows, input_width())};
+  }
 
  private:
   ScalerKind kind_;
+  /// Categorical columns keep offset 0 and scale 1, which map every
+  /// value to itself bit for bit.
   std::vector<double> offset_;
   std::vector<double> scale_;
-  std::vector<bool> apply_;
-  bool fitted_ = false;
 };
 
 }  // namespace green

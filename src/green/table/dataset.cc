@@ -44,6 +44,13 @@ bool Schema::SameNames(const Schema& other) const {
   return names_ == other.names_;
 }
 
+std::shared_ptr<Schema> Schema::Widened(size_t extra) const {
+  auto out = std::make_shared<Schema>(*this);
+  out->types_.resize(size() + extra, FeatureType::kNumeric);
+  if (!out->names_.empty()) out->names_.resize(out->types_.size());
+  return out;
+}
+
 Dataset::Dataset(std::string name, size_t num_features, int num_classes)
     : name_(std::move(name)),
       num_features_(num_features),
@@ -60,19 +67,30 @@ Dataset Dataset::Regression(std::string name, size_t num_features) {
 
 Dataset Dataset::Like(const Dataset& proto, std::string name,
                       size_t num_features) {
-  return Like(proto, std::move(name), std::make_shared<Schema>(num_features));
-}
-
-Dataset Dataset::Like(const Dataset& proto, std::string name,
-                      std::shared_ptr<Schema> schema) {
-  GREEN_CHECK(schema != nullptr);
   Dataset out;
   out.name_ = std::move(name);
-  out.num_features_ = schema->size();
+  out.num_features_ = num_features;
   out.num_classes_ = proto.num_classes();
   out.task_ = proto.task();
   out.storage_ = std::make_shared<Storage>();
-  out.schema_ = std::move(schema);
+  out.schema_ = std::make_shared<Schema>(num_features);
+  return out;
+}
+
+Dataset Dataset::WithColumns(const Dataset& proto,
+                             std::shared_ptr<Schema> schema) {
+  Dataset out;
+  out.name_ = proto.name_;
+  out.num_features_ = schema != nullptr ? schema->size() : proto.num_features_;
+  out.num_classes_ = proto.num_classes_;
+  out.task_ = proto.task_;
+  out.storage_ = std::make_shared<Storage>();
+  out.storage_->x.resize(proto.num_rows() * out.num_features_);
+  out.schema_ = schema != nullptr ? std::move(schema) : proto.schema_;
+  out.labels_ = proto.labels_;
+  out.targets_ = proto.targets_;
+  out.nominal_rows_ = proto.nominal_rows_;
+  out.nominal_features_ = proto.nominal_features_;
   return out;
 }
 
@@ -216,26 +234,6 @@ Dataset Dataset::Subset(const std::vector<size_t>& rows) const {
     if (!targets_.empty()) out.targets_.push_back(targets_[r]);
   }
   out.row_index_ = std::move(index);
-  return out;
-}
-
-Dataset Dataset::SelectFeatures(const std::vector<size_t>& cols) const {
-  Dataset out = Like(*this, name_, cols.size());
-  out.targets_ = targets_;
-  for (size_t k = 0; k < cols.size(); ++k) {
-    GREEN_CHECK(cols[k] < num_features_);
-    out.SetFeatureType(k, feature_type(cols[k]));
-    out.SetFeatureName(k, feature_name(cols[k]));
-  }
-  out.nominal_rows_ = nominal_rows_;
-  out.nominal_features_ = nominal_features_;
-  out.storage_->x.resize(num_rows() * cols.size());
-  out.labels_ = labels_;
-  for (size_t r = 0; r < num_rows(); ++r) {
-    for (size_t k = 0; k < cols.size(); ++k) {
-      out.storage_->x[r * cols.size() + k] = At(r, cols[k]);
-    }
-  }
   return out;
 }
 

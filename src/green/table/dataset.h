@@ -15,6 +15,15 @@ namespace green {
 /// numeric and categorical attributes").
 enum class FeatureType { kNumeric = 0, kCategorical = 1 };
 
+/// The category a categorical cell names among `limit` codes: its value
+/// truncated toward zero when it lies in [0, limit), else -1. Missing,
+/// non-finite, negative and too-large values all read as -1, an unseen
+/// category, so no cell value reaches an out-of-range integer cast.
+inline int CategoryCode(double v, int limit) {
+  return v >= 0.0 && v < static_cast<double>(limit) ? static_cast<int>(v)
+                                                    : -1;
+}
+
 /// Per-column metadata of a Dataset: one type per column and optional
 /// names. Copies, views and fitted encoders share one Schema through a
 /// shared pointer and never write to it while it is shared; Dataset's
@@ -38,6 +47,12 @@ class Schema {
   /// True when both schemas have the same width and name every column
   /// alike; types are not compared.
   bool SameNames(const Schema& other) const;
+  /// True when both schemas type every column alike; names are not
+  /// compared.
+  bool SameTypes(const Schema& other) const { return types_ == other.types_; }
+
+  /// These columns followed by `extra` unnamed numeric ones.
+  std::shared_ptr<Schema> Widened(size_t extra) const;
 
  private:
   std::vector<FeatureType> types_;
@@ -81,14 +96,16 @@ class Dataset {
   static Dataset Regression(std::string name, size_t num_features);
 
   /// Empty dataset shaped like `proto` (same task and class count) with a
-  /// fresh feature width. Used wherever code rebuilds a dataset row by
-  /// row (encoders, stacking augmentation) so the task survives.
+  /// fresh feature width, for code that builds a dataset row by row (the
+  /// stacking layer's training table) so the task survives.
   static Dataset Like(const Dataset& proto, std::string name,
                       size_t num_features);
-  /// Same, with the columns described by a schema built elsewhere (a
-  /// fitted encoder's output schema), shared rather than copied.
-  static Dataset Like(const Dataset& proto, std::string name,
-                      std::shared_ptr<Schema> schema);
+  /// `proto`'s name, rows, labels (or targets) and nominal size over a
+  /// fresh zero matrix with the columns `schema` describes, shared rather
+  /// than copied (null = `proto`'s own columns). Callers fill it through
+  /// MutableData(); transforms build their outputs this way.
+  static Dataset WithColumns(const Dataset& proto,
+                             std::shared_ptr<Schema> schema);
 
   // --- construction ---
   /// Appends one labeled row. `features.size()` must equal num_features().
@@ -166,10 +183,6 @@ class Dataset {
   /// New dataset containing the given rows (in order). O(rows): returns a
   /// view sharing this dataset's feature storage.
   Dataset Subset(const std::vector<size_t>& rows) const;
-
-  /// New dataset containing the given feature columns (in order), same
-  /// rows and labels. Materializes (column selection changes row layout).
-  Dataset SelectFeatures(const std::vector<size_t>& cols) const;
 
   /// Logical in-memory footprint of the feature matrix in bytes. Views
   /// report the same value as an equivalent dense copy, so modeled work

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+
+#include "bit_hash.h"
 #include "green/automl/fitted_artifact.h"
+#include "green/bench_util/experiment.h"
 #include "green/data/synthetic.h"
 #include "green/ml/metrics.h"
 #include "green/ml/model_registry.h"
@@ -143,7 +147,8 @@ TEST_F(ArtifactTest, StackedPredictsAndChargesMore) {
       std::make_shared<Pipeline>(std::move(meta_pipeline).value()));
 
   const FittedArtifact stacked =
-      FittedArtifact::Stacked(std::move(base), {std::move(meta)});
+      FittedArtifact::Stacked(std::move(base), {std::move(meta)},
+                              data_.schema());
   EXPECT_TRUE(stacked.stacked());
   EXPECT_EQ(stacked.NumPipelines(), 3u);
 
@@ -182,6 +187,79 @@ TEST_F(ArtifactTest, DescribeMentionsMembers) {
   const FittedArtifact artifact =
       FittedArtifact::Single(FitConfig("naive_bayes"));
   EXPECT_NE(artifact.Describe().find("naive_bayes"), std::string::npos);
+}
+
+// --- Small-batch predict on the serving deployment ---
+
+void AddProba(const ProbaMatrix& proba, BitHash* hash) {
+  for (const auto& row : proba) {
+    for (double p : row) hash->Add(p);
+  }
+}
+
+// Batches of 1, 2 and 8 rows predict exactly the rows of one full-table
+// predict, and a 1-row-batch loop charges exactly what it did before every
+// pipeline's transform chain became one row pass (the digest was recorded
+// then: any change to a probability, a Joule or a scope row moves it).
+TEST_F(ArtifactTest, SmallBatchPredictMatchesFullTable) {
+  const ExperimentConfig config;
+  const EnergyModel model(config.machine);
+  VirtualClock fit_clock;
+  ExecutionContext fit_ctx(&fit_clock, &model, config.cores);
+  auto serve = FitServeDeployment(config, &fit_ctx);
+  ASSERT_TRUE(serve.ok()) << serve.status().ToString();
+  const FittedArtifact& artifact = serve->artifact;
+  const Dataset& test = serve->data.test;
+  ASSERT_TRUE(artifact.stacked());
+  VirtualClock clock;
+  ExecutionContext ctx(&clock, &model, 1);
+  auto full = artifact.PredictProba(test, &ctx);
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(full->size(), test.num_rows());
+
+  for (size_t batch : {1, 2, 8}) {
+    for (size_t start = 0; start < test.num_rows(); start += batch) {
+      std::vector<size_t> rows(std::min(batch, test.num_rows() - start));
+      std::iota(rows.begin(), rows.end(), start);
+      auto proba = artifact.PredictProba(test.Subset(rows), &ctx);
+      ASSERT_TRUE(proba.ok());
+      ASSERT_EQ(proba->size(), rows.size());
+      for (size_t i = 0; i < rows.size(); ++i) {
+        BitHash got;
+        BitHash want;
+        AddProba({(*proba)[i]}, &got);
+        AddProba({(*full)[rows[i]]}, &want);
+        ASSERT_EQ(got.value(), want.value())
+            << "batch " << batch << ", row " << rows[i];
+      }
+    }
+  }
+
+  VirtualClock loop_clock;
+  ExecutionContext loop_ctx(&loop_clock, &model, 1);
+  EnergyMeter meter(&model);
+  meter.Start(loop_clock.Now());
+  loop_ctx.SetMeter(&meter);
+  BitHash hash;
+  for (size_t r = 0; r < test.num_rows(); ++r) {
+    auto proba = artifact.PredictProba(test.Subset({r}), &loop_ctx);
+    ASSERT_TRUE(proba.ok());
+    AddProba(*proba, &hash);
+  }
+  const EnergyReading reading = meter.Stop(loop_clock.Now());
+  loop_ctx.SetMeter(nullptr);
+  hash.Add(reading.seconds);
+  hash.Add(reading.joules());
+  for (const auto& [path, charge] : reading.scopes) {
+    hash.Add(path);
+    hash.Add(charge.seconds);
+    hash.Add(charge.joules);
+    hash.Add(charge.flops);
+    hash.Add(charge.bytes);
+    hash.Add(charge.charges);
+  }
+  EXPECT_EQ(hash.value(), 0xa58b4bb10dc9df5bULL)
+      << "0x" << std::hex << hash.value();
 }
 
 }  // namespace

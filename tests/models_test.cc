@@ -28,12 +28,13 @@ namespace green {
 namespace {
 
 /// Easy, well-separated task every competent learner should ace.
-Dataset EasyTask(int classes = 2, size_t rows = 300, uint64_t seed = 3) {
+Dataset EasyTask(int classes = 2, size_t rows = 300, uint64_t seed = 3,
+                 size_t features = 8) {
   SyntheticSpec spec;
   spec.name = "easy";
   spec.num_rows = rows;
-  spec.num_features = 8;
-  spec.num_informative = 8;
+  spec.num_features = features;
+  spec.num_informative = features;
   spec.num_classes = classes;
   spec.clusters_per_class = 1;
   spec.separation = 4.0;
@@ -577,8 +578,7 @@ TEST(TablePresortTest, BootstrapFitMatchesMaterializedSample) {
 TEST(TablePresortTest, ExactFitRejectsMissingOrMismatchedPresort) {
   const Dataset train = EasyTask(2, 50);
   const Dataset fewer_rows = EasyTask(2, 40);
-  const Dataset fewer_features =
-      train.SelectFeatures(std::vector<size_t>{0, 1, 2});
+  const Dataset fewer_features = EasyTask(2, 50, 3, /*features=*/3);
   std::vector<size_t> all(train.num_rows());
   std::iota(all.begin(), all.end(), size_t{0});
   DecisionTree tree(DecisionTreeParams{});

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
 
+#include "bit_hash.h"
 #include "green/common/rng.h"
+#include "green/ml/preprocess/binning.h"
 #include "green/ml/preprocess/feature_selection.h"
 #include "green/ml/preprocess/imputer.h"
 #include "green/ml/preprocess/one_hot.h"
+#include "green/ml/preprocess/pca.h"
 #include "green/ml/preprocess/scaler.h"
 
 namespace green {
@@ -280,6 +285,329 @@ TEST_F(PreprocessTest, SelectorsRequireFit) {
   VarianceThreshold vt(0.0);
   EXPECT_FALSE(sk.Transform(data, &ctx_).ok());
   EXPECT_FALSE(vt.Transform(data, &ctx_).ok());
+}
+
+// --- Hostile categorical codes ---
+
+// Codes that name no category (non-finite, negative, or past an
+// encoder's cap) read as unseen: the one-hot gives them an all-zero block
+// and the mode count skips them. None may reach an integer cast.
+TEST_F(PreprocessTest, HostileCategoryCodesAreUnseen) {
+  const double inf = std::numeric_limits<double>::infinity();
+  // Column 0 is encodable (codes 0 and 1, the rest negative); column 1
+  // holds codes past the cardinality cap, so it passes through.
+  Dataset data("hostile", 2, 2);
+  data.SetFeatureType(0, FeatureType::kCategorical);
+  data.SetFeatureType(1, FeatureType::kCategorical);
+  ASSERT_TRUE(data.AppendRow({0.0, 1e300}, 0).ok());
+  ASSERT_TRUE(data.AppendRow({1.0, 0.0}, 1).ok());
+  ASSERT_TRUE(data.AppendRow({-7.5, 1.0}, 0).ok());
+  ASSERT_TRUE(data.AppendRow({-inf, -inf}, 1).ok());
+  ASSERT_TRUE(data.AppendRow({1.0, inf}, 0).ok());
+  ASSERT_TRUE(data.AppendRow({-0.5, NAN}, 1).ok());
+
+  OneHotEncoder encoder;
+  ASSERT_TRUE(encoder.Fit(data, &ctx_).ok());
+  EXPECT_EQ(encoder.output_width(), 3u);
+  auto out = encoder.Transform(data, &ctx_);
+  ASSERT_TRUE(out.ok());
+  const std::vector<std::vector<double>> expected = {
+      {1.0, 0.0, 1e300}, {0.0, 1.0, 0.0}, {0.0, 0.0, 1.0},
+      {0.0, 0.0, -inf},  {0.0, 1.0, inf}, {0.0, 0.0, NAN}};
+  for (size_t r = 0; r < expected.size(); ++r) {
+    for (size_t j = 0; j < 3; ++j) {
+      if (std::isnan(expected[r][j])) {
+        EXPECT_TRUE(std::isnan(out->At(r, j))) << r << "," << j;
+      } else {
+        EXPECT_EQ(out->At(r, j), expected[r][j]) << r << "," << j;
+      }
+    }
+  }
+
+  // Codes in range but never seen at fit, and non-finite codes, are
+  // unseen too.
+  Dataset test("hostile_test", 2, 2);
+  test.SetFeatureType(0, FeatureType::kCategorical);
+  test.SetFeatureType(1, FeatureType::kCategorical);
+  ASSERT_TRUE(test.AppendRow({-0.5, 2.0}, 0).ok());
+  ASSERT_TRUE(test.AppendRow({inf, 3.0}, 1).ok());
+  auto unseen = encoder.Transform(test, &ctx_);
+  ASSERT_TRUE(unseen.ok());
+  for (size_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(unseen->At(r, 0), 0.0);
+    EXPECT_EQ(unseen->At(r, 1), 0.0);
+  }
+
+  // The mode of column 0 counts only codes 0, 1, 1: mode 1. Column 1
+  // counts 0 and 1 once each: the smaller code wins the tie.
+  MeanModeImputer imputer;
+  ASSERT_TRUE(imputer.Fit(data, &ctx_).ok());
+  EXPECT_EQ(imputer.fill_values(), (std::vector<double>{1.0, 0.0}));
+  auto imputed = imputer.Transform(data, &ctx_);
+  ASSERT_TRUE(imputed.ok());
+  EXPECT_EQ(imputed->At(5, 1), 0.0);
+  EXPECT_EQ(imputed->At(0, 1), 1e300);  // Not missing: kept as is.
+
+  // A column with no countable code at all falls back to code 0.
+  Dataset none("none", 1, 2);
+  none.SetFeatureType(0, FeatureType::kCategorical);
+  ASSERT_TRUE(none.AppendRow({-3.0}, 0).ok());
+  ASSERT_TRUE(none.AppendRow({1e300}, 1).ok());
+  ASSERT_TRUE(imputer.Fit(none, &ctx_).ok());
+  EXPECT_EQ(imputer.fill_values(), std::vector<double>{0.0});
+}
+
+// --- Row chain ---
+
+/// Numeric columns 0, 1, 3 and categorical columns 2 (4 codes) and 4 (3
+/// codes); columns 0 and 2 are named. Missing cells in columns 0, 2 and 3.
+/// `unseen` plants codes the fit table never holds.
+Dataset MixedTable(size_t rows, uint64_t seed, bool unseen) {
+  Dataset data("mixed", 5, 3);
+  data.SetFeatureName(0, "age");
+  data.SetFeatureName(2, "city");
+  data.SetFeatureType(2, FeatureType::kCategorical);
+  data.SetFeatureType(4, FeatureType::kCategorical);
+  data.SetNominalSize(1000, 5);
+  Rng rng(seed);
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<double> row = {
+        r % 5 == 1 ? NAN : 20.0 + 40.0 * rng.NextDouble(),
+        rng.NextGaussian(),
+        r % 7 == 3 ? NAN : static_cast<double>(rng.NextBounded(4)),
+        r % 4 == 2 ? NAN : std::round(rng.NextGaussian() * 8.0) / 4.0,
+        static_cast<double>(rng.NextBounded(3))};
+    if (unseen && r == 1) row[2] = 9.0;
+    if (unseen && r == 2) row[4] = 5.0;
+    EXPECT_TRUE(data.AppendRow(row, static_cast<int>(r % 3)).ok());
+  }
+  return data;
+}
+
+/// Three categorical columns only: the scaler passes every cell through.
+Dataset CategoricalTable(size_t rows, uint64_t seed) {
+  Dataset data("categorical", 3, 2);
+  for (size_t j = 0; j < 3; ++j) {
+    data.SetFeatureType(j, FeatureType::kCategorical);
+  }
+  Rng rng(seed);
+  for (size_t r = 0; r < rows; ++r) {
+    EXPECT_TRUE(data.AppendRow({static_cast<double>(rng.NextBounded(5)),
+                                static_cast<double>(rng.NextBounded(2)),
+                                static_cast<double>(rng.NextBounded(3))},
+                               static_cast<int>(r % 2))
+                    .ok());
+  }
+  return data;
+}
+
+/// Four NaN-free numeric columns with regression targets: the one-hot
+/// encoder has nothing to encode (its identity case).
+Dataset NumericTable(size_t rows, uint64_t seed) {
+  Dataset data = Dataset::Regression("numeric", 4);
+  data.SetFeatureName(3, "last");
+  Rng rng(seed);
+  for (size_t r = 0; r < rows; ++r) {
+    const double a = rng.NextGaussian();
+    EXPECT_TRUE(data.AppendTargetRow({a, 3.0 * rng.NextDouble(),
+                                      std::round(a * 2.0),
+                                      rng.NextGaussian() - 1.0},
+                                     2.0 * a + 0.5)
+                    .ok());
+  }
+  return data;
+}
+
+/// Every bit of a transform output: shape, name, nominal size, column
+/// names and types, cells, and labels or targets.
+void AddTable(const Dataset& d, BitHash* hash) {
+  hash->Add(d.name());
+  hash->Add(static_cast<uint64_t>(d.num_rows()));
+  hash->Add(static_cast<uint64_t>(d.num_features()));
+  hash->AddInt(d.nominal_rows());
+  hash->AddInt(d.nominal_features());
+  for (size_t j = 0; j < d.num_features(); ++j) {
+    hash->Add(d.feature_name(j));
+    hash->AddInt(static_cast<int64_t>(d.feature_type(j)));
+  }
+  for (size_t r = 0; r < d.num_rows(); ++r) {
+    for (size_t j = 0; j < d.num_features(); ++j) hash->Add(d.At(r, j));
+    hash->AddInt(d.Label(r));
+    if (d.task() == TaskType::kRegression) hash->Add(d.Target(r));
+  }
+}
+
+/// The (scope path, flops, bytes, parallel fraction) of every charge.
+void AddTape(const ChargeTape& tape, BitHash* hash) {
+  hash->Add(static_cast<uint64_t>(tape.entries.size()));
+  for (const ChargeTapeEntry& e : tape.entries) {
+    hash->Add(e.rel_path);
+    hash->Add(e.work.flops);
+    hash->Add(e.work.bytes);
+    hash->Add(e.work.parallel_fraction);
+  }
+}
+
+// The digests were recorded before every transformer became a row kernel
+// run by one chain pass (each used to build its own output table): any
+// change to a cell, a column name or type, a label or a charge moves them.
+TEST_F(PreprocessTest, RowChainMatchesPinnedDigest) {
+  struct Table {
+    std::string name;
+    Dataset fit;
+    Dataset test;
+  };
+  std::vector<Table> tables;
+  const Dataset mixed = MixedTable(37, 5, false);
+  tables.push_back({"mixed", mixed, MixedTable(11, 6, true)});
+  // A view sharing the fitted table's schema object.
+  tables.push_back({"mixed_view", mixed, mixed.Subset({4, 1, 30, 2, 2})});
+  tables.push_back({"categorical", CategoricalTable(29, 7),
+                    CategoricalTable(9, 8)});
+  tables.push_back({"numeric", NumericTable(31, 9), NumericTable(6, 10)});
+
+  using Factory = std::unique_ptr<Transformer> (*)();
+  const std::vector<std::pair<std::string, Factory>> kinds = {
+      {"imputer", []() -> std::unique_ptr<Transformer> {
+         return std::make_unique<MeanModeImputer>();
+       }},
+      {"one_hot", []() -> std::unique_ptr<Transformer> {
+         return std::make_unique<OneHotEncoder>();
+       }},
+      {"standard", []() -> std::unique_ptr<Transformer> {
+         return std::make_unique<Scaler>(ScalerKind::kStandard);
+       }},
+      {"minmax", []() -> std::unique_ptr<Transformer> {
+         return std::make_unique<Scaler>(ScalerKind::kMinMax);
+       }},
+      {"binner", []() -> std::unique_ptr<Transformer> {
+         return std::make_unique<QuantileBinner>(4);
+       }},
+      {"variance", []() -> std::unique_ptr<Transformer> {
+         return std::make_unique<VarianceThreshold>(0.0);
+       }},
+      {"k_best", []() -> std::unique_ptr<Transformer> {
+         return std::make_unique<SelectKBest>(2);
+       }},
+      {"pca", []() -> std::unique_ptr<Transformer> {
+         return std::make_unique<Pca>(2);
+       }},
+  };
+
+  std::vector<std::pair<std::string, uint64_t>> got;
+  // Runs `chain` (fitted) on `test`, digesting output and charges.
+  const auto digest = [&](const std::string& name,
+                          const std::vector<const Transformer*>& chain,
+                          const Dataset& test) {
+    ChargeTape tape;
+    ChargeScope scope(&ctx_, "chain");
+    ASSERT_TRUE(ctx_.StartTapeRecording(&tape));
+    Result<Dataset> out = RunTransformChain(chain, test, &ctx_);
+    ctx_.StopTapeRecording();
+    ASSERT_TRUE(out.ok()) << name << ": " << out.status().ToString();
+    BitHash hash;
+    AddTable(*out, &hash);
+    AddTape(tape, &hash);
+    got.emplace_back(name, hash.value());
+  };
+
+  for (const Table& table : tables) {
+    // The filters and the projection assume NaN-free input: they see the
+    // imputed tables.
+    MeanModeImputer imputer;
+    ASSERT_TRUE(imputer.Fit(table.fit, &ctx_).ok());
+    const Dataset fit_imputed = imputer.Transform(table.fit, &ctx_).value();
+    const Dataset test_imputed =
+        imputer.Transform(table.test, &ctx_).value();
+    for (const auto& [kind, make] : kinds) {
+      const bool needs_complete =
+          kind == "variance" || kind == "k_best" || kind == "pca";
+      const Dataset& fit = needs_complete ? fit_imputed : table.fit;
+      const Dataset& test = needs_complete ? test_imputed : table.test;
+      std::unique_ptr<Transformer> t = make();
+      ASSERT_TRUE(t->Fit(fit, &ctx_).ok()) << table.name << "/" << kind;
+      digest(table.name + "/" + kind, {t.get()}, test);
+    }
+
+    // The default chain: imputer, one-hot, standard scaler.
+    MeanModeImputer chain_imputer;
+    OneHotEncoder one_hot;
+    Scaler scaler(ScalerKind::kStandard);
+    Dataset current = table.fit;
+    for (Transformer* t : std::vector<Transformer*>{&chain_imputer, &one_hot,
+                                                    &scaler}) {
+      ASSERT_TRUE(t->Fit(current, &ctx_).ok());
+      current = t->Transform(current, &ctx_).value();
+    }
+    digest(table.name + "/default_chain", {&chain_imputer, &one_hot, &scaler},
+           table.test);
+  }
+
+  const std::vector<std::pair<std::string, uint64_t>> pinned = {
+      {"mixed/imputer", 0x1741da9c32a34036ULL},
+      {"mixed/one_hot", 0x4aedfaed984eda42ULL},
+      {"mixed/standard", 0xf3b0b2cbf1cda451ULL},
+      {"mixed/minmax", 0xb5963c66a90d177bULL},
+      {"mixed/binner", 0x5c399a86357665d9ULL},
+      {"mixed/variance", 0x74cb27a70386239cULL},
+      {"mixed/k_best", 0x529e529be187246cULL},
+      {"mixed/pca", 0x6773c5fe56c57192ULL},
+      {"mixed/default_chain", 0x30f6a52bc7a9ffadULL},
+      {"mixed_view/imputer", 0x4a797d059400812aULL},
+      {"mixed_view/one_hot", 0xa1065836fff4fd06ULL},
+      {"mixed_view/standard", 0x82cd5520fc2cea2eULL},
+      {"mixed_view/minmax", 0x58ad76c774fee464ULL},
+      {"mixed_view/binner", 0x10d915e5911c9c9fULL},
+      {"mixed_view/variance", 0xda34e0c1fbadf448ULL},
+      {"mixed_view/k_best", 0x17c10ab837c2af5dULL},
+      {"mixed_view/pca", 0x31e2cd870e887b3cULL},
+      {"mixed_view/default_chain", 0x587018fb7950e641ULL},
+      {"categorical/imputer", 0x19ce442d72aadb56ULL},
+      {"categorical/one_hot", 0xb024f6bfe7ef750aULL},
+      {"categorical/standard", 0xe704272253028510ULL},
+      {"categorical/minmax", 0x4104cbeb9d8b34afULL},
+      {"categorical/binner", 0x4a38653f781b66d6ULL},
+      {"categorical/variance", 0x64c602d018c3377cULL},
+      {"categorical/k_best", 0x5b31ba98034be848ULL},
+      {"categorical/pca", 0xee1716370d3dd99cULL},
+      {"categorical/default_chain", 0x442c884b6d85ef65ULL},
+      {"numeric/imputer", 0x14f955565f7d47edULL},
+      {"numeric/one_hot", 0x0648f070e3bdda2dULL},
+      {"numeric/standard", 0x3565ca8fbefdc6daULL},
+      {"numeric/minmax", 0x4cc520ebbeddc28cULL},
+      {"numeric/binner", 0x742dadeb5f43fed4ULL},
+      {"numeric/variance", 0x074c5ac7b9cff555ULL},
+      {"numeric/k_best", 0xb42876a8b34fd735ULL},
+      {"numeric/pca", 0x5440cdb9e00c515eULL},
+      {"numeric/default_chain", 0x1645f8c7bb976d82ULL},
+  };
+  ASSERT_EQ(got.size(), pinned.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, pinned[i].first);
+    EXPECT_EQ(got[i].second, pinned[i].second)
+        << got[i].first << ": 0x" << std::hex << got[i].second;
+  }
+}
+
+TEST_F(PreprocessTest, ChainFailsBeforeAnyCharge) {
+  const Dataset data = MixedTable(12, 3, false);
+  MeanModeImputer imputer;
+  OneHotEncoder one_hot;
+  ASSERT_TRUE(imputer.Fit(data, &ctx_).ok());
+  const std::vector<const Transformer*> chain = {&imputer, &one_hot};
+  const double before = ctx_.counter()->total_flops();
+  // The second step is not fitted.
+  EXPECT_EQ(RunTransformChain(chain, data, &ctx_).status().code(),
+            Status::Code::kFailedPrecondition);
+  EXPECT_EQ(ctx_.counter()->total_flops(), before);
+  // The first step sees the wrong width.
+  ASSERT_TRUE(one_hot.Fit(data, &ctx_).ok());
+  const double fitted = ctx_.counter()->total_flops();
+  Dataset narrow("narrow", 2, 3);
+  ASSERT_TRUE(narrow.AppendRow({1.0, 2.0}, 0).ok());
+  EXPECT_EQ(RunTransformChain(chain, narrow, &ctx_).status().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(ctx_.counter()->total_flops(), fitted);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 
+#include "green/ml/preprocess/feature_selection.h"
 #include "green/ml/preprocess/imputer.h"
 #include "green/ml/preprocess/scaler.h"
 #include "green/table/csv.h"
@@ -76,15 +77,6 @@ TEST(DatasetTest, SubsetPreservesMetadata) {
   EXPECT_EQ(sub.name(), "tiny");
 }
 
-TEST(DatasetTest, SelectFeatures) {
-  const Dataset data = TinyDataset();
-  const Dataset narrow = data.SelectFeatures({1});
-  EXPECT_EQ(narrow.num_features(), 1u);
-  EXPECT_EQ(narrow.feature_type(0), FeatureType::kCategorical);
-  EXPECT_DOUBLE_EQ(narrow.At(3, 0), 2.0);
-  EXPECT_EQ(narrow.labels(), data.labels());
-}
-
 // --- schema copy-on-write ---
 
 TEST(SchemaTest, UnsetNamesReadDefault) {
@@ -131,15 +123,35 @@ TEST(SchemaTest, MutationNotVisibleThroughSourceOrCopy) {
   EXPECT_EQ(owned.StorageId(), owned_copy.StorageId());
 }
 
-TEST(SchemaTest, SelectFeaturesCarriesNamesAndTypes) {
-  Dataset data = TinyDataset();
-  data.SetFeatureName(1, "b");
-  const Dataset picked = data.SelectFeatures({1, 0});
-  EXPECT_EQ(picked.feature_name(0), "b");
-  EXPECT_EQ(picked.feature_type(0), FeatureType::kCategorical);
+TEST(SchemaTest, SelectorCarriesNamesAndTypes) {
+  VirtualClock clock;
+  EnergyModel model(MachineModel::Minimal());
+  ExecutionContext ctx(&clock, &model, 1);
+  Dataset data("wide", 3, 2);
+  data.SetFeatureType(2, FeatureType::kCategorical);
+  data.SetFeatureName(2, "b");
+  ASSERT_TRUE(data.AppendRow({5.0, 1.0, 0.0}, 0).ok());
+  ASSERT_TRUE(data.AppendRow({5.0, 2.0, 2.0}, 1).ok());
+  VarianceThreshold selector(0.0);  // Drops the constant column 0.
+  ASSERT_TRUE(selector.Fit(data, &ctx).ok());
+  auto picked = selector.Transform(data, &ctx);
+  ASSERT_TRUE(picked.ok());
+  ASSERT_EQ(picked->num_features(), 2u);
   // An unset source name stays the source column's default.
-  EXPECT_EQ(picked.feature_name(1), "f0");
-  EXPECT_EQ(picked.feature_type(1), FeatureType::kNumeric);
+  EXPECT_EQ(picked->feature_name(0), "f1");
+  EXPECT_EQ(picked->feature_type(0), FeatureType::kNumeric);
+  EXPECT_EQ(picked->feature_name(1), "b");
+  EXPECT_EQ(picked->feature_type(1), FeatureType::kCategorical);
+  EXPECT_DOUBLE_EQ(picked->At(1, 1), 2.0);
+  EXPECT_EQ(picked->labels(), data.labels());
+
+  // A renamed input renames the output; the fitted schema stays as it was.
+  Dataset renamed = data;
+  renamed.SetFeatureName(1, "a");
+  auto out = selector.Transform(renamed, &ctx);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->feature_name(0), "a");
+  EXPECT_EQ(picked->feature_name(0), "f1");
 }
 
 TEST(SchemaTest, ScalerAndImputerKeepInputNames) {
