@@ -73,24 +73,11 @@ Result<AsklMetaStore> AsklMetaStore::BuildFromCorpus(
   return store;
 }
 
-Result<AutoMlRunResult> AsklSystem::Fit(const Dataset& train,
-                                        const AutoMlOptions& options,
-                                        ExecutionContext* ctx) {
-  if (ctx->Cancelled()) {
-    return Status::DeadlineExceeded("askl: cancelled before start");
-  }
-  EnergyMeter meter(ctx->model());
-  ScopedMeter scope(ctx, &meter);
-  ChargeScope sys_scope(ctx, Name());
-  const double start = ctx->Now();
-  const double deadline = start + options.search_budget_seconds;
-  ctx->SetDeadline(deadline);
-  const BudgetPolicy policy(budget_policy());
-
+Status AsklSystem::Search(const Dataset& train, const AutoMlOptions& options,
+                          ExecutionContext* ctx, AutoMlRunResult* result) {
   Rng rng(options.seed);
-  TrainTestIndices split =
-      SplitForTask(train, 1.0 - params_.holdout_fraction, &rng);
-  TrainTestData holdout = Materialize(train, split);
+  TrainTestData holdout = Materialize(
+      train, SplitForTask(train, 1.0 - params_.holdout_fraction, &rng));
 
   // Table 1: ASKL searches data AND feature preprocessors + models, the
   // broadest space of the studied systems (also the reason its very
@@ -110,9 +97,6 @@ Result<AutoMlRunResult> AsklSystem::Fit(const Dataset& train,
   bo_options.seed = HashCombine(options.seed, 0xa5c1);
   BayesOpt optimizer(&space.space(), bo_options);
 
-  AutoMlRunResult result;
-  result.configured_budget_seconds = options.search_budget_seconds;
-
   std::vector<EvaluatedPipeline> library;
 
   // ASKL 2: evaluate the warm-start candidates from the most similar
@@ -126,15 +110,14 @@ Result<AutoMlRunResult> AsklSystem::Fit(const Dataset& train,
         train.FeatureBytes());
     for (PipelineConfig config : meta_store_->WarmStartConfigs(meta, 3)) {
       if (ctx->Cancelled()) {
-        ctx->ClearDeadline();
         return Status::DeadlineExceeded("askl: cancelled mid-warm-start");
       }
-      if (!policy.MayStartEvaluation(ctx->Now(), deadline, 0.0)) break;
+      if (!MayStartEvaluation(*ctx, 0.0)) break;
       config.seed = HashCombine(options.seed, 0x3a3a);
       auto evaluated =
           TrainAndScore(config, holdout.train, holdout.test, ctx);
       if (!evaluated.ok()) continue;
-      ++result.pipelines_evaluated;
+      ++result->pipelines_evaluated;
       library.push_back(evaluated.value());
       // Warm-start observations seed the surrogate through a synthetic
       // point at the config's nearest unit encoding — approximated by a
@@ -147,9 +130,8 @@ Result<AutoMlRunResult> AsklSystem::Fit(const Dataset& train,
   int iteration = 0;
   {
     ChargeScope phase(ctx, "search");
-    while (policy.MayStartEvaluation(ctx->Now(), deadline, 0.0)) {
+    while (MayStartEvaluation(*ctx, 0.0)) {
       if (ctx->Cancelled()) {
-        ctx->ClearDeadline();
         return Status::DeadlineExceeded("askl: cancelled mid-search");
       }
       const ParamPoint point = optimizer.Ask();
@@ -164,7 +146,7 @@ Result<AutoMlRunResult> AsklSystem::Fit(const Dataset& train,
                        /*parallel_fraction=*/0.2);
         continue;
       }
-      ++result.pipelines_evaluated;
+      ++result->pipelines_evaluated;
       const double surrogate_work =
           optimizer.Tell(point, evaluated.value().val_score);
       ctx->ChargeCpu(surrogate_work, 0.0, /*parallel_fraction=*/0.2);
@@ -173,17 +155,11 @@ Result<AutoMlRunResult> AsklSystem::Fit(const Dataset& train,
   }
 
   if (library.empty()) {
-    ChargeScope phase(ctx, "fallback");
-    PipelineConfig fallback;
-    fallback.model = train.task() == TaskType::kRegression
-                         ? "decision_tree"
-                         : "naive_bayes";
-    fallback.seed = options.seed;
     GREEN_ASSIGN_OR_RETURN(
-        EvaluatedPipeline evaluated,
-        TrainAndScore(fallback, holdout.train, holdout.test, ctx));
-    library.push_back(std::move(evaluated));
-    ++result.pipelines_evaluated;
+        EvaluatedPipeline fallback,
+        TrainFallback(CheapestConfig(train.task(), options.seed), holdout,
+                      ctx, result));
+    library.push_back(std::move(fallback));
   }
 
   // Keep the top `ensemble_size` pipelines by validation score.
@@ -223,13 +199,10 @@ Result<AutoMlRunResult> AsklSystem::Fit(const Dataset& train,
     members.push_back(std::move(member));
   }
 
-  ctx->ClearDeadline();
-  result.artifact = FittedArtifact::Weighted(std::move(members));
-  result.best_validation_score =
+  result->artifact = FittedArtifact::Weighted(std::move(members));
+  result->best_validation_score =
       std::max(caruana.validation_score, library[0].val_score);
-  result.execution = scope.Stop();
-  result.actual_seconds = ctx->Now() - start;
-  return result;
+  return Status::Ok();
 }
 
 }  // namespace green

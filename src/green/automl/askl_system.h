@@ -63,13 +63,14 @@ class AsklSystem : public AutoMlSystem {
     return params_.warm_start ? "autosklearn2" : "autosklearn1";
   }
   double MinBudgetSeconds() const override { return 30.0; }
+  size_t MinTrainRows() const override { return 0; }
   BudgetPolicyKind budget_policy() const override {
     return BudgetPolicyKind::kEnsemblingNotCounted;
   }
 
-  Result<AutoMlRunResult> Fit(const Dataset& train,
-                              const AutoMlOptions& options,
-                              ExecutionContext* ctx) override;
+ protected:
+  Status Search(const Dataset& train, const AutoMlOptions& options,
+                ExecutionContext* ctx, AutoMlRunResult* result) override;
 
  private:
   AsklParams params_;

@@ -1,9 +1,43 @@
 #include "green/automl/automl_system.h"
 
 #include "green/common/mathutil.h"
+#include "green/common/stringutil.h"
 #include "green/ml/metrics.h"
 
 namespace green {
+
+Result<AutoMlRunResult> AutoMlSystem::Fit(const Dataset& train,
+                                          const AutoMlOptions& options,
+                                          ExecutionContext* ctx) {
+  const std::string name = Name();
+  GREEN_RETURN_IF_ERROR(CheckTaskSupported(*this, train.task()));
+  if (train.num_rows() < MinTrainRows()) {
+    return Status::InvalidArgument(name + ": too few rows");
+  }
+  if (ctx->Cancelled()) {
+    return Status::DeadlineExceeded(name + ": cancelled before start");
+  }
+  EnergyMeter meter(ctx->model());
+  ScopedMeter metered(ctx, &meter);
+  ChargeScope scope(ctx, name);
+  const double start = ctx->Now();
+  ctx->SetDeadline(start + options.search_budget_seconds);
+  AutoMlRunResult result;
+  const Status searched = Search(train, options, ctx, &result);
+  ctx->ClearDeadline();
+  GREEN_RETURN_IF_ERROR(searched);
+  result.execution = metered.Stop();
+  result.actual_seconds = ctx->Now() - start;
+  result.configured_budget_seconds = options.search_budget_seconds;
+  return result;
+}
+
+Status CheckTaskSupported(const AutoMlSystem& system, TaskType task) {
+  if (system.SupportsTask(task)) return Status::Ok();
+  return Status::Unimplemented(StrFormat("%s: task %s not supported",
+                                         system.Name().c_str(),
+                                         TaskTypeName(task)));
+}
 
 Result<EvaluatedPipeline> TrainAndScore(const PipelineConfig& config,
                                         const Dataset& fit_data,
@@ -53,6 +87,59 @@ double EstimateEvaluationSeconds(const PipelineConfig& config,
   const double throughput =
       ctx.model()->machine().Throughput(Device::kCpu, ctx.cores());
   return flops / throughput;
+}
+
+PipelineConfig CheapestConfig(TaskType task, uint64_t seed) {
+  PipelineConfig config;
+  config.model =
+      task == TaskType::kRegression ? "decision_tree" : "naive_bayes";
+  config.seed = seed;
+  return config;
+}
+
+Result<EvaluatedPipeline> TrainFallback(const PipelineConfig& config,
+                                        const TrainTestData& holdout,
+                                        ExecutionContext* ctx,
+                                        AutoMlRunResult* result) {
+  ChargeScope phase(ctx, "fallback");
+  GREEN_ASSIGN_OR_RETURN(
+      EvaluatedPipeline evaluated,
+      TrainAndScore(config, holdout.train, holdout.test, ctx));
+  ++result->pipelines_evaluated;
+  return evaluated;
+}
+
+bool AutoMlSystem::MayStartEvaluation(const ExecutionContext& ctx,
+                                      double estimated_seconds) const {
+  return BudgetPolicy(budget_policy())
+      .MayStartEvaluation(ctx.Now(), ctx.deadline(), estimated_seconds);
+}
+
+Status AutoMlSystem::FinishSingle(Incumbent best,
+                                  const PipelineConfig& fallback,
+                                  const TrainTestData& holdout,
+                                  const Dataset* refit_data,
+                                  ExecutionContext* ctx,
+                                  AutoMlRunResult* result) const {
+  if (best.pipeline == nullptr) {
+    GREEN_ASSIGN_OR_RETURN(EvaluatedPipeline evaluated,
+                           TrainFallback(fallback, holdout, ctx, result));
+    best = Incumbent{evaluated.pipeline, evaluated.val_score, fallback};
+  }
+  if (refit_data != nullptr &&
+      MayStartEvaluation(
+          *ctx, EstimateTrainSeconds(best.config, refit_data->num_rows(),
+                                     refit_data->num_features(),
+                                     refit_data->num_classes(), *ctx))) {
+    ChargeScope phase(ctx, "refit");
+    GREEN_ASSIGN_OR_RETURN(Pipeline refitted, BuildPipeline(best.config));
+    if (refitted.Fit(*refit_data, ctx).ok()) {
+      best.pipeline = std::make_shared<Pipeline>(std::move(refitted));
+    }
+  }
+  result->artifact = FittedArtifact::Single(best.pipeline);
+  result->best_validation_score = best.score;
+  return Status::Ok();
 }
 
 }  // namespace green

@@ -11,6 +11,7 @@
 #include "green/sim/budget_policy.h"
 #include "green/sim/execution_context.h"
 #include "green/table/dataset.h"
+#include "green/table/split.h"
 
 namespace green {
 
@@ -42,9 +43,16 @@ struct AutoMlRunResult {
   double best_validation_score = 0.0;
 };
 
-/// Interface every miniature AutoML system implements. Fit() meters its
-/// own execution energy (attaching a meter to the context), trains on
-/// `train`, and returns a deployable artifact.
+/// The incumbent of a single-pipeline search.
+struct Incumbent {
+  std::shared_ptr<Pipeline> pipeline;
+  double score = -std::numeric_limits<double>::infinity();
+  PipelineConfig config;
+};
+
+/// Interface every miniature AutoML system implements. Fit() is the one
+/// measurement protocol all systems run under; each system supplies only
+/// its search strategy (Search) and its declared limits.
 class AutoMlSystem {
  public:
   virtual ~AutoMlSystem() = default;
@@ -57,21 +65,59 @@ class AutoMlSystem {
   /// points before scaling them to virtual seconds.
   virtual double MinBudgetSeconds() const { return 0.0; }
 
+  /// Smallest training table Fit accepts; smaller ones are rejected with
+  /// InvalidArgument before any work is metered.
+  virtual size_t MinTrainRows() const { return 4; }
+
   virtual BudgetPolicyKind budget_policy() const = 0;
 
   /// Whether the system can fit datasets of this task type. Systems that
-  /// cannot (e.g. TabPFN is classification-only) return false here AND
-  /// reject from Fit with Unimplemented; the harness maps either signal
-  /// to a skipped cell rather than a failure.
+  /// cannot (e.g. TabPFN is classification-only) return false here, and
+  /// Fit rejects the task with Unimplemented; the harness maps either
+  /// signal to a skipped cell rather than a failure.
   virtual bool SupportsTask(TaskType task) const {
     (void)task;
     return true;
   }
 
-  virtual Result<AutoMlRunResult> Fit(const Dataset& train,
-                                      const AutoMlOptions& options,
-                                      ExecutionContext* ctx) = 0;
+  /// The paper's execution protocol (§3.2), the same for every system.
+  /// Rejects an unsupported task, a table below MinTrainRows() and an
+  /// already-cancelled context, in that order and before any meter
+  /// starts. Then meters Search under a `Name()` charge scope with the
+  /// context's deadline armed at the search budget, and clears the
+  /// deadline again on every return path.
+  Result<AutoMlRunResult> Fit(const Dataset& train,
+                              const AutoMlOptions& options,
+                              ExecutionContext* ctx);
+
+ protected:
+  /// The system's search strategy. Runs inside Fit's frame (metered,
+  /// under the `Name()` scope, ctx->deadline() armed) and fills the
+  /// artifact, `pipelines_evaluated` and `best_validation_score` of
+  /// `result`; Fit fills the rest.
+  virtual Status Search(const Dataset& train, const AutoMlOptions& options,
+                        ExecutionContext* ctx, AutoMlRunResult* result) = 0;
+
+  /// Whether budget_policy() lets an evaluation expected to take
+  /// `estimated_seconds` start now, against the deadline Fit armed.
+  bool MayStartEvaluation(const ExecutionContext& ctx,
+                          double estimated_seconds) const;
+
+  /// The epilogue of a single-pipeline search. If the search left `best`
+  /// empty, TrainFallback(`fallback`) takes its place (the any-time
+  /// guarantee). With `refit_data`, a "refit" scope then retrains the
+  /// winner's config on it if MayStartEvaluation admits the estimated
+  /// training time; a failed refit keeps the winner. The winner becomes
+  /// the artifact.
+  Status FinishSingle(Incumbent best, const PipelineConfig& fallback,
+                      const TrainTestData& holdout,
+                      const Dataset* refit_data, ExecutionContext* ctx,
+                      AutoMlRunResult* result) const;
 };
+
+/// Unimplemented unless `system` supports `task`: the rejection the Fit
+/// frame and the experiment harness both report.
+Status CheckTaskSupported(const AutoMlSystem& system, TaskType task);
 
 /// One evaluated candidate during search: the fitted pipeline plus its
 /// holdout score and probabilities (kept for post-hoc ensembling).
@@ -106,6 +152,17 @@ double EstimateEvaluationSeconds(const PipelineConfig& config,
                                  size_t train_rows, size_t val_rows,
                                  size_t features, int classes,
                                  const ExecutionContext& ctx);
+
+/// The any-time fallback's default: the cheapest model for `task`.
+PipelineConfig CheapestConfig(TaskType task, uint64_t seed);
+
+/// Any-time guarantee for searches that finished no pipeline (extreme
+/// budgets): trains `config` on the hold-out split under a "fallback"
+/// scope and counts it in `result->pipelines_evaluated`.
+Result<EvaluatedPipeline> TrainFallback(const PipelineConfig& config,
+                                        const TrainTestData& holdout,
+                                        ExecutionContext* ctx,
+                                        AutoMlRunResult* result);
 
 /// Meters `ctx` around a callable; restores any previously attached meter.
 class ScopedMeter {

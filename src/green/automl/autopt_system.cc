@@ -45,32 +45,24 @@ std::vector<Arm> SampleArms(int num_arms, uint64_t seed, Rng* rng) {
   return arms;
 }
 
+/// The any-time fallback: a minimal MLP, for when the ladder produced
+/// nothing (extreme budgets eliminate every arm up front).
+PipelineConfig MinimalMlp(uint64_t seed) {
+  PipelineConfig config;
+  config.model = "mlp";
+  config.params = {{"hidden_units", 8.0}, {"epochs", 4.0}};
+  config.seed = seed;
+  return config;
+}
+
 }  // namespace
 
-Result<AutoMlRunResult> AutoPtSystem::Fit(const Dataset& train,
-                                          const AutoMlOptions& options,
-                                          ExecutionContext* ctx) {
-  if (train.num_rows() < 4) {
-    return Status::InvalidArgument("autopt: too few rows");
-  }
-  if (ctx->Cancelled()) {
-    return Status::DeadlineExceeded("autopt: cancelled before start");
-  }
-  EnergyMeter meter(ctx->model());
-  ScopedMeter scope(ctx, &meter);
-  ChargeScope sys_scope(ctx, Name());
-  const double start = ctx->Now();
-  const double deadline = start + options.search_budget_seconds;
-  ctx->SetDeadline(deadline);
-  const BudgetPolicy policy(budget_policy());
-
+Status AutoPtSystem::Search(const Dataset& train,
+                            const AutoMlOptions& options,
+                            ExecutionContext* ctx, AutoMlRunResult* result) {
   Rng rng(options.seed);
-  TrainTestIndices split =
-      SplitForTask(train, 1.0 - params_.holdout_fraction, &rng);
-  TrainTestData holdout = Materialize(train, split);
-
-  AutoMlRunResult result;
-  result.configured_budget_seconds = options.search_budget_seconds;
+  TrainTestData holdout = Materialize(
+      train, SplitForTask(train, 1.0 - params_.holdout_fraction, &rng));
 
   std::vector<Arm> arms =
       SampleArms(params_.num_arms, options.seed, &rng);
@@ -104,13 +96,13 @@ Result<AutoMlRunResult> AutoPtSystem::Fit(const Dataset& train,
                   config, holdout.train.num_rows(),
                   holdout.test.num_rows(), holdout.train.num_features(),
                   holdout.train.num_classes(), *ctx);
-    if (!policy.MayStartEvaluation(ctx->Now(), deadline, estimated)) {
+    if (!MayStartEvaluation(*ctx, estimated)) {
       return Status::DeadlineExceeded("autopt: budget exhausted");
     }
     GREEN_ASSIGN_OR_RETURN(
         EvaluatedPipeline evaluated,
         TrainAndScore(config, holdout.train, holdout.test, ctx));
-    ++result.pipelines_evaluated;
+    ++result->pipelines_evaluated;
     arm_pipeline[static_cast<size_t>(arm_index)] = evaluated.pipeline;
     arm_score[static_cast<size_t>(arm_index)] = evaluated.val_score;
     return evaluated.val_score;
@@ -125,60 +117,22 @@ Result<AutoMlRunResult> AutoPtSystem::Fit(const Dataset& train,
         });
   }
   if (ctx->Cancelled()) {
-    ctx->ClearDeadline();
     return Status::DeadlineExceeded("autopt: cancelled mid-search");
   }
 
-  std::shared_ptr<Pipeline> best_pipeline;
-  double best_score = -std::numeric_limits<double>::infinity();
-  PipelineConfig best_config;
+  Incumbent best;
   if (halving.best_arm >= 0 &&
       arm_pipeline[static_cast<size_t>(halving.best_arm)] != nullptr) {
     const size_t b = static_cast<size_t>(halving.best_arm);
-    best_pipeline = arm_pipeline[b];
-    best_score = arm_score[b];
-    best_config = arms[b].config;
-    best_config.params["epochs"] =
+    best = Incumbent{arm_pipeline[b], arm_score[b], arms[b].config};
+    best.config.params["epochs"] =
         static_cast<double>(arms[b].full_epochs);
-  } else {
-    // Any-time guarantee: a minimal MLP when the ladder produced nothing
-    // (extreme budgets eliminate every arm up front).
-    ChargeScope phase(ctx, "fallback");
-    PipelineConfig fallback;
-    fallback.model = "mlp";
-    fallback.params = {{"hidden_units", 8.0}, {"epochs", 4.0}};
-    fallback.seed = options.seed;
-    GREEN_ASSIGN_OR_RETURN(
-        EvaluatedPipeline evaluated,
-        TrainAndScore(fallback, holdout.train, holdout.test, ctx));
-    best_pipeline = evaluated.pipeline;
-    best_score = evaluated.val_score;
-    best_config = fallback;
-    ++result.pipelines_evaluated;
   }
 
   // Refit the winner on ALL rows at full fidelity (Auto-PyTorch's final
   // training pass), budget permitting.
-  if (params_.refit &&
-      policy.MayStartEvaluation(
-          ctx->Now(), deadline,
-          EstimateTrainSeconds(best_config, train.num_rows(),
-                               train.num_features(), train.num_classes(),
-                               *ctx))) {
-    ChargeScope phase(ctx, "refit");
-    GREEN_ASSIGN_OR_RETURN(Pipeline refitted, BuildPipeline(best_config));
-    Status st = refitted.Fit(train, ctx);
-    if (st.ok()) {
-      best_pipeline = std::make_shared<Pipeline>(std::move(refitted));
-    }
-  }
-
-  ctx->ClearDeadline();
-  result.artifact = FittedArtifact::Single(best_pipeline);
-  result.best_validation_score = best_score;
-  result.execution = scope.Stop();
-  result.actual_seconds = ctx->Now() - start;
-  return result;
+  return FinishSingle(std::move(best), MinimalMlp(options.seed), holdout,
+                      params_.refit ? &train : nullptr, ctx, result);
 }
 
 }  // namespace green

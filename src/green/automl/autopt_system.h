@@ -38,9 +38,9 @@ class AutoPtSystem : public AutoMlSystem {
     return BudgetPolicyKind::kFinishLastEvaluation;
   }
 
-  Result<AutoMlRunResult> Fit(const Dataset& train,
-                              const AutoMlOptions& options,
-                              ExecutionContext* ctx) override;
+ protected:
+  Status Search(const Dataset& train, const AutoMlOptions& options,
+                ExecutionContext* ctx, AutoMlRunResult* result) override;
 
  private:
   AutoPtParams params_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "green/common/logging.h"
 #include "green/search/bayes_opt.h"
@@ -10,23 +9,8 @@
 
 namespace green {
 
-Result<AutoMlRunResult> CamlSystem::Fit(const Dataset& train,
-                                        const AutoMlOptions& options,
-                                        ExecutionContext* ctx) {
-  if (train.num_rows() < 4) {
-    return Status::InvalidArgument("caml: too few rows");
-  }
-  if (ctx->Cancelled()) {
-    return Status::DeadlineExceeded("caml: cancelled before start");
-  }
-  EnergyMeter meter(ctx->model());
-  ScopedMeter scope(ctx, &meter);
-  ChargeScope sys_scope(ctx, Name());
-  const double start = ctx->Now();
-  const double deadline = start + options.search_budget_seconds;
-  ctx->SetDeadline(deadline);
-  const BudgetPolicy policy(budget_policy());
-
+Status CamlSystem::Search(const Dataset& train, const AutoMlOptions& options,
+                          ExecutionContext* ctx, AutoMlRunResult* result) {
   Rng rng(options.seed);
 
   // Optional up-front sampling (the search-time-specific sampling step
@@ -47,9 +31,8 @@ Result<AutoMlRunResult> CamlSystem::Fit(const Dataset& train,
   }
 
   // Hold-out split (re-drawn per iteration under random_validation_split).
-  TrainTestIndices split =
-      SplitForTask(working, 1.0 - params_.holdout_fraction, &rng);
-  TrainTestData holdout = Materialize(working, split);
+  TrainTestData holdout = Materialize(
+      working, SplitForTask(working, 1.0 - params_.holdout_fraction, &rng));
 
   PipelineSpaceOptions space_options;
   space_options.models = FilterModelsForTask(params_.models, train.task());
@@ -62,12 +45,7 @@ Result<AutoMlRunResult> CamlSystem::Fit(const Dataset& train,
   bo_options.seed = HashCombine(options.seed, 0xca31);
   BayesOpt optimizer(&space.space(), bo_options);
 
-  AutoMlRunResult result;
-  result.configured_budget_seconds = options.search_budget_seconds;
-
-  std::shared_ptr<Pipeline> best_pipeline;
-  double best_score = -std::numeric_limits<double>::infinity();
-  PipelineConfig best_config;
+  Incumbent best;
 
   const double eval_time_cap =
       params_.evaluation_fraction * options.search_budget_seconds;
@@ -78,7 +56,6 @@ Result<AutoMlRunResult> CamlSystem::Fit(const Dataset& train,
   ChargeScope search_scope(ctx, "search");
   while (!ctx->DeadlineExceeded()) {
     if (ctx->Cancelled()) {
-      ctx->ClearDeadline();
       return Status::DeadlineExceeded("caml: cancelled mid-search");
     }
     if (params_.early_stopping_patience > 0 &&
@@ -110,13 +87,14 @@ Result<AutoMlRunResult> CamlSystem::Fit(const Dataset& train,
                      /*parallel_fraction=*/0.2);
       continue;
     }
-    if (!policy.MayStartEvaluation(ctx->Now(), deadline, estimated)) {
+    if (!MayStartEvaluation(*ctx, estimated)) {
       break;
     }
 
     if (params_.random_validation_split) {
-      split = SplitForTask(working, 1.0 - params_.holdout_fraction, &rng);
-      holdout = Materialize(working, split);
+      holdout = Materialize(
+          working,
+          SplitForTask(working, 1.0 - params_.holdout_fraction, &rng));
       ctx->ChargeCpu(static_cast<double>(working.num_rows()),
                      working.FeatureBytes());
     }
@@ -137,17 +115,17 @@ Result<AutoMlRunResult> CamlSystem::Fit(const Dataset& train,
         if (!last.ok()) break;
         const bool full = stage.num_rows() == holdout.train.num_rows();
         if (full) break;
-        if (last.value().val_score < 0.5 * best_score &&
-            best_score > 0.0) {
+        if (last.value().val_score < 0.5 * best.score &&
+            best.score > 0.0) {
           break;  // Abandoned at low fidelity.
         }
-        if (ctx->Now() + estimated > deadline) break;
+        if (ctx->Now() + estimated > ctx->deadline()) break;
         per_class *= 4;
         if (static_cast<size_t>(per_class) *
                 static_cast<size_t>(holdout.train.num_classes()) >=
             holdout.train.num_rows()) {
           // Full-fidelity pass only if it still fits the strict budget.
-          if (ctx->Now() + estimated <= deadline) {
+          if (ctx->Now() + estimated <= ctx->deadline()) {
             last =
                 TrainAndScore(config, holdout.train, holdout.test, ctx);
           }
@@ -165,7 +143,7 @@ Result<AutoMlRunResult> CamlSystem::Fit(const Dataset& train,
                      /*parallel_fraction=*/0.2);
       continue;
     }
-    ++result.pipelines_evaluated;
+    ++result->pipelines_evaluated;
 
     double score = evaluated.value().val_score;
     // Inference-time constraint as a hard filter on trained candidates.
@@ -191,10 +169,8 @@ Result<AutoMlRunResult> CamlSystem::Fit(const Dataset& train,
     const double surrogate_work = optimizer.Tell(point, score);
     ctx->ChargeCpu(surrogate_work, 0.0, /*parallel_fraction=*/0.2);
 
-    if (score > best_score) {
-      best_score = score;
-      best_pipeline = evaluated.value().pipeline;
-      best_config = config;
+    if (score > best.score) {
+      best = Incumbent{evaluated.value().pipeline, score, config};
       stall = 0;
     } else {
       ++stall;
@@ -202,46 +178,11 @@ Result<AutoMlRunResult> CamlSystem::Fit(const Dataset& train,
   }
   }
 
-  if (best_pipeline == nullptr) {
-    ChargeScope phase(ctx, "fallback");
-    // Any-time guarantee: fall back to the cheapest model if nothing
-    // finished (can happen at extreme budgets).
-    PipelineConfig fallback;
-    fallback.model = train.task() == TaskType::kRegression
-                         ? "decision_tree"
-                         : "naive_bayes";
-    fallback.seed = options.seed;
-    auto evaluated =
-        TrainAndScore(fallback, holdout.train, holdout.test, ctx);
-    if (!evaluated.ok()) return evaluated.status();
-    best_pipeline = evaluated.value().pipeline;
-    best_score = evaluated.value().val_score;
-    best_config = fallback;
-    ++result.pipelines_evaluated;
-  }
-
   // Optional refit on the merged training + validation data (a tuned
   // AutoML parameter; affects inference energy through model size).
-  if (params_.refit &&
-      policy.MayStartEvaluation(
-          ctx->Now(), deadline,
-          EstimateTrainSeconds(best_config, working.num_rows(),
-                               working.num_features(),
-                               working.num_classes(), *ctx))) {
-    ChargeScope phase(ctx, "refit");
-    GREEN_ASSIGN_OR_RETURN(Pipeline refitted, BuildPipeline(best_config));
-    Status st = refitted.Fit(working, ctx);
-    if (st.ok()) {
-      best_pipeline = std::make_shared<Pipeline>(std::move(refitted));
-    }
-  }
-
-  ctx->ClearDeadline();
-  result.artifact = FittedArtifact::Single(best_pipeline);
-  result.best_validation_score = best_score;
-  result.execution = scope.Stop();
-  result.actual_seconds = ctx->Now() - start;
-  return result;
+  return FinishSingle(std::move(best),
+                      CheapestConfig(train.task(), options.seed), holdout,
+                      params_.refit ? &working : nullptr, ctx, result);
 }
 
 }  // namespace green

@@ -64,11 +64,11 @@ class CamlSystem : public AutoMlSystem {
     return BudgetPolicyKind::kStrict;
   }
 
-  Result<AutoMlRunResult> Fit(const Dataset& train,
-                              const AutoMlOptions& options,
-                              ExecutionContext* ctx) override;
-
   const CamlParams& params() const { return params_; }
+
+ protected:
+  Status Search(const Dataset& train, const AutoMlOptions& options,
+                ExecutionContext* ctx, AutoMlRunResult* result) override;
 
  private:
   CamlParams params_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "green/common/logging.h"
 #include "green/table/split.h"
@@ -57,27 +56,11 @@ std::map<std::string, double> Mutate(
 
 }  // namespace
 
-Result<AutoMlRunResult> FlamlSystem::Fit(const Dataset& train,
-                                         const AutoMlOptions& options,
-                                         ExecutionContext* ctx) {
-  if (train.num_rows() < 4) {
-    return Status::InvalidArgument("flaml: too few rows");
-  }
-  if (ctx->Cancelled()) {
-    return Status::DeadlineExceeded("flaml: cancelled before start");
-  }
-  EnergyMeter meter(ctx->model());
-  ScopedMeter scope(ctx, &meter);
-  ChargeScope sys_scope(ctx, Name());
-  const double start = ctx->Now();
-  const double deadline = start + options.search_budget_seconds;
-  ctx->SetDeadline(deadline);
-  const BudgetPolicy policy(budget_policy());
-
+Status FlamlSystem::Search(const Dataset& train, const AutoMlOptions& options,
+                           ExecutionContext* ctx, AutoMlRunResult* result) {
   Rng rng(options.seed);
-  TrainTestIndices split =
-      SplitForTask(train, 1.0 - params_.holdout_fraction, &rng);
-  TrainTestData holdout = Materialize(train, split);
+  TrainTestData holdout = Materialize(
+      train, SplitForTask(train, 1.0 - params_.holdout_fraction, &rng));
 
   // Regression drops the ladder rungs whose learners cannot fit it
   // (e.g. naive_bayes); classification keeps the full ladder verbatim.
@@ -87,9 +70,6 @@ Result<AutoMlRunResult> FlamlSystem::Fit(const Dataset& train,
       ladder.push_back(rung);
     }
   }
-
-  AutoMlRunResult result;
-  result.configured_budget_seconds = options.search_budget_seconds;
 
   // Wide-data feature pruning: enabled automatically for very wide
   // tasks, carried by every candidate pipeline.
@@ -102,17 +82,15 @@ Result<AutoMlRunResult> FlamlSystem::Fit(const Dataset& train,
       std::min(params_.initial_sample, holdout.train.num_rows());
   std::map<std::string, double> current_params = ladder[0].start_params;
 
-  std::shared_ptr<Pipeline> best_pipeline;
-  double best_score = -std::numeric_limits<double>::infinity();
+  Incumbent best;
   double best_cost = 0.0;
   int stall = 0;
   int iteration = 0;
 
   {
   ChargeScope search_scope(ctx, "search");
-  while (policy.MayStartEvaluation(ctx->Now(), deadline, 0.0)) {
+  while (MayStartEvaluation(*ctx, 0.0)) {
     if (ctx->Cancelled()) {
-      ctx->ClearDeadline();
       return Status::DeadlineExceeded("flaml: cancelled mid-search");
     }
     const Rung& rung = ladder[ladder_index];
@@ -136,7 +114,7 @@ Result<AutoMlRunResult> FlamlSystem::Fit(const Dataset& train,
             : holdout.train;
     auto evaluated = TrainAndScore(config, stage, holdout.test, ctx);
     if (!evaluated.ok()) continue;
-    ++result.pipelines_evaluated;
+    ++result->pipelines_evaluated;
 
     const double score = evaluated.value().val_score;
     const double cost =
@@ -144,12 +122,11 @@ Result<AutoMlRunResult> FlamlSystem::Fit(const Dataset& train,
             train.num_features());
     // Accept if better, or equal quality at lower inference cost.
     const bool improved =
-        score > best_score + 1e-9 ||
-        (score > best_score - 1e-9 && cost < best_cost);
+        score > best.score + 1e-9 ||
+        (score > best.score - 1e-9 && cost < best_cost);
     if (improved) {
-      best_score = score;
+      best = Incumbent{evaluated.value().pipeline, score, config};
       best_cost = cost;
-      best_pipeline = evaluated.value().pipeline;
       current_params = config.params;
       stall = 0;
     } else {
@@ -172,27 +149,9 @@ Result<AutoMlRunResult> FlamlSystem::Fit(const Dataset& train,
   }
   }
 
-  if (best_pipeline == nullptr) {
-    ChargeScope phase(ctx, "fallback");
-    PipelineConfig fallback;
-    fallback.model = train.task() == TaskType::kRegression
-                         ? "decision_tree"
-                         : "naive_bayes";
-    fallback.seed = options.seed;
-    GREEN_ASSIGN_OR_RETURN(
-        EvaluatedPipeline evaluated,
-        TrainAndScore(fallback, holdout.train, holdout.test, ctx));
-    best_pipeline = evaluated.pipeline;
-    best_score = evaluated.val_score;
-    ++result.pipelines_evaluated;
-  }
-
-  ctx->ClearDeadline();
-  result.artifact = FittedArtifact::Single(best_pipeline);
-  result.best_validation_score = best_score;
-  result.execution = scope.Stop();
-  result.actual_seconds = ctx->Now() - start;
-  return result;
+  return FinishSingle(std::move(best),
+                      CheapestConfig(train.task(), options.seed), holdout,
+                      /*refit_data=*/nullptr, ctx, result);
 }
 
 }  // namespace green

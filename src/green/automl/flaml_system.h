@@ -35,9 +35,9 @@ class FlamlSystem : public AutoMlSystem {
     return BudgetPolicyKind::kFinishLastEvaluation;
   }
 
-  Result<AutoMlRunResult> Fit(const Dataset& train,
-                              const AutoMlOptions& options,
-                              ExecutionContext* ctx) override;
+ protected:
+  Status Search(const Dataset& train, const AutoMlOptions& options,
+                ExecutionContext* ctx, AutoMlRunResult* result) override;
 
  private:
   FlamlParams params_;

@@ -36,23 +36,9 @@ std::vector<PipelineConfig> GluonSystem::DefaultPortfolio(uint64_t seed) {
   return portfolio;
 }
 
-Result<AutoMlRunResult> GluonSystem::Fit(const Dataset& train,
-                                         const AutoMlOptions& options,
-                                         ExecutionContext* ctx) {
-  if (train.num_rows() < 8) {
-    return Status::InvalidArgument("autogluon: too few rows");
-  }
-  if (ctx->Cancelled()) {
-    return Status::DeadlineExceeded("autogluon: cancelled before start");
-  }
-  EnergyMeter meter(ctx->model());
-  ScopedMeter scope(ctx, &meter);
-  ChargeScope sys_scope(ctx, Name());
-  const double start = ctx->Now();
-
+Status GluonSystem::Search(const Dataset& train, const AutoMlOptions& options,
+                           ExecutionContext* ctx, AutoMlRunResult* result) {
   Rng rng(options.seed);
-  AutoMlRunResult result;
-  result.configured_budget_seconds = options.search_budget_seconds;
 
   // --- Planning: pick the portfolio prefix whose ESTIMATED runtime fits
   // the budget. The estimate is generous (it ignores stacking and
@@ -119,23 +105,8 @@ Result<AutoMlRunResult> GluonSystem::Fit(const Dataset& train,
   // --- Layer 1: bagged training with out-of-fold predictions.
   const std::vector<std::vector<size_t>> folds =
       KFoldForTask(train, k_folds, &rng);
-  // One fit/val view pair per fold, shared by every planned config, so
-  // the transform cache keys on the same storage + row index throughout.
-  std::vector<Dataset> fold_fit;
-  std::vector<Dataset> fold_val;
-  fold_fit.reserve(static_cast<size_t>(k_folds));
-  fold_val.reserve(static_cast<size_t>(k_folds));
-  for (int f = 0; f < k_folds; ++f) {
-    std::vector<size_t> fit_rows;
-    for (int g = 0; g < k_folds; ++g) {
-      if (g == f) continue;
-      fit_rows.insert(fit_rows.end(), folds[static_cast<size_t>(g)].begin(),
-                      folds[static_cast<size_t>(g)].end());
-    }
-    std::sort(fit_rows.begin(), fit_rows.end());
-    fold_fit.push_back(train.Subset(fit_rows));
-    fold_val.push_back(train.Subset(folds[static_cast<size_t>(f)]));
-  }
+  // One fit/val view pair per fold, shared by every planned config.
+  const FoldViews views = MakeFoldViews(train, folds);
   std::vector<FittedArtifact::Member> base_members;
   std::vector<PipelineConfig> base_configs;  // Config per successful member.
   std::vector<ProbaMatrix> base_oof;  // One (n x k) matrix per member.
@@ -158,20 +129,18 @@ Result<AutoMlRunResult> GluonSystem::Fit(const Dataset& train,
     ProbaMatrix oof(n, std::vector<double>(k_classes, oof_prior));
     bool ok = true;
     for (int f = 0; f < k_folds; ++f) {
-      const Dataset& fit_data = fold_fit[static_cast<size_t>(f)];
-      const Dataset& val_data = fold_val[static_cast<size_t>(f)];
-
       auto built = BuildPipeline(config);
       if (!built.ok()) {
         ok = false;
         break;
       }
       Pipeline pipeline = std::move(built).value();
-      if (!pipeline.Fit(fit_data, ctx).ok()) {
+      if (!pipeline.Fit(views.fit[static_cast<size_t>(f)], ctx).ok()) {
         ok = false;
         break;
       }
-      auto proba = pipeline.PredictProba(val_data, ctx);
+      auto proba =
+          pipeline.PredictProba(views.val[static_cast<size_t>(f)], ctx);
       if (!proba.ok()) {
         ok = false;
         break;
@@ -183,7 +152,7 @@ Result<AutoMlRunResult> GluonSystem::Fit(const Dataset& train,
           std::make_shared<Pipeline>(std::move(pipeline)));
     }
     if (!ok || member.folds.empty()) continue;
-    ++result.pipelines_evaluated;
+    ++result->pipelines_evaluated;
     base_members.push_back(std::move(member));
     base_configs.push_back(config);
     base_oof.push_back(std::move(oof));
@@ -220,8 +189,8 @@ Result<AutoMlRunResult> GluonSystem::Fit(const Dataset& train,
                    augmented.FeatureBytes());
   }
 
-  TrainTestIndices meta_split = SplitForTask(augmented, 0.75, &rng);
-  TrainTestData meta_holdout = Materialize(augmented, meta_split);
+  TrainTestData meta_holdout =
+      Materialize(augmented, SplitForTask(augmented, 0.75, &rng));
 
   // A compact stacker set, scaled to the budget remaining after layer 1:
   // a linear stacker always runs; forest and boosted-tree stackers join
@@ -274,7 +243,7 @@ Result<AutoMlRunResult> GluonSystem::Fit(const Dataset& train,
     auto evaluated = TrainAndScore(config, meta_holdout.train,
                                    meta_holdout.test, ctx);
     if (!evaluated.ok()) continue;
-    ++result.pipelines_evaluated;
+    ++result->pipelines_evaluated;
     meta_models.push_back(std::move(evaluated).value());
   }
   }
@@ -330,12 +299,10 @@ Result<AutoMlRunResult> GluonSystem::Fit(const Dataset& train,
     if (!refit_members.empty()) base_members = std::move(refit_members);
   }
 
-  result.artifact = FittedArtifact::Stacked(
+  result->artifact = FittedArtifact::Stacked(
       std::move(base_members), std::move(meta_members), train.schema());
-  result.best_validation_score = caruana.validation_score;
-  result.execution = scope.Stop();
-  result.actual_seconds = ctx->Now() - start;
-  return result;
+  result->best_validation_score = caruana.validation_score;
+  return Status::Ok();
 }
 
 }  // namespace green

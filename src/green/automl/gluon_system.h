@@ -32,16 +32,17 @@ class GluonSystem : public AutoMlSystem {
   std::string Name() const override {
     return params_.refit_for_inference ? "autogluon_refit" : "autogluon";
   }
+  size_t MinTrainRows() const override { return 8; }
   BudgetPolicyKind budget_policy() const override {
     return BudgetPolicyKind::kEstimatedPlan;
   }
 
-  Result<AutoMlRunResult> Fit(const Dataset& train,
-                              const AutoMlOptions& options,
-                              ExecutionContext* ctx) override;
-
   /// The hand-picked default portfolio, cheap models first.
   static std::vector<PipelineConfig> DefaultPortfolio(uint64_t seed);
+
+ protected:
+  Status Search(const Dataset& train, const AutoMlOptions& options,
+                ExecutionContext* ctx, AutoMlRunResult* result) override;
 
  private:
   GluonParams params_;

@@ -1,7 +1,6 @@
 #include "green/automl/random_search_system.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "green/automl/search_model_space.h"
 #include "green/common/logging.h"
@@ -9,27 +8,13 @@
 
 namespace green {
 
-Result<AutoMlRunResult> RandomSearchSystem::Fit(
-    const Dataset& train, const AutoMlOptions& options,
-    ExecutionContext* ctx) {
-  if (train.num_rows() < 4) {
-    return Status::InvalidArgument("random_search: too few rows");
-  }
-  if (ctx->Cancelled()) {
-    return Status::DeadlineExceeded("random_search: cancelled before start");
-  }
-  EnergyMeter meter(ctx->model());
-  ScopedMeter scope(ctx, &meter);
-  ChargeScope sys_scope(ctx, Name());
-  const double start = ctx->Now();
-  const double deadline = start + options.search_budget_seconds;
-  ctx->SetDeadline(deadline);
-  const BudgetPolicy policy(budget_policy());
-
+Status RandomSearchSystem::Search(const Dataset& train,
+                                  const AutoMlOptions& options,
+                                  ExecutionContext* ctx,
+                                  AutoMlRunResult* result) {
   Rng rng(options.seed);
-  TrainTestIndices split =
-      SplitForTask(train, 1.0 - params_.holdout_fraction, &rng);
-  TrainTestData holdout = Materialize(train, split);
+  TrainTestData holdout = Materialize(
+      train, SplitForTask(train, 1.0 - params_.holdout_fraction, &rng));
 
   // The same space CAML searches, so the only difference is the strategy.
   PipelineSpaceOptions space_options;
@@ -40,11 +25,7 @@ Result<AutoMlRunResult> RandomSearchSystem::Fit(
       train.task());
   PipelineSearchSpace space(space_options);
 
-  AutoMlRunResult result;
-  result.configured_budget_seconds = options.search_budget_seconds;
-
-  std::shared_ptr<Pipeline> best_pipeline;
-  double best_score = -std::numeric_limits<double>::infinity();
+  Incumbent best;
   const double eval_time_cap =
       params_.evaluation_fraction * options.search_budget_seconds;
 
@@ -53,7 +34,6 @@ Result<AutoMlRunResult> RandomSearchSystem::Fit(
   ChargeScope search_scope(ctx, "search");
   while (!ctx->DeadlineExceeded()) {
     if (ctx->Cancelled()) {
-      ctx->ClearDeadline();
       return Status::DeadlineExceeded("random_search: cancelled mid-search");
     }
     const PipelineConfig config = space.SampleConfig(
@@ -67,40 +47,22 @@ Result<AutoMlRunResult> RandomSearchSystem::Fit(
       ctx->ChargeCpu(500.0, 0.0, 0.2);  // Sampling bookkeeping.
       continue;
     }
-    if (!policy.MayStartEvaluation(ctx->Now(), deadline, estimated)) break;
+    if (!MayStartEvaluation(*ctx, estimated)) break;
 
     auto evaluated =
         TrainAndScore(config, holdout.train, holdout.test, ctx);
     if (!evaluated.ok()) continue;
-    ++result.pipelines_evaluated;
-    if (evaluated.value().val_score > best_score) {
-      best_score = evaluated.value().val_score;
-      best_pipeline = evaluated.value().pipeline;
+    ++result->pipelines_evaluated;
+    if (evaluated.value().val_score > best.score) {
+      best = Incumbent{evaluated.value().pipeline,
+                       evaluated.value().val_score, config};
     }
   }
   }
 
-  if (best_pipeline == nullptr) {
-    ChargeScope phase(ctx, "fallback");
-    PipelineConfig fallback;
-    fallback.model = train.task() == TaskType::kRegression
-                         ? "decision_tree"
-                         : "naive_bayes";
-    fallback.seed = options.seed;
-    GREEN_ASSIGN_OR_RETURN(
-        EvaluatedPipeline evaluated,
-        TrainAndScore(fallback, holdout.train, holdout.test, ctx));
-    best_pipeline = evaluated.pipeline;
-    best_score = evaluated.val_score;
-    ++result.pipelines_evaluated;
-  }
-
-  ctx->ClearDeadline();
-  result.artifact = FittedArtifact::Single(best_pipeline);
-  result.best_validation_score = best_score;
-  result.execution = scope.Stop();
-  result.actual_seconds = ctx->Now() - start;
-  return result;
+  return FinishSingle(std::move(best),
+                      CheapestConfig(train.task(), options.seed), holdout,
+                      /*refit_data=*/nullptr, ctx, result);
 }
 
 }  // namespace green

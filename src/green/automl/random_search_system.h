@@ -32,9 +32,9 @@ class RandomSearchSystem : public AutoMlSystem {
     return BudgetPolicyKind::kStrict;
   }
 
-  Result<AutoMlRunResult> Fit(const Dataset& train,
-                              const AutoMlOptions& options,
-                              ExecutionContext* ctx) override;
+ protected:
+  Status Search(const Dataset& train, const AutoMlOptions& options,
+                ExecutionContext* ctx, AutoMlRunResult* result) override;
 
  private:
   RandomSearchSystemParams params_;

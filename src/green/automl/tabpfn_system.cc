@@ -1,28 +1,12 @@
 #include "green/automl/tabpfn_system.h"
 
-#include "green/ml/metrics.h"
 #include "green/ml/preprocess/imputer.h"
 
 namespace green {
 
-Result<AutoMlRunResult> TabPfnSystem::Fit(const Dataset& train,
-                                          const AutoMlOptions& options,
-                                          ExecutionContext* ctx) {
-  if (train.num_rows() == 0) {
-    return Status::InvalidArgument("tabpfn: empty training data");
-  }
-  if (train.task() == TaskType::kRegression) {
-    // The pretrained prior is a classifier; there is no regression head.
-    return Status::Unimplemented("tabpfn: regression not supported");
-  }
-  if (ctx->Cancelled()) {
-    return Status::DeadlineExceeded("tabpfn: cancelled before start");
-  }
-  EnergyMeter meter(ctx->model());
-  ScopedMeter scope(ctx, &meter);
-  ChargeScope sys_scope(ctx, Name());
-  const double start = ctx->Now();
-
+Status TabPfnSystem::Search(const Dataset& train,
+                            const AutoMlOptions& /*options*/,
+                            ExecutionContext* ctx, AutoMlRunResult* result) {
   // TabPFN consumes the raw table directly; only missing values need
   // handling before the forward pass.
   Pipeline pipeline;
@@ -30,17 +14,13 @@ Result<AutoMlRunResult> TabPfnSystem::Fit(const Dataset& train,
   pipeline.SetModel(std::make_unique<AttentionFewShot>(model_params_));
   GREEN_RETURN_IF_ERROR(pipeline.Fit(train, ctx));
 
-  AutoMlRunResult result;
-  result.configured_budget_seconds = options.search_budget_seconds;
-  result.pipelines_evaluated = 1;
-  result.artifact = FittedArtifact::Single(
+  result->pipelines_evaluated = 1;
+  result->artifact = FittedArtifact::Single(
       std::make_shared<Pipeline>(std::move(pipeline)));
   // Zero search: there is no validation score to report; the paper's
   // benchmarks score TabPFN on test data only.
-  result.best_validation_score = 0.0;
-  result.execution = scope.Stop();
-  result.actual_seconds = ctx->Now() - start;
-  return result;
+  result->best_validation_score = 0.0;
+  return Status::Ok();
 }
 
 }  // namespace green

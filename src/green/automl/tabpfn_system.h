@@ -20,6 +20,7 @@ class TabPfnSystem : public AutoMlSystem {
       : model_params_(model_params) {}
 
   std::string Name() const override { return "tabpfn"; }
+  size_t MinTrainRows() const override { return 1; }
   BudgetPolicyKind budget_policy() const override {
     return BudgetPolicyKind::kNoBudget;
   }
@@ -28,9 +29,9 @@ class TabPfnSystem : public AutoMlSystem {
     return IsClassification(task);
   }
 
-  Result<AutoMlRunResult> Fit(const Dataset& train,
-                              const AutoMlOptions& options,
-                              ExecutionContext* ctx) override;
+ protected:
+  Status Search(const Dataset& train, const AutoMlOptions& options,
+                ExecutionContext* ctx, AutoMlRunResult* result) override;
 
  private:
   AttentionFewShotParams model_params_;

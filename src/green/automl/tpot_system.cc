@@ -11,22 +11,8 @@
 
 namespace green {
 
-Result<AutoMlRunResult> TpotSystem::Fit(const Dataset& train,
-                                        const AutoMlOptions& options,
-                                        ExecutionContext* ctx) {
-  if (train.num_rows() < static_cast<size_t>(2 * params_.cv_folds)) {
-    return Status::InvalidArgument("tpot: too few rows for CV");
-  }
-  if (ctx->Cancelled()) {
-    return Status::DeadlineExceeded("tpot: cancelled before start");
-  }
-  EnergyMeter meter(ctx->model());
-  ScopedMeter scope(ctx, &meter);
-  ChargeScope sys_scope(ctx, Name());
-  const double start = ctx->Now();
-  const double deadline = start + options.search_budget_seconds;
-  ctx->SetDeadline(deadline);
-
+Status TpotSystem::Search(const Dataset& train, const AutoMlOptions& options,
+                          ExecutionContext* ctx, AutoMlRunResult* result) {
   Rng rng(options.seed);
 
   // Table 1: TPOT searches data/feature preprocessors and models.
@@ -40,30 +26,8 @@ Result<AutoMlRunResult> TpotSystem::Fit(const Dataset& train,
   space_options.include_feature_preprocessors = true;
   PipelineSearchSpace space(space_options);
 
-  const std::vector<std::vector<size_t>> folds =
-      KFoldForTask(train, params_.cv_folds, &rng);
-
-  // Build each fold's fit/val views once; every pipeline evaluation
-  // reuses the same view objects, so the transform cache keys on the
-  // same storage + row index across the whole evolution.
-  std::vector<Dataset> fold_fit;
-  std::vector<Dataset> fold_val;
-  fold_fit.reserve(static_cast<size_t>(params_.cv_folds));
-  fold_val.reserve(static_cast<size_t>(params_.cv_folds));
-  for (int f = 0; f < params_.cv_folds; ++f) {
-    std::vector<size_t> fit_rows;
-    for (int g = 0; g < params_.cv_folds; ++g) {
-      if (g == f) continue;
-      fit_rows.insert(fit_rows.end(), folds[static_cast<size_t>(g)].begin(),
-                      folds[static_cast<size_t>(g)].end());
-    }
-    std::sort(fit_rows.begin(), fit_rows.end());
-    fold_fit.push_back(train.Subset(fit_rows));
-    fold_val.push_back(train.Subset(folds[static_cast<size_t>(f)]));
-  }
-
-  AutoMlRunResult result;
-  result.configured_budget_seconds = options.search_budget_seconds;
+  const FoldViews views =
+      MakeFoldViews(train, KFoldForTask(train, params_.cv_folds, &rng));
 
   int eval_counter = 0;
   // k-fold CV score of one configuration; every fold trains a fresh
@@ -85,9 +49,8 @@ Result<AutoMlRunResult> TpotSystem::Fit(const Dataset& train,
         EstimateEvaluationSeconds(config, train.num_rows() - fold_rows,
                                   fold_rows, train.num_features(),
                                   train.num_classes(), *ctx);
-    const double remaining = deadline - ctx->Now();
     if (estimated > std::max(0.25 * options.search_budget_seconds,
-                             remaining)) {
+                             ctx->RemainingBudget())) {
       ctx->ChargeCpu(500.0, 0.0, 0.2);  // Proposal bookkeeping.
       return Status::ResourceExhausted("pipeline exceeds eval timeout");
     }
@@ -95,16 +58,15 @@ Result<AutoMlRunResult> TpotSystem::Fit(const Dataset& train,
     double complexity = 0.0;
     int folds_done = 0;
     for (int f = 0; f < params_.cv_folds; ++f) {
-      const Dataset& fit_data = fold_fit[static_cast<size_t>(f)];
-      const Dataset& val_data = fold_val[static_cast<size_t>(f)];
       GREEN_ASSIGN_OR_RETURN(
           EvaluatedPipeline evaluated,
-          TrainAndScore(config, fit_data, val_data, ctx));
+          TrainAndScore(config, views.fit[static_cast<size_t>(f)],
+                        views.val[static_cast<size_t>(f)], ctx));
       score_sum += evaluated.val_score;
       complexity += evaluated.pipeline->ModelComplexity();
       ++folds_done;
     }
-    ++result.pipelines_evaluated;
+    ++result->pipelines_evaluated;
     const double mean_score =
         score_sum / static_cast<double>(folds_done);
     // TPOT's classic bi-objective: maximize accuracy, minimize pipeline
@@ -127,7 +89,6 @@ Result<AutoMlRunResult> TpotSystem::Fit(const Dataset& train,
   }();
 
   if (ctx->Cancelled()) {
-    ctx->ClearDeadline();
     return Status::DeadlineExceeded("tpot: cancelled mid-evolution");
   }
 
@@ -161,13 +122,10 @@ Result<AutoMlRunResult> TpotSystem::Fit(const Dataset& train,
     GREEN_RETURN_IF_ERROR(final_pipeline.Fit(train, ctx));
   }
 
-  ctx->ClearDeadline();
-  result.artifact = FittedArtifact::Single(
+  result->artifact = FittedArtifact::Single(
       std::make_shared<Pipeline>(std::move(final_pipeline)));
-  result.best_validation_score = best->objectives[0];
-  result.execution = scope.Stop();
-  result.actual_seconds = ctx->Now() - start;
-  return result;
+  result->best_validation_score = best->objectives[0];
+  return Status::Ok();
 }
 
 }  // namespace green

@@ -26,13 +26,17 @@ class TpotSystem : public AutoMlSystem {
 
   std::string Name() const override { return "tpot"; }
   double MinBudgetSeconds() const override { return 60.0; }
+  /// Every CV fold needs at least two rows.
+  size_t MinTrainRows() const override {
+    return static_cast<size_t>(2 * params_.cv_folds);
+  }
   BudgetPolicyKind budget_policy() const override {
     return BudgetPolicyKind::kFinishLastEvaluation;
   }
 
-  Result<AutoMlRunResult> Fit(const Dataset& train,
-                              const AutoMlOptions& options,
-                              ExecutionContext* ctx) override;
+ protected:
+  Status Search(const Dataset& train, const AutoMlOptions& options,
+                ExecutionContext* ctx, AutoMlRunResult* result) override;
 
  private:
   TpotParams params_;

@@ -117,43 +117,54 @@ ExperimentRunner::ExperimentRunner(const ExperimentConfig& config)
 
 namespace {
 
-/// Constructs a system purely to query its declared properties
-/// (MinBudgetSeconds etc.) — no tuned parameters, no meta-store, and
-/// therefore no side effects. Construction of every system is cheap.
-Result<std::unique_ptr<AutoMlSystem>> MakeProbeSystem(
-    const std::string& system_name) {
-  if (system_name == "tabpfn") {
-    return std::unique_ptr<AutoMlSystem>(new TabPfnSystem());
+bool IsAskl(const std::string& system_name) {
+  return system_name == "autosklearn1" || system_name == "autosklearn2";
+}
+
+/// The one name -> system switch. `tuned` parameterizes caml_tuned and
+/// `meta_store` warm-starts autosklearn2; defaults and nullptr build a
+/// system whose declared properties (MinBudgetSeconds etc.) are exact
+/// without reading a tuned config or building the meta-store.
+Result<std::unique_ptr<AutoMlSystem>> NewSystem(
+    const std::string& name, const CamlParams& tuned,
+    const AsklMetaStore* meta_store) {
+  GluonParams gluon;
+  gluon.refit_for_inference = name == "autogluon_refit";
+  AsklParams askl;
+  askl.warm_start = name == "autosklearn2";
+  std::unique_ptr<AutoMlSystem> system;
+  if (name == "tabpfn") system = std::make_unique<TabPfnSystem>();
+  if (name == "caml") system = std::make_unique<CamlSystem>();
+  if (name == "caml_tuned") {
+    system = std::make_unique<CamlSystem>(tuned, "caml_tuned");
   }
-  if (system_name == "caml") {
-    return std::unique_ptr<AutoMlSystem>(new CamlSystem());
+  if (name == "flaml") system = std::make_unique<FlamlSystem>();
+  if (name == "autogluon" || name == "autogluon_refit") {
+    system = std::make_unique<GluonSystem>(gluon);
   }
-  if (system_name == "caml_tuned") {
-    return std::unique_ptr<AutoMlSystem>(
-        new CamlSystem(CamlParams(), "caml_tuned"));
+  if (IsAskl(name)) system = std::make_unique<AsklSystem>(askl, meta_store);
+  if (name == "tpot") system = std::make_unique<TpotSystem>();
+  if (name == "random_search") system = std::make_unique<RandomSearchSystem>();
+  if (name == "autopt") system = std::make_unique<AutoPtSystem>();
+  if (system == nullptr) {
+    return Status::NotFound("unknown system: " + name);
   }
-  if (system_name == "flaml") {
-    return std::unique_ptr<AutoMlSystem>(new FlamlSystem());
+  return system;
+}
+
+/// Copies `reading`'s scope tree onto `record` as "<stage>/<path>" rows
+/// in paper-scale units, divided by `per` instances (1 for execution).
+void AppendScopeRows(const EnergyReading& reading, const std::string& stage,
+                     double per, double budget_scale, RunRecord* record) {
+  for (const auto& [path, charge] : reading.scopes) {
+    RunScope row;
+    row.path = stage + "/" + path;
+    row.kwh = charge.kwh() / per / budget_scale;
+    row.seconds = charge.seconds / per / budget_scale;
+    row.flops = charge.flops / per;
+    row.charges = charge.charges;
+    record->scopes.push_back(std::move(row));
   }
-  if (system_name == "autogluon" || system_name == "autogluon_refit") {
-    return std::unique_ptr<AutoMlSystem>(new GluonSystem());
-  }
-  if (system_name == "autosklearn1" || system_name == "autosklearn2") {
-    AsklParams params;
-    params.warm_start = system_name == "autosklearn2";
-    return std::unique_ptr<AutoMlSystem>(
-        new AsklSystem(params, /*meta_store=*/nullptr));
-  }
-  if (system_name == "tpot") {
-    return std::unique_ptr<AutoMlSystem>(new TpotSystem());
-  }
-  if (system_name == "random_search") {
-    return std::unique_ptr<AutoMlSystem>(new RandomSearchSystem());
-  }
-  if (system_name == "autopt") {
-    return std::unique_ptr<AutoMlSystem>(new AutoPtSystem());
-  }
-  return Status::NotFound("unknown system: " + system_name);
 }
 
 }  // namespace
@@ -179,7 +190,7 @@ std::string RunRecordCellKey(const RunRecord& record) {
 double ExperimentRunner::MinBudget(const std::string& system_name) const {
   // Single source of truth: the system's own declaration, so harness
   // gating can never drift from AutoMlSystem::MinBudgetSeconds().
-  auto probe = MakeProbeSystem(system_name);
+  auto probe = NewSystem(system_name, CamlParams(), /*meta_store=*/nullptr);
   if (!probe.ok()) return 0.0;  // RunOne reports the NotFound per cell.
   return (*probe)->MinBudgetSeconds();
 }
@@ -246,46 +257,16 @@ Status ExperimentRunner::EnsureMetaStore() {
 
 Result<std::unique_ptr<AutoMlSystem>> ExperimentRunner::MakeSystem(
     const std::string& system_name, double paper_budget) {
-  if (system_name == "tabpfn") {
-    return std::unique_ptr<AutoMlSystem>(new TabPfnSystem());
-  }
-  if (system_name == "caml") {
-    return std::unique_ptr<AutoMlSystem>(new CamlSystem());
-  }
+  CamlParams tuned;
   if (system_name == "caml_tuned") {
-    GREEN_ASSIGN_OR_RETURN(CamlParams params,
-                           tuned_store_.Get(paper_budget));
-    return std::unique_ptr<AutoMlSystem>(
-        new CamlSystem(params, "caml_tuned"));
+    GREEN_ASSIGN_OR_RETURN(tuned, tuned_store_.Get(paper_budget));
   }
-  if (system_name == "flaml") {
-    return std::unique_ptr<AutoMlSystem>(new FlamlSystem());
-  }
-  if (system_name == "autogluon") {
-    return std::unique_ptr<AutoMlSystem>(new GluonSystem());
-  }
-  if (system_name == "autogluon_refit") {
-    GluonParams params;
-    params.refit_for_inference = true;
-    return std::unique_ptr<AutoMlSystem>(new GluonSystem(params));
-  }
-  if (system_name == "autosklearn1" || system_name == "autosklearn2") {
+  const AsklMetaStore* meta_store = nullptr;
+  if (IsAskl(system_name)) {
     GREEN_RETURN_IF_ERROR(EnsureMetaStore());
-    AsklParams params;
-    params.warm_start = system_name == "autosklearn2";
-    return std::unique_ptr<AutoMlSystem>(
-        new AsklSystem(params, meta_store_.get()));
+    meta_store = meta_store_.get();
   }
-  if (system_name == "tpot") {
-    return std::unique_ptr<AutoMlSystem>(new TpotSystem());
-  }
-  if (system_name == "random_search") {
-    return std::unique_ptr<AutoMlSystem>(new RandomSearchSystem());
-  }
-  if (system_name == "autopt") {
-    return std::unique_ptr<AutoMlSystem>(new AutoPtSystem());
-  }
-  return Status::NotFound("unknown system: " + system_name);
+  return NewSystem(system_name, tuned, meta_store);
 }
 
 Result<RunRecord> ExperimentRunner::RunOne(const std::string& system_name,
@@ -310,12 +291,8 @@ Result<RunRecord> ExperimentRunner::RunOne(const std::string& system_name,
 
   GREEN_ASSIGN_OR_RETURN(std::unique_ptr<AutoMlSystem> system,
                          MakeSystem(system_name, paper_budget));
-  if (!system->SupportsTask(dataset.task())) {
-    // Maps to a skipped cell (same taxonomy as unsupported budgets).
-    return Status::Unimplemented(
-        StrFormat("%s: task %s not supported", system_name.c_str(),
-                  TaskTypeName(dataset.task())));
-  }
+  // Maps to a skipped cell (same taxonomy as unsupported budgets).
+  GREEN_RETURN_IF_ERROR(CheckTaskSupported(*system, dataset.task()));
 
   const uint64_t run_seed =
       HashCombine(HashCombine(config_.seed, repetition + 1),
@@ -371,15 +348,8 @@ Result<RunRecord> ExperimentRunner::RunOne(const std::string& system_name,
   if (config_.collect_scopes) {
     // Scope rows carry the same paper-scale units as execution_kwh /
     // execution_seconds; FLOPs are counted work and need no rescaling.
-    for (const auto& [path, charge] : run.execution.scopes) {
-      RunScope row;
-      row.path = "execution/" + path;
-      row.kwh = charge.kwh() / config_.budget_scale;
-      row.seconds = charge.seconds / config_.budget_scale;
-      row.flops = charge.flops;
-      row.charges = charge.charges;
-      record.scopes.push_back(std::move(row));
-    }
+    AppendScopeRows(run.execution, "execution", 1.0, config_.budget_scale,
+                    &record);
   }
 
   // Inference stage: metered separately, normalized per instance.
@@ -414,15 +384,8 @@ Result<RunRecord> ExperimentRunner::RunOne(const std::string& system_name,
   if (config_.collect_scopes && n_test > 0) {
     // Inference scopes are normalized per test instance, like the
     // headline inference_kwh_per_instance.
-    for (const auto& [path, charge] : inference.scopes) {
-      RunScope row;
-      row.path = "inference/" + path;
-      row.kwh = charge.kwh() / n_test / config_.budget_scale;
-      row.seconds = charge.seconds / n_test / config_.budget_scale;
-      row.flops = charge.flops / n_test;
-      row.charges = charge.charges;
-      record.scopes.push_back(std::move(row));
-    }
+    AppendScopeRows(inference, "inference", n_test, config_.budget_scale,
+                    &record);
   }
   if (regression) {
     record.test_metric = PrimaryMetric(data.test, test_values);  // RMSE.

@@ -99,6 +99,24 @@ std::vector<std::vector<size_t>> KFoldForTask(const Dataset& data, int k,
              : StratifiedKFold(data, k, rng);
 }
 
+FoldViews MakeFoldViews(const Dataset& data,
+                        const std::vector<std::vector<size_t>>& folds) {
+  FoldViews views;
+  views.fit.reserve(folds.size());
+  views.val.reserve(folds.size());
+  for (size_t f = 0; f < folds.size(); ++f) {
+    std::vector<size_t> fit_rows;
+    for (size_t g = 0; g < folds.size(); ++g) {
+      if (g == f) continue;
+      fit_rows.insert(fit_rows.end(), folds[g].begin(), folds[g].end());
+    }
+    std::sort(fit_rows.begin(), fit_rows.end());
+    views.fit.push_back(data.Subset(fit_rows));
+    views.val.push_back(data.Subset(folds[f]));
+  }
+  return views;
+}
+
 std::vector<size_t> SamplePerClass(const Dataset& data, int per_class,
                                    Rng* rng) {
   std::vector<size_t> out;

@@ -44,6 +44,18 @@ TrainTestIndices SplitForTask(const Dataset& data, double train_fraction,
 std::vector<std::vector<size_t>> KFoldForTask(const Dataset& data, int k,
                                               Rng* rng);
 
+/// One fit/val view pair per fold: fold f validates on `folds[f]` and
+/// fits on every other fold's rows, ascending. Built once per search so
+/// every evaluation reuses the same views and the transform cache keys
+/// on the same storage + row index throughout (TPOT's CV, AutoGluon's
+/// bagging).
+struct FoldViews {
+  std::vector<Dataset> fit;
+  std::vector<Dataset> val;
+};
+FoldViews MakeFoldViews(const Dataset& data,
+                        const std::vector<std::vector<size_t>>& folds);
+
 /// Draws up to `per_class` rows per class (without replacement); the
 /// incremental-training strategy of CAML grows samples this way.
 std::vector<size_t> SamplePerClass(const Dataset& data, int per_class,

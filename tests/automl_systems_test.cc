@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "green/automl/askl_system.h"
@@ -10,6 +11,8 @@
 #include "green/automl/guideline.h"
 #include "green/automl/tabpfn_system.h"
 #include "green/automl/tpot_system.h"
+#include "green/bench_util/experiment.h"
+#include "green/common/cancel.h"
 #include "green/data/meta_corpus.h"
 #include "green/data/synthetic.h"
 #include "green/ml/metrics.h"
@@ -461,6 +464,75 @@ TEST_F(SystemsTest, PolicyKindsMatchTable7) {
   AsklParams params;
   EXPECT_EQ(AsklSystem(params, nullptr).budget_policy(),
             BudgetPolicyKind::kEnsemblingNotCounted);
+}
+
+// --- the Fit frame, for every system ---
+
+constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+
+/// Every system the harness can run, built the way RunOne builds it.
+std::vector<std::unique_ptr<AutoMlSystem>> AllSystems(
+    ExperimentRunner* runner) {
+  std::vector<std::unique_ptr<AutoMlSystem>> systems;
+  for (const std::string& name : AllSystemNames()) {
+    auto system = runner->MakeSystem(name, 60.0);
+    EXPECT_TRUE(system.ok()) << name;
+    if (system.ok()) systems.push_back(std::move(system).value());
+  }
+  return systems;
+}
+
+ExperimentConfig OneDatasetConfig() {
+  ExperimentConfig config;
+  config.dataset_limit = 1;
+  return config;
+}
+
+TEST_F(SystemsTest, FrameRejectsCancelledContextBeforeMetering) {
+  CancelToken cancelled;
+  cancelled.Cancel();
+  ctx_.SetCancelToken(&cancelled);
+  EnergyMeter caller_meter(&energy_model_);
+  caller_meter.Start(clock_.Now());
+  ctx_.SetMeter(&caller_meter);
+  const double start = clock_.Now();
+  ExperimentRunner runner(OneDatasetConfig());
+  for (const auto& system : AllSystems(&runner)) {
+    SCOPED_TRACE(system->Name());
+    const auto run = system->Fit(train_, Budget(2.0), &ctx_);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), Status::Code::kDeadlineExceeded);
+    EXPECT_EQ(ctx_.meter(), &caller_meter);
+    EXPECT_EQ(ctx_.deadline(), kNoDeadline);
+  }
+  EXPECT_EQ(clock_.Now(), start);
+  EXPECT_EQ(caller_meter.dynamic_joules(), 0.0);
+  EXPECT_TRUE(caller_meter.Stop(clock_.Now()).scopes.empty());
+  ctx_.SetMeter(nullptr);
+}
+
+TEST_F(SystemsTest, FrameClearsDeadlineAndScopesUnderName) {
+  ExperimentRunner runner(OneDatasetConfig());
+  for (const auto& system : AllSystems(&runner)) {
+    const std::string name = system->Name();
+    SCOPED_TRACE(name);
+    const auto run = system->Fit(train_, Budget(4.0), &ctx_);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(ctx_.deadline(), kNoDeadline);
+    EXPECT_EQ(run->configured_budget_seconds, 4.0);
+    ASSERT_FALSE(run->execution.scopes.empty());
+    for (const auto& [path, charge] : run->execution.scopes) {
+      EXPECT_TRUE(path == name || path.rfind(name + "/", 0) == 0) << path;
+    }
+  }
+}
+
+TEST_F(SystemsTest, FailedFitLeavesNoDeadlineArmed) {
+  // Nothing survives evolution in a millisecond, so TPOT fails.
+  TpotSystem tpot;
+  const auto run = tpot.Fit(train_, Budget(1e-3), &ctx_);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(ctx_.deadline(), kNoDeadline);
 }
 
 // --- guideline (Fig. 8) ---
