@@ -58,8 +58,9 @@ Result<AsklMetaStore> AsklMetaStore::BuildFromCorpus(
       if (!evaluated.ok()) continue;
       scored.emplace_back(evaluated.value().val_score, config);
     }
-    std::sort(scored.begin(), scored.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
+    std::stable_sort(
+        scored.begin(), scored.end(),
+        [](const auto& a, const auto& b) { return a.first > b.first; });
     Entry entry;
     entry.meta = ComputeMetaFeatures(dataset);
     for (size_t i = 0; i < std::min<size_t>(3, scored.size()); ++i) {
@@ -163,10 +164,10 @@ Status AsklSystem::Search(const Dataset& train, const AutoMlOptions& options,
   }
 
   // Keep the top `ensemble_size` pipelines by validation score.
-  std::sort(library.begin(), library.end(),
-            [](const EvaluatedPipeline& a, const EvaluatedPipeline& b) {
-              return a.val_score > b.val_score;
-            });
+  std::stable_sort(library.begin(), library.end(),
+                   [](const EvaluatedPipeline& a, const EvaluatedPipeline& b) {
+                     return a.val_score > b.val_score;
+                   });
   if (library.size() > static_cast<size_t>(params_.ensemble_size)) {
     library.resize(static_cast<size_t>(params_.ensemble_size));
   }

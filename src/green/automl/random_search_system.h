@@ -12,7 +12,7 @@ namespace green {
 /// pipeline space, hold-out validation, best single pipeline wins. The
 /// paper's premise is that the development cost of advanced systems
 /// amortizes against exactly this strategy — having it in the harness
-/// makes that claim testable (see bench/ablation_search_strategies).
+/// makes that claim testable (see bench/paper ablation_search_strategies).
 struct RandomSearchSystemParams {
   double holdout_fraction = 0.33;
   /// Skip configurations whose estimated evaluation cost exceeds this

@@ -178,7 +178,7 @@ inline constexpr Knob kServeShed{.env = "GREEN_SERVE_SHED",
 inline constexpr Knob kTrace{.env = "GREEN_TRACE", .choices = "PATH",
     .help = "JSONL trace of every charge-scope enter and exit"};
 inline constexpr Knob kTune{.env = "GREEN_TUNE", .type = kBool,
-    .help = "table5_tuned_params also re-runs the tuner live"};
+    .help = "bench/paper table5_tuned_params also re-runs the tuner live"};
 
 inline constexpr const Knob* kLibrary[] = {
     &kJobs, &kJournal, &kResume, &kShard, &kRetries, &kCellTimeout,

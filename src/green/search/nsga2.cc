@@ -69,7 +69,7 @@ void AssignCrowdingDistance(const std::vector<size_t>& front,
   for (size_t i : front) (*population)[i].crowding = 0.0;
   std::vector<size_t> order = front;
   for (size_t obj = 0; obj < m; ++obj) {
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
       return (*population)[a].objectives[obj] <
              (*population)[b].objectives[obj];
     });
@@ -171,7 +171,7 @@ Nsga2Result Nsga2(
         break;
       }
       std::vector<size_t> sorted = front;
-      std::sort(sorted.begin(), sorted.end(), [&](size_t a, size_t b) {
+      std::stable_sort(sorted.begin(), sorted.end(), [&](size_t a, size_t b) {
         return population[a].crowding > population[b].crowding;
       });
       for (size_t i : sorted) {
@@ -190,11 +190,11 @@ Nsga2Result Nsga2(
       AssignCrowdingDistance(front, &population);
     }
   }
-  std::sort(population.begin(), population.end(),
-            [](const Nsga2Individual& a, const Nsga2Individual& b) {
-              if (a.rank != b.rank) return a.rank < b.rank;
-              return a.crowding > b.crowding;
-            });
+  std::stable_sort(population.begin(), population.end(),
+                   [](const Nsga2Individual& a, const Nsga2Individual& b) {
+                     if (a.rank != b.rank) return a.rank < b.rank;
+                     return a.crowding > b.crowding;
+                   });
   result.population = std::move(population);
   return result;
 }

@@ -34,8 +34,9 @@ SuccessiveHalvingResult SuccessiveHalving(
         result.best_arm = arm;
       }
     }
-    std::sort(scored.begin(), scored.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
+    std::stable_sort(
+        scored.begin(), scored.end(),
+        [](const auto& a, const auto& b) { return a.first > b.first; });
 
     if (last_rung || scored.empty()) {
       result.survivors.clear();
