@@ -483,8 +483,9 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
       std::fprintf(f, "}%s\n", i + 1 < rows_.size() ? "," : "");
     }
     std::fputs("]\n", f);
-    std::fclose(f);
-    return true;
+    // fclose flushes the buffer, so a full device often fails only there.
+    const bool written = std::ferror(f) == 0;
+    return std::fclose(f) == 0 && written;
   }
 
  private:

@@ -468,7 +468,7 @@ Status Fig7(const ExhibitInput& in) {
   const double runs =
       StageLedger::AmortizationRuns(development_kwh, saving_per_run);
   std::printf(
-      "\nAmortization: tuning cost %.3f kWh; vs autogluon@9s saving "
+      "\nAmortization: tuning cost %.3f kWh; vs autogluon@30s saving "
       "%.5f kWh/run -> pays off after ~%.0f executions (paper: ~885; "
       "scale differs with the simulation profile).\n",
       development_kwh, saving_per_run, runs);

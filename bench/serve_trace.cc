@@ -98,8 +98,9 @@ bool WriteJson(const std::string& path,
         i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
-  std::fclose(f);
-  return true;
+  // fclose flushes the buffer, so a full device often fails only there.
+  const bool written = std::ferror(f) == 0;
+  return std::fclose(f) == 0 && written;
 }
 
 int Main(int argc, char** argv) {

@@ -441,7 +441,7 @@ int Main(int argc, char** argv) {
   }
 
   // One full measured run through the same harness the benches use.
-  auto record = runner.RunOne(system, dataset, budget, 0, config.cores);
+  auto record = runner.RunOne(system, dataset, budget, 0);
   if (!record.ok()) {
     std::fprintf(stderr, "run failed: %s\n",
                  record.status().ToString().c_str());

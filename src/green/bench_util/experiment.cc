@@ -167,6 +167,22 @@ void AppendScopeRows(const EnergyReading& reading, const std::string& stage,
   }
 }
 
+/// A record carrying only the cell's identity: system, dataset, budget,
+/// repetition, task, metric and variant.
+RunRecord CellRecord(const std::string& system, const Dataset& dataset,
+                     double paper_budget, int repetition,
+                     const SweepVariant* variant) {
+  RunRecord record;
+  record.system = system;
+  record.dataset = dataset.name();
+  record.paper_budget_seconds = paper_budget;
+  record.repetition = repetition;
+  record.task = dataset.task();
+  record.metric_name = PrimaryMetricName(dataset.task());
+  if (variant != nullptr) record.variant = variant->name;
+  return record;
+}
+
 }  // namespace
 
 std::string RunRecordCellKey(const std::string& system,
@@ -272,22 +288,20 @@ Result<std::unique_ptr<AutoMlSystem>> ExperimentRunner::MakeSystem(
 Result<RunRecord> ExperimentRunner::RunOne(const std::string& system_name,
                                            const Dataset& dataset,
                                            double paper_budget,
-                                           int repetition, int cores,
+                                           int repetition,
                                            const CancelToken* cancel,
                                            int attempt,
                                            const SweepVariant* variant) {
-  const std::string variant_name =
-      variant != nullptr ? variant->name : std::string();
+  RunRecord record =
+      CellRecord(system_name, dataset, paper_budget, repetition, variant);
   // Probabilistic fault draws inside this attempt are keyed by the cell
   // AND the attempt, so a retry re-rolls the dice instead of
   // deterministically re-hitting the same injected failure. (Cell key
   // first, then attempt — for variant-less cells this is the same
   // "system|dataset|budget|rep|attempt" string as before the variant
   // axis existed.)
-  FaultScope fault_scope(
-      RunRecordCellKey(system_name, dataset.name(), paper_budget,
-                       repetition, variant_name) +
-      StrFormat("|%d", attempt));
+  FaultScope fault_scope(RunRecordCellKey(record) +
+                         StrFormat("|%d", attempt));
 
   GREEN_ASSIGN_OR_RETURN(std::unique_ptr<AutoMlSystem> system,
                          MakeSystem(system_name, paper_budget));
@@ -305,14 +319,12 @@ Result<RunRecord> ExperimentRunner::RunOne(const std::string& system_name,
   TrainTestIndices split = SplitForTask(dataset, 0.66, &rng);
   TrainTestData data = Materialize(dataset, split);
 
-  // Precedence for the simulated core count: variant override, then the
-  // explicit argument, then the config default. The run seed above is
-  // deliberately independent of all three — variants of one cell share
-  // their split and search trajectory.
-  const int effective_cores =
-      variant != nullptr && variant->cores > 0
-          ? variant->cores
-          : (cores > 0 ? cores : config_.cores);
+  // The simulated core count: the variant's override, else the config
+  // default. The run seed above is deliberately independent of both —
+  // variants of one cell share their split and search trajectory.
+  const int effective_cores = variant != nullptr && variant->cores > 0
+                                  ? variant->cores
+                                  : config_.cores;
   VirtualClock clock;
   ExecutionContext ctx(&clock, &energy_model_, effective_cores);
   ctx.SetCancelToken(cancel);
@@ -331,14 +343,6 @@ Result<RunRecord> ExperimentRunner::RunOne(const std::string& system_name,
   GREEN_ASSIGN_OR_RETURN(AutoMlRunResult run,
                          system->Fit(data.train, options, &ctx));
 
-  RunRecord record;
-  record.system = system_name;
-  record.dataset = dataset.name();
-  record.paper_budget_seconds = paper_budget;
-  record.repetition = repetition;
-  record.variant = variant_name;
-  record.task = dataset.task();
-  record.metric_name = PrimaryMetricName(dataset.task());
   record.execution_seconds = run.actual_seconds / config_.budget_scale;
   record.execution_kwh = run.execution.kwh() / config_.budget_scale;
   record.num_pipelines = run.artifact.NumPipelines();
@@ -400,16 +404,10 @@ Result<RunRecord> ExperimentRunner::RunOne(const std::string& system_name,
 RunRecord ExperimentRunner::RunCell(const std::string& system_name,
                                     const Dataset& dataset,
                                     double paper_budget, int repetition,
-                                    int cores, const CancelToken* cancel,
+                                    const CancelToken* cancel,
                                     const SweepVariant* variant) {
-  RunRecord record;
-  record.system = system_name;
-  record.dataset = dataset.name();
-  record.paper_budget_seconds = paper_budget;
-  record.repetition = repetition;
-  record.task = dataset.task();
-  record.metric_name = PrimaryMetricName(dataset.task());
-  if (variant != nullptr) record.variant = variant->name;
+  RunRecord record =
+      CellRecord(system_name, dataset, paper_budget, repetition, variant);
 
   // The paper's protocol: systems whose minimum supported search time
   // exceeds the cell's budget are not run at all (ASKL below 30 s, TPOT
@@ -431,8 +429,7 @@ RunRecord ExperimentRunner::RunCell(const std::string& system_name,
   while (true) {
     ++attempt;
     Result<RunRecord> run = RunOne(system_name, dataset, paper_budget,
-                                   repetition, cores, cancel, attempt,
-                                   variant);
+                                   repetition, cancel, attempt, variant);
     if (run.ok()) {
       record = std::move(run).value();
       record.outcome = RunOutcome::kOk;
@@ -645,14 +642,8 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
       FaultScope scope("sweep.cell|" + key);
       const Status injected = faults_.Check("sweep.cell");
       if (!injected.ok()) {
-        RunRecord record;
-        record.system = *cell.system;
-        record.dataset = cell.dataset->name();
-        record.paper_budget_seconds = cell.budget;
-        record.repetition = cell.rep;
-        record.task = cell.dataset->task();
-        record.metric_name = PrimaryMetricName(cell.dataset->task());
-        record.variant = cell.variant->name;
+        RunRecord record = CellRecord(*cell.system, *cell.dataset,
+                                      cell.budget, cell.rep, cell.variant);
         record.outcome = OutcomeForStatus(injected);
         record.error = injected.ToString();
         record.attempts = 0;
@@ -671,8 +662,7 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
     }
     RunRecord record =
         RunCell(*cell.system, *cell.dataset, cell.budget, cell.rep,
-                /*cores=*/0, watchdog_enabled ? &tokens[i] : nullptr,
-                cell.variant);
+                watchdog_enabled ? &tokens[i] : nullptr, cell.variant);
     start_ns[i].store(-1, std::memory_order_release);
     if (shard.count > 1) record.cell_index = cell.index;
 

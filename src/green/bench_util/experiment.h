@@ -236,15 +236,14 @@ class ExperimentRunner {
   /// tasks freely.
   void SetSuite(std::vector<Dataset> suite) { suite_ = std::move(suite); }
 
-  /// Runs one (system, dataset, budget, repetition) attempt. `cores`
-  /// overrides the config for the parallelism study; pass 0 to use the
-  /// default. `cancel` (optional) is polled by the system's search loop;
-  /// `attempt` keys the fault-injection scope so each retry redraws its
-  /// probabilistic faults. `variant` (optional) applies a per-cell
-  /// option override and stamps RunRecord::variant.
+  /// Runs one (system, dataset, budget, repetition) attempt. `cancel`
+  /// (optional) is polled by the system's search loop; `attempt` keys the
+  /// fault-injection scope so each retry redraws its probabilistic
+  /// faults. `variant` (optional) applies a per-cell option override, such
+  /// as the simulated core count, and stamps RunRecord::variant.
   Result<RunRecord> RunOne(const std::string& system_name,
                            const Dataset& dataset, double paper_budget,
-                           int repetition, int cores = 0,
+                           int repetition,
                            const CancelToken* cancel = nullptr,
                            int attempt = 1,
                            const SweepVariant* variant = nullptr);
@@ -254,7 +253,7 @@ class ExperimentRunner {
   /// outcome taxonomy. Never fails — an errored cell comes back as a
   /// non-ok record.
   RunRecord RunCell(const std::string& system_name, const Dataset& dataset,
-                    double paper_budget, int repetition, int cores = 0,
+                    double paper_budget, int repetition,
                     const CancelToken* cancel = nullptr,
                     const SweepVariant* variant = nullptr);
 

@@ -1,10 +1,13 @@
 #include "green/bench_util/record_io.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <type_traits>
 
 #include "green/common/logging.h"
 #include "green/common/stringutil.h"
@@ -116,6 +119,35 @@ Result<std::string> ExtractField(const std::string& line,
   return std::string(Trim(line.substr(start, end - start)));
 }
 
+/// Reads the number after `"key":` into `out`. The whole non-empty
+/// token must parse and fit `T`, and unsigned fields take no sign: a
+/// garbled number makes the line malformed instead of loading as 0 (or,
+/// for "-3" in an unsigned field, as 2^64 - 3).
+template <typename T>
+Status ReadNumber(const std::string& json, const std::string& key, T* out) {
+  GREEN_ASSIGN_OR_RETURN(const std::string token, ExtractField(json, key));
+  const char* begin = token.c_str();
+  char* end = const_cast<char*>(begin);
+  errno = 0;
+  if constexpr (std::is_floating_point_v<T>) {
+    *out = std::strtod(begin, &end);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    if (std::isdigit(static_cast<unsigned char>(token[0]))) {
+      *out = std::strtoull(begin, &end, 10);
+    }
+  } else {
+    const long long value = std::strtoll(begin, &end, 10);
+    *out = static_cast<T>(value);
+    if (*out != value) errno = ERANGE;
+  }
+  const bool out_of_range = !std::is_floating_point_v<T> && errno == ERANGE;
+  if (token.empty() || end != begin + token.size() || out_of_range) {
+    return Status::InvalidArgument("malformed number in \"" + key +
+                                   "\": " + token);
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 std::string RecordToJson(const RunRecord& record) {
@@ -177,53 +209,32 @@ Result<RunRecord> RecordFromJson(const std::string& line) {
   RunRecord record;
   GREEN_ASSIGN_OR_RETURN(record.system, ExtractField(line, "system"));
   GREEN_ASSIGN_OR_RETURN(record.dataset, ExtractField(line, "dataset"));
-  GREEN_ASSIGN_OR_RETURN(std::string budget,
-                         ExtractField(line, "budget_s"));
-  record.paper_budget_seconds = std::strtod(budget.c_str(), nullptr);
-  GREEN_ASSIGN_OR_RETURN(std::string rep,
-                         ExtractField(line, "repetition"));
-  record.repetition = static_cast<int>(std::strtol(rep.c_str(), nullptr,
-                                                   10));
-  GREEN_ASSIGN_OR_RETURN(std::string acc,
-                         ExtractField(line, "balanced_accuracy"));
-  record.test_balanced_accuracy = std::strtod(acc.c_str(), nullptr);
-  GREEN_ASSIGN_OR_RETURN(std::string exec_s,
-                         ExtractField(line, "execution_seconds"));
-  record.execution_seconds = std::strtod(exec_s.c_str(), nullptr);
-  GREEN_ASSIGN_OR_RETURN(std::string exec_kwh,
-                         ExtractField(line, "execution_kwh"));
-  record.execution_kwh = std::strtod(exec_kwh.c_str(), nullptr);
-  GREEN_ASSIGN_OR_RETURN(
-      std::string infer_kwh,
-      ExtractField(line, "inference_kwh_per_instance"));
-  record.inference_kwh_per_instance =
-      std::strtod(infer_kwh.c_str(), nullptr);
-  GREEN_ASSIGN_OR_RETURN(
-      std::string infer_s,
-      ExtractField(line, "inference_seconds_per_instance"));
-  record.inference_seconds_per_instance =
-      std::strtod(infer_s.c_str(), nullptr);
-  GREEN_ASSIGN_OR_RETURN(std::string pipes,
-                         ExtractField(line, "num_pipelines"));
-  record.num_pipelines =
-      static_cast<size_t>(std::strtoul(pipes.c_str(), nullptr, 10));
-  GREEN_ASSIGN_OR_RETURN(std::string evals,
-                         ExtractField(line, "pipelines_evaluated"));
-  record.pipelines_evaluated =
-      static_cast<int>(std::strtol(evals.c_str(), nullptr, 10));
-  GREEN_ASSIGN_OR_RETURN(std::string val,
-                         ExtractField(line, "best_validation_score"));
-  record.best_validation_score = std::strtod(val.c_str(), nullptr);
+  GREEN_RETURN_IF_ERROR(
+      ReadNumber(line, "budget_s", &record.paper_budget_seconds));
+  GREEN_RETURN_IF_ERROR(ReadNumber(line, "repetition", &record.repetition));
+  GREEN_RETURN_IF_ERROR(ReadNumber(line, "balanced_accuracy",
+                                   &record.test_balanced_accuracy));
+  GREEN_RETURN_IF_ERROR(
+      ReadNumber(line, "execution_seconds", &record.execution_seconds));
+  GREEN_RETURN_IF_ERROR(
+      ReadNumber(line, "execution_kwh", &record.execution_kwh));
+  GREEN_RETURN_IF_ERROR(ReadNumber(line, "inference_kwh_per_instance",
+                                   &record.inference_kwh_per_instance));
+  GREEN_RETURN_IF_ERROR(ReadNumber(line, "inference_seconds_per_instance",
+                                   &record.inference_seconds_per_instance));
+  GREEN_RETURN_IF_ERROR(
+      ReadNumber(line, "num_pipelines", &record.num_pipelines));
+  GREEN_RETURN_IF_ERROR(
+      ReadNumber(line, "pipelines_evaluated", &record.pipelines_evaluated));
+  GREEN_RETURN_IF_ERROR(ReadNumber(line, "best_validation_score",
+                                   &record.best_validation_score));
   // Taxonomy fields are optional so files written before the outcome
   // taxonomy existed still parse (as successful single-attempt cells).
   Result<std::string> outcome = ExtractField(line, "outcome");
   if (outcome.ok()) {
     GREEN_ASSIGN_OR_RETURN(record.outcome, RunOutcomeFromName(*outcome));
     GREEN_ASSIGN_OR_RETURN(record.error, ExtractField(line, "error"));
-    GREEN_ASSIGN_OR_RETURN(std::string attempts,
-                           ExtractField(line, "attempts"));
-    record.attempts =
-        static_cast<int>(std::strtol(attempts.c_str(), nullptr, 10));
+    GREEN_RETURN_IF_ERROR(ReadNumber(line, "attempts", &record.attempts));
   }
   // The task triple is optional: absent means a classification cell
   // (the default), where test_metric mirrors balanced accuracy.
@@ -232,18 +243,16 @@ Result<RunRecord> RecordFromJson(const std::string& line) {
     GREEN_ASSIGN_OR_RETURN(record.task, ParseTaskType(*task));
     GREEN_ASSIGN_OR_RETURN(record.metric_name,
                            ExtractField(line, "metric"));
-    GREEN_ASSIGN_OR_RETURN(std::string metric,
-                           ExtractField(line, "test_metric"));
-    record.test_metric = std::strtod(metric.c_str(), nullptr);
+    GREEN_RETURN_IF_ERROR(
+        ReadNumber(line, "test_metric", &record.test_metric));
   } else {
     record.test_metric = record.test_balanced_accuracy;
   }
   // Variant and shard cell index are optional like the taxonomy fields.
   Result<std::string> variant = ExtractField(line, "variant");
   if (variant.ok()) record.variant = std::move(variant).value();
-  Result<std::string> cell = ExtractField(line, "cell");
-  if (cell.ok()) {
-    record.cell_index = std::strtoll(cell->c_str(), nullptr, 10);
+  if (ExtractField(line, "cell").ok()) {
+    GREEN_RETURN_IF_ERROR(ReadNumber(line, "cell", &record.cell_index));
   }
   // The scopes array is optional (written only under --breakdown).
   // Scope paths are '/'-joined operator names, never braces, so each
@@ -261,18 +270,10 @@ Result<RunRecord> RecordFromJson(const std::string& line) {
       const std::string entry = line.substr(open, close - open + 1);
       RunScope s;
       GREEN_ASSIGN_OR_RETURN(s.path, ExtractField(entry, "path"));
-      GREEN_ASSIGN_OR_RETURN(std::string kwh,
-                             ExtractField(entry, "kwh"));
-      s.kwh = std::strtod(kwh.c_str(), nullptr);
-      GREEN_ASSIGN_OR_RETURN(std::string seconds,
-                             ExtractField(entry, "seconds"));
-      s.seconds = std::strtod(seconds.c_str(), nullptr);
-      GREEN_ASSIGN_OR_RETURN(std::string flops,
-                             ExtractField(entry, "flops"));
-      s.flops = std::strtod(flops.c_str(), nullptr);
-      GREEN_ASSIGN_OR_RETURN(std::string charges,
-                             ExtractField(entry, "charges"));
-      s.charges = std::strtoull(charges.c_str(), nullptr, 10);
+      GREEN_RETURN_IF_ERROR(ReadNumber(entry, "kwh", &s.kwh));
+      GREEN_RETURN_IF_ERROR(ReadNumber(entry, "seconds", &s.seconds));
+      GREEN_RETURN_IF_ERROR(ReadNumber(entry, "flops", &s.flops));
+      GREEN_RETURN_IF_ERROR(ReadNumber(entry, "charges", &s.charges));
       record.scopes.push_back(std::move(s));
       cursor = close + 1;
     }
@@ -430,11 +431,6 @@ Result<JournalContents> ReadJournal(const std::string& path) {
     contents.records.push_back(std::move(record).value());
   }
   return contents;
-}
-
-Result<std::vector<RunRecord>> ReadJournalJsonl(const std::string& path) {
-  GREEN_ASSIGN_OR_RETURN(JournalContents contents, ReadJournal(path));
-  return std::move(contents.records);
 }
 
 Result<size_t> CompactJournalJsonl(const std::string& path) {

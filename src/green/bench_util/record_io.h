@@ -59,9 +59,6 @@ struct JournalContents {
 /// failing the whole resume.
 Result<JournalContents> ReadJournal(const std::string& path);
 
-/// ReadJournal, records only (compatibility shim).
-Result<std::vector<RunRecord>> ReadJournalJsonl(const std::string& path);
-
 /// Recombines per-shard sweep journals (any argument order, any
 /// per-shard --jobs) into the single record stream an unsharded sweep
 /// would have produced. Shard records carry their global enumeration
@@ -82,7 +79,7 @@ Result<std::vector<RunRecord>> MergeShardRecords(
 /// Rewrites a journal in place keeping only the LAST record per sweep
 /// cell (repeated resume cycles append superseding lines). Surviving
 /// records keep the order in which their cell first appeared; unparseable
-/// lines are dropped like ReadJournalJsonl drops them. The rewrite goes
+/// lines are dropped like ReadJournal drops them. The rewrite goes
 /// through a temp file + rename so a crash mid-compaction cannot lose
 /// the journal. Returns the number of lines removed.
 Result<size_t> CompactJournalJsonl(const std::string& path);

@@ -5,6 +5,7 @@
 
 #include "green/bench_util/aggregate.h"
 #include "green/bench_util/experiment.h"
+#include "green/bench_util/invariance.h"
 #include "green/bench_util/record_io.h"
 #include "green/bench_util/table_printer.h"
 #include "green/common/cancel.h"
@@ -193,8 +194,11 @@ TEST_F(RunnerTest, TabPfnSweepCollapsesBudgets) {
 
 TEST_F(RunnerTest, CoresOverrideChangesEnergy) {
   ExperimentRunner runner(SmallConfig());
-  auto one = runner.RunOne("caml", runner.suite()[0], 10.0, 0, 1);
-  auto eight = runner.RunOne("caml", runner.suite()[0], 10.0, 0, 8);
+  SweepVariant octa;
+  octa.cores = 8;
+  auto one = runner.RunOne("caml", runner.suite()[0], 10.0, 0);
+  auto eight = runner.RunOne("caml", runner.suite()[0], 10.0, 0,
+                             /*cancel=*/nullptr, /*attempt=*/1, &octa);
   ASSERT_TRUE(one.ok() && eight.ok());
   EXPECT_NE(one->execution_kwh, eight->execution_kwh);
 }
@@ -205,27 +209,6 @@ TEST_F(RunnerTest, Askl2BuildsMetaStoreAndChargesDevelopment) {
   auto record = runner.RunOne("autosklearn2", runner.suite()[0], 30.0, 0);
   ASSERT_TRUE(record.ok());
   EXPECT_GT(runner.development_kwh(), 0.0);
-}
-
-TEST_F(RunnerTest, ParallelSweepBitIdenticalToSequential) {
-  ExperimentConfig config = SmallConfig();
-  config.repetitions = 2;
-  ExperimentRunner sequential(config);
-  auto seq = sequential.Sweep({"caml", "flaml"}, {10.0, 30.0});
-  ASSERT_TRUE(seq.ok());
-  ASSERT_FALSE(seq->empty());
-
-  config.jobs = 4;
-  ExperimentRunner parallel(config);
-  auto par = parallel.Sweep({"caml", "flaml"}, {10.0, 30.0});
-  ASSERT_TRUE(par.ok());
-
-  // Same cells, same order, byte-identical serialized records: run seeds
-  // are cell-local, so worker interleaving must not leak into results.
-  ASSERT_EQ(seq->size(), par->size());
-  for (size_t i = 0; i < seq->size(); ++i) {
-    EXPECT_EQ(RecordToJson((*seq)[i]), RecordToJson((*par)[i])) << i;
-  }
 }
 
 TEST_F(RunnerTest, ParallelSweepBuildsMetaStoreExactlyOnce) {
@@ -392,32 +375,6 @@ TEST_F(FaultyRunnerTest, RetryRecoversSingleShotFault) {
   EXPECT_EQ(retried_cells, 1);  // Exactly the cell that drew the fault.
 }
 
-TEST_F(FaultyRunnerTest, ProbabilisticFaultsIdenticalAcrossJobCounts) {
-  ExperimentConfig config = SmallConfig();
-  config.dataset_limit = 2;
-  config.repetitions = 2;
-  config.faults = "run.fit@0.5";
-  config.retry.max_attempts = 2;
-  ExperimentRunner sequential(config);
-  auto seq = sequential.Sweep({"caml", "flaml"}, {10.0, 30.0});
-  ASSERT_TRUE(seq.ok());
-
-  config.jobs = 4;
-  ExperimentRunner parallel(config);
-  auto par = parallel.Sweep({"caml", "flaml"}, {10.0, 30.0});
-  ASSERT_TRUE(par.ok());
-
-  // Probabilistic draws are keyed by (cell, attempt), never by thread
-  // interleaving: the faulty sweep is as reproducible as a clean one.
-  ASSERT_EQ(seq->size(), par->size());
-  bool any_failed = false;
-  for (size_t i = 0; i < seq->size(); ++i) {
-    EXPECT_EQ(RecordToJson((*seq)[i]), RecordToJson((*par)[i])) << i;
-    any_failed |= (*seq)[i].outcome != RunOutcome::kOk;
-  }
-  EXPECT_TRUE(any_failed);  // p=0.5 over 16 cells: some must draw it.
-}
-
 TEST_F(FaultyRunnerTest, PreCancelledCellRecordsTimeout) {
   ExperimentConfig config = SmallConfig();
   config.dataset_limit = 1;
@@ -428,7 +385,7 @@ TEST_F(FaultyRunnerTest, PreCancelledCellRecordsTimeout) {
        {std::string("caml"), std::string("flaml"), std::string("tabpfn"),
         std::string("autogluon"), std::string("random_search")}) {
     const RunRecord record = runner.RunCell(
-        system, runner.suite()[0], 60.0, 0, /*cores=*/0, &cancelled);
+        system, runner.suite()[0], 60.0, 0, &cancelled);
     EXPECT_EQ(record.outcome, RunOutcome::kTimeout) << system;
     EXPECT_NE(record.error.find("cancelled"), std::string::npos)
         << system;
@@ -482,14 +439,11 @@ TEST_F(JournalTest, SweepWritesJournalMatchingRecords) {
   auto records = runner.Sweep({"caml"}, {10.0, 30.0});
   ASSERT_TRUE(records.ok());
 
-  auto journaled = ReadJournalJsonl(config.journal_path);
-  ASSERT_TRUE(journaled.ok());
-  ASSERT_EQ(journaled->size(), records->size());
+  auto journal = ReadJournal(config.journal_path);
+  ASSERT_TRUE(journal.ok());
   // Journal lines round-trip to the records byte-identically (order may
   // differ under parallel sweeps; here jobs=1 keeps it aligned).
-  for (size_t i = 0; i < records->size(); ++i) {
-    EXPECT_EQ(RecordToJson((*journaled)[i]), RecordToJson((*records)[i]));
-  }
+  EXPECT_EQ(CompareRecords(*records, journal->records).ToString(), "OK");
   std::remove(config.journal_path.c_str());
 }
 
@@ -509,11 +463,7 @@ TEST_F(JournalTest, ResumeLoadsInsteadOfRerunning) {
   ExperimentRunner second(config);
   auto resumed = second.Sweep({"caml"}, {10.0, 30.0});
   ASSERT_TRUE(resumed.ok());
-  ASSERT_EQ(resumed->size(), original->size());
-  for (size_t i = 0; i < resumed->size(); ++i) {
-    EXPECT_EQ((*resumed)[i].outcome, RunOutcome::kOk);
-    EXPECT_EQ(RecordToJson((*resumed)[i]), RecordToJson((*original)[i]));
-  }
+  EXPECT_EQ(CompareRecords(*original, *resumed).ToString(), "OK");
   EXPECT_EQ(second.last_sweep_resumed_cells(), original->size());
   std::remove(config.journal_path.c_str());
 }
@@ -543,9 +493,9 @@ TEST_F(JournalTest, AbortedSweepResumesByteIdentical) {
       },
       "injected abort");
 
-  auto journaled = ReadJournalJsonl(config.journal_path);
-  ASSERT_TRUE(journaled.ok());
-  EXPECT_EQ(journaled->size(), 2u);
+  auto journal = ReadJournal(config.journal_path);
+  ASSERT_TRUE(journal.ok());
+  EXPECT_EQ(journal->records.size(), 2u);
 
   // Restart with --resume: only the missing cells run; the record
   // stream is byte-identical to the uninterrupted sweep.
@@ -554,11 +504,7 @@ TEST_F(JournalTest, AbortedSweepResumesByteIdentical) {
   ExperimentRunner resumed(resume_config);
   auto records = resumed.Sweep({"caml"}, {10.0, 30.0});
   ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), expected->size());
-  for (size_t i = 0; i < records->size(); ++i) {
-    EXPECT_EQ(RecordToJson((*records)[i]), RecordToJson((*expected)[i]))
-        << i;
-  }
+  EXPECT_EQ(CompareRecords(*expected, *records).ToString(), "OK");
   EXPECT_EQ(resumed.last_sweep_resumed_cells(), 2u);
   std::remove(config.journal_path.c_str());
 }

@@ -573,13 +573,14 @@ TEST_F(ChargeScopeTest, CompactJournalKeepsLastRecordPerCell) {
   ASSERT_TRUE(removed.ok());
   EXPECT_EQ(*removed, 1u);
 
-  auto records = ReadJournalJsonl(path);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 2u);
+  auto journal = ReadJournal(path);
+  ASSERT_TRUE(journal.ok());
+  const std::vector<RunRecord>& records = journal->records;
+  ASSERT_EQ(records.size(), 2u);
   // First-appearance order, last-write-wins content.
-  EXPECT_EQ((*records)[0].system, "caml");
-  EXPECT_DOUBLE_EQ((*records)[0].execution_kwh, 3.0);
-  EXPECT_EQ((*records)[1].system, "flaml");
+  EXPECT_EQ(records[0].system, "caml");
+  EXPECT_DOUBLE_EQ(records[0].execution_kwh, 3.0);
+  EXPECT_EQ(records[1].system, "flaml");
 
   // Idempotent: a second compaction removes nothing.
   auto again = CompactJournalJsonl(path);

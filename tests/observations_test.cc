@@ -144,10 +144,14 @@ TEST_F(ObservationsTest, O4ParallelismShapes) {
 
   auto mean_for = [&](const std::string& system, int cores,
                       double (*metric)(const RunRecord&)) {
+    SweepVariant variant;
+    variant.cores = cores;
     std::vector<double> values;
     for (const Dataset& dataset : runner.suite()) {
       for (int rep = 0; rep < 2; ++rep) {
-        auto record = runner.RunOne(system, dataset, 30.0, rep, cores);
+        auto record = runner.RunOne(system, dataset, 30.0, rep,
+                                    /*cancel=*/nullptr, /*attempt=*/1,
+                                    &variant);
         if (record.ok()) values.push_back(metric(*record));
       }
     }

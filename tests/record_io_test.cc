@@ -103,6 +103,32 @@ TEST(RecordIoTest, RejectsMalformedJson) {
   EXPECT_FALSE(RecordFromJson("not json at all").ok());
   EXPECT_FALSE(
       RecordFromJson("{\"system\":\"caml\"}").ok());  // Missing fields.
+
+  // A garbled number is an error naming its field, never a zero (or, for
+  // a negative unsigned, 2^64 - 3).
+  RunRecord record = SampleRecord();
+  record.cell_index = 4;
+  record.scopes.push_back(RunScope{"execution/caml", 1e-6, 0.5, 1e6, 3});
+  const std::string line = RecordToJson(record);
+  ASSERT_TRUE(RecordFromJson(line).ok());
+  const std::vector<std::pair<std::string, std::string>> garbled = {
+      {"budget_s", "abc"},      {"repetition", "x"},
+      {"repetition", "1.5"},    {"repetition", "99999999999"},
+      {"num_pipelines", "-3"},  {"num_pipelines", "+3"},
+      {"execution_kwh", ""},    {"execution_kwh", "1e-3kWh"},
+      {"attempts", "2 x"},      {"cell", "4x"},
+      {"charges", "-1"},        {"kwh", "nope"}};
+  for (const auto& [field, token] : garbled) {
+    const std::string needle = "\"" + field + "\":";
+    std::string bad = line;
+    const size_t start = bad.find(needle) + needle.size();
+    bad.replace(start, bad.find_first_of(",}", start) - start, token);
+    const auto parsed = RecordFromJson(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find(field), std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 TEST(RecordIoTest, JsonlFileRoundTrip) {

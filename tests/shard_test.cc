@@ -1,6 +1,7 @@
-// Sharded multi-process sweeps: round-robin cell ownership, journal
-// merge bit-identity against a single-process sweep, per-shard resume,
-// and journal-health accounting (lost appends, truncated tails).
+// Sharded multi-process sweeps: round-robin cell ownership, merge
+// rejections, per-shard crash and resume, and journal-health accounting
+// (lost appends, truncated tails). Merged shards against a single-process
+// sweep are rows of invariance_test.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 
 #include "green/bench_util/aggregate.h"
 #include "green/bench_util/experiment.h"
+#include "green/bench_util/invariance.h"
 #include "green/bench_util/record_io.h"
 #include "green/common/knobs.h"
 #include "green/common/shard.h"
@@ -104,54 +106,6 @@ class ShardSweepTest : public ::testing::Test {
   }
 };
 
-TEST_F(ShardSweepTest, MergedShardJournalsByteIdenticalToSingleProcess) {
-  const std::vector<std::string> systems = {"caml", "flaml"};
-  const std::vector<double> budgets = {10.0, 30.0};
-
-  // Reference: one process, one thread, scope trees on — the strictest
-  // byte-identity target.
-  ExperimentConfig ref_config = SmallConfig();
-  ref_config.collect_scopes = true;
-  ExperimentRunner reference(ref_config);
-  auto expected = reference.Sweep(systems, budgets);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_EQ(expected->size(), 8u);
-  const std::string ref_path = TempPath("shard_reference.jsonl");
-  ASSERT_TRUE(WriteRecordsJsonl(*expected, ref_path).ok());
-
-  for (int count : {2, 3, 5}) {
-    std::vector<std::string> shard_paths;
-    for (int index = 0; index < count; ++index) {
-      ExperimentConfig config = ref_config;
-      config.shard_index = index;
-      config.shard_count = count;
-      config.jobs = 2;  // Shards must be jobs-independent too.
-      config.journal_path =
-          TempPath(StrFormat("shard_%d_of_%d.jsonl", index, count));
-      shard_paths.push_back(config.journal_path);
-      ExperimentRunner runner(config);
-      auto records = runner.Sweep(systems, budgets);
-      ASSERT_TRUE(records.ok()) << index << "/" << count;
-      // Each shard returns exactly its round-robin slice, stamped with
-      // the global enumeration index.
-      for (const RunRecord& record : *records) {
-        ASSERT_GE(record.cell_index, 0);
-        EXPECT_EQ(record.cell_index % count, index);
-      }
-    }
-    const std::string merged_path =
-        TempPath(StrFormat("merged_%d.jsonl", count));
-    auto merged = MergeShardJournals(shard_paths, merged_path);
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    EXPECT_EQ(*merged, expected->size());
-    EXPECT_EQ(ReadFile(merged_path), ReadFile(ref_path))
-        << count << " shards";
-    for (const std::string& path : shard_paths) std::remove(path.c_str());
-    std::remove(merged_path.c_str());
-  }
-  std::remove(ref_path.c_str());
-}
-
 TEST_F(ShardSweepTest, InvalidShardConfigRejected) {
   ExperimentConfig config = SmallConfig();
   config.shard_index = 3;
@@ -210,8 +164,6 @@ TEST_F(ShardSweepTest, PerShardCrashResumeThenMergeByteIdentical) {
   auto expected = reference.Sweep(systems, budgets);
   ASSERT_TRUE(expected.ok());
   ASSERT_EQ(expected->size(), 4u);
-  const std::string ref_path = TempPath("crash_reference.jsonl");
-  ASSERT_TRUE(WriteRecordsJsonl(*expected, ref_path).ok());
 
   // Shard 0 (owns cells 0 and 2) dies on its second cell...
   ExperimentConfig crash_config = SmallConfig();
@@ -248,11 +200,12 @@ TEST_F(ShardSweepTest, PerShardCrashResumeThenMergeByteIdentical) {
       {crash_config.journal_path, other_config.journal_path},
       merged_path);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(ReadFile(merged_path), ReadFile(ref_path));
+  auto merged_records = ReadRecordsJsonl(merged_path);
+  ASSERT_TRUE(merged_records.ok());
+  EXPECT_EQ(CompareRecords(*expected, *merged_records).ToString(), "OK");
   std::remove(crash_config.journal_path.c_str());
   std::remove(other_config.journal_path.c_str());
   std::remove(merged_path.c_str());
-  std::remove(ref_path.c_str());
 }
 
 // --- sweep variants (per-cell option overrides) ---
@@ -296,33 +249,6 @@ TEST_F(ShardSweepTest, DuplicateVariantNamesRejected) {
   auto records = runner.Sweep({"caml"}, {10.0}, {a, b});
   EXPECT_FALSE(records.ok());
   EXPECT_EQ(records.status().code(), Status::Code::kInvalidArgument);
-}
-
-TEST_F(ShardSweepTest, VariantsResumeFromJournal) {
-  ExperimentConfig config = SmallConfig();
-  config.dataset_limit = 1;
-  config.journal_path = TempPath("variant_journal.jsonl");
-  SweepVariant quad;
-  quad.name = "cores=4";
-  quad.cores = 4;
-  const std::vector<SweepVariant> variants = {SweepVariant{}, quad};
-  ExperimentRunner first(config);
-  auto original = first.Sweep({"caml"}, {10.0, 30.0}, variants);
-  ASSERT_TRUE(original.ok());
-
-  // All-ok under an always-firing fault proves every (cell, variant)
-  // was loaded from the journal, i.e. variant names key the journal.
-  config.resume = true;
-  config.faults = "run.fit@1.0";
-  ExperimentRunner second(config);
-  auto resumed = second.Sweep({"caml"}, {10.0, 30.0}, variants);
-  ASSERT_TRUE(resumed.ok());
-  ASSERT_EQ(resumed->size(), original->size());
-  for (size_t i = 0; i < resumed->size(); ++i) {
-    EXPECT_EQ((*resumed)[i].outcome, RunOutcome::kOk);
-    EXPECT_EQ(RecordToJson((*resumed)[i]), RecordToJson((*original)[i]));
-  }
-  std::remove(config.journal_path.c_str());
 }
 
 // --- journal health: lost appends, truncated tails ---
@@ -389,10 +315,7 @@ TEST_F(JournalHealthTest, LostAppendsMarkJournalAndResumeReruns) {
   EXPECT_TRUE(resumed.last_sweep_resumed_from_incomplete_journal());
   EXPECT_EQ(resumed.last_sweep_resumed_cells(), 0u);
   EXPECT_EQ(resumed.last_sweep_journal_append_failures(), 0u);
-  ASSERT_EQ(rerun->size(), expected->size());
-  for (size_t i = 0; i < rerun->size(); ++i) {
-    EXPECT_EQ(RecordToJson((*rerun)[i]), RecordToJson((*expected)[i]));
-  }
+  EXPECT_EQ(CompareRecords(*expected, *rerun).ToString(), "OK");
   auto recovered = ReadJournal(config.journal_path);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->append_failures, 0u);
@@ -470,11 +393,7 @@ TEST_F(JournalHealthTest, KilledMidAppendResumesByteIdentical) {
   auto records = resumed.Sweep({"caml"}, {10.0, 30.0});
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(resumed.last_sweep_resumed_cells(), 1u);
-  ASSERT_EQ(records->size(), expected->size());
-  for (size_t i = 0; i < records->size(); ++i) {
-    EXPECT_EQ(RecordToJson((*records)[i]), RecordToJson((*expected)[i]))
-        << i;
-  }
+  EXPECT_EQ(CompareRecords(*expected, *records).ToString(), "OK");
   std::remove(config.journal_path.c_str());
 }
 

@@ -1,8 +1,8 @@
 // Tests for zero-copy dataset views and the charge-replaying transform
 // cache: CoW semantics, tape record/replay bit-identity, pipeline-level
-// cache hits, LRU byte bounding, truncation safety, config signatures,
-// and end-to-end record/scope-tree identity with the cache on vs off and
-// across host worker counts.
+// cache hits, LRU byte bounding, truncation safety and config
+// signatures. Sweep identity with the cache on vs off is a row of
+// invariance_test.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "green/bench_util/experiment.h"
-#include "green/bench_util/record_io.h"
 #include "green/data/synthetic.h"
 #include "green/ml/models/decision_tree.h"
 #include "green/ml/pipeline.h"
@@ -316,56 +314,6 @@ TEST(ConfigSignatureTest, HyperparametersAreEncoded) {
   EXPECT_NE(Scaler(ScalerKind::kStandard).ConfigSignature(),
             Scaler(ScalerKind::kMinMax).ConfigSignature());
   EXPECT_EQ(Pca(2).ConfigSignature(), Pca(2).ConfigSignature());
-}
-
-// --- End-to-end sweep identity ---------------------------------------
-
-std::string SerializeAll(const std::vector<RunRecord>& records) {
-  std::string out;
-  for (const RunRecord& r : records) out += RecordToJson(r) + "\n";
-  return out;
-}
-
-ExperimentConfig SmallSweepConfig() {
-  ExperimentConfig config;
-  config.dataset_limit = 2;
-  config.repetitions = 1;
-  config.collect_scopes = true;  // Identity must cover the scope trees.
-  return config;
-}
-
-TEST(TransformCacheSweepTest, RecordsAndScopesIdenticalCacheOnOff) {
-  ExperimentConfig on = SmallSweepConfig();
-  on.transform_cache = true;
-  ExperimentConfig off = SmallSweepConfig();
-  off.transform_cache = false;
-
-  ExperimentRunner runner_on(on), runner_off(off);
-  auto records_on = runner_on.Sweep({"caml", "flaml"}, {10.0});
-  auto records_off = runner_off.Sweep({"caml", "flaml"}, {10.0});
-  ASSERT_TRUE(records_on.ok());
-  ASSERT_TRUE(records_off.ok());
-  EXPECT_EQ(SerializeAll(records_on.value()),
-            SerializeAll(records_off.value()));
-
-  const TransformCacheStats stats = runner_on.transform_cache_stats();
-  EXPECT_GT(stats.hits + stats.misses, 0u);
-  EXPECT_EQ(runner_off.transform_cache_stats().hits, 0u);
-}
-
-TEST(TransformCacheSweepTest, RecordsIdenticalAcrossWorkerCounts) {
-  ExperimentConfig seq = SmallSweepConfig();
-  seq.jobs = 1;
-  ExperimentConfig par = SmallSweepConfig();
-  par.jobs = 4;
-
-  ExperimentRunner runner_seq(seq), runner_par(par);
-  auto records_seq = runner_seq.Sweep({"caml", "flaml"}, {10.0});
-  auto records_par = runner_par.Sweep({"caml", "flaml"}, {10.0});
-  ASSERT_TRUE(records_seq.ok());
-  ASSERT_TRUE(records_par.ok());
-  EXPECT_EQ(SerializeAll(records_seq.value()),
-            SerializeAll(records_par.value()));
 }
 
 }  // namespace
