@@ -53,7 +53,7 @@ class FittedArtifact {
 
   /// Both predict entry points poll the context between member
   /// pipelines and unwind with DEADLINE_EXCEEDED when a charge was
-  /// truncated mid-predict (watchdog cancellation, or a serving-layer
+  /// truncated mid-predict (a cancelled cell token, or a serving-layer
   /// hard deadline) — the inference-side mirror of the mid-fit unwind.
   Result<ProbaMatrix> PredictProba(const Dataset& data,
                                    ExecutionContext* ctx) const;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <optional>
-#include <thread>
 
 #include "green/automl/askl_meta_cache.h"
 #include "green/automl/autopt_system.h"
@@ -421,10 +419,8 @@ RunRecord ExperimentRunner::RunCell(const std::string& system_name,
     return record;
   }
 
-  // Backoff advances a bookkeeping virtual clock (logged, deterministic)
-  // rather than sleeping the host thread: a retried sweep costs the same
-  // wall time as an unretried one.
-  VirtualClock backoff_clock;
+  // Retries re-run at once: each attempt gets a fresh virtual clock, so
+  // waiting between attempts would change nothing a record holds.
   int attempt = 0;
   while (true) {
     ++attempt;
@@ -442,13 +438,10 @@ RunRecord ExperimentRunner::RunCell(const std::string& system_name,
     const bool cancelled = cancel != nullptr && cancel->cancelled();
     if (outcome == RunOutcome::kFailed && IsRetryable(status) &&
         attempt < config_.retry.max_attempts && !cancelled) {
-      const double backoff = config_.retry.BackoffSeconds(attempt);
-      backoff_clock.Advance(backoff);
-      LogDebug(StrFormat(
-          "retrying %s on %s (attempt %d/%d, backoff %.3gs virtual): %s",
-          system_name.c_str(), dataset.name().c_str(), attempt + 1,
-          config_.retry.max_attempts, backoff,
-          status.ToString().c_str()));
+      LogDebug(StrFormat("retrying %s on %s (attempt %d/%d): %s",
+                         system_name.c_str(), dataset.name().c_str(),
+                         attempt + 1, config_.retry.max_attempts,
+                         status.ToString().c_str()));
       continue;
     }
     record.outcome = outcome;
@@ -565,12 +558,7 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
             config_.journal_path.c_str(), superseded));
       }
     } else {
-      FILE* f = std::fopen(config_.journal_path.c_str(), "w");
-      if (f == nullptr) {
-        return Status::IoError("cannot open journal " +
-                               config_.journal_path);
-      }
-      std::fclose(f);
+      GREEN_RETURN_IF_ERROR(WriteRecordsJsonl({}, config_.journal_path));
     }
   }
 
@@ -578,39 +566,6 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
       std::min<int>(std::max(1, config_.jobs),
                     static_cast<int>(std::max<size_t>(1, cells.size())));
   std::vector<std::optional<RunRecord>> slots(cells.size());
-
-  // Watchdog state: per-cell cancel tokens plus host start timestamps
-  // (0 = not started, -1 = done). The watchdog thread scans running
-  // cells and cancels any whose host wall time exceeds the allowance;
-  // the cell's search loop notices at its next loop head and unwinds
-  // with DEADLINE_EXCEEDED -> recorded as `timeout`.
-  const bool watchdog_enabled = config_.cell_timeout_seconds > 0.0;
-  std::vector<CancelToken> tokens(cells.size());
-  std::vector<std::atomic<int64_t>> start_ns(cells.size());
-  for (auto& s : start_ns) s.store(0, std::memory_order_relaxed);
-  std::atomic<bool> watchdog_stop{false};
-  std::thread watchdog;
-  if (watchdog_enabled) {
-    const int64_t allowance_ns =
-        static_cast<int64_t>(config_.cell_timeout_seconds * 1e9);
-    // allowance_ns dies with this block; the thread outlives it.
-    watchdog = std::thread([&, allowance_ns] {
-      while (!watchdog_stop.load(std::memory_order_acquire)) {
-        const int64_t now =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count();
-        for (size_t i = 0; i < cells.size(); ++i) {
-          const int64_t started =
-              start_ns[i].load(std::memory_order_acquire);
-          if (started > 0 && now - started > allowance_ns) {
-            tokens[i].Cancel();
-          }
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-    });
-  }
 
   std::mutex journal_mutex;
   /// Slot indices whose journal append failed; retried once at sweep
@@ -653,17 +608,15 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
       }
     }
 
-    if (watchdog_enabled) {
-      const int64_t now =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count();
-      start_ns[i].store(now > 0 ? now : 1, std::memory_order_release);
-    }
+    // The host time limit is a deadline on the cell's token, armed here
+    // so it covers every retry; the search-loop heads and charge slices
+    // that poll the token enforce it. No limit, no token: polls stay free.
+    const bool limited = config_.cell_timeout_seconds > 0.0;
+    CancelToken token;
+    if (limited) token.CancelAfter(config_.cell_timeout_seconds);
     RunRecord record =
         RunCell(*cell.system, *cell.dataset, cell.budget, cell.rep,
-                watchdog_enabled ? &tokens[i] : nullptr, cell.variant);
-    start_ns[i].store(-1, std::memory_order_release);
+                limited ? &token : nullptr, cell.variant);
     if (shard.count > 1) record.cell_index = cell.index;
 
     if (!config_.journal_path.empty()) {
@@ -691,11 +644,6 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
     }
     slots[i].emplace(std::move(record));
   });
-
-  if (watchdog_enabled) {
-    watchdog_stop.store(true, std::memory_order_release);
-    watchdog.join();
-  }
 
   last_sweep_wall_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -779,13 +727,8 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
     // Full recovery: this resumed sweep holds every enumerated cell and
     // journaled every re-run one, so the journal can be rewritten as the
     // complete transcript it now is, clearing the incompleteness marker.
-    const std::string tmp = config_.journal_path + ".rewrite.tmp";
-    Status rewritten = WriteRecordsJsonl(records, tmp);
-    if (rewritten.ok() &&
-        std::rename(tmp.c_str(), config_.journal_path.c_str()) != 0) {
-      std::remove(tmp.c_str());
-      rewritten = Status::IoError("cannot replace " + config_.journal_path);
-    }
+    const Status rewritten =
+        ReplaceJournal(config_.journal_path, records, 0);
     if (rewritten.ok()) {
       LogInfo("journal " + config_.journal_path +
               ": fully recovered from a previous run's lost appends; "

@@ -51,12 +51,12 @@ struct ExperimentConfig {
   int shard_count = 1;
 
   /// Per-cell retry policy for transient failures (max_attempts = 1
-  /// disables retries). Backoff advances a bookkeeping virtual clock,
-  /// never a host sleep.
+  /// disables retries). A retry re-runs the cell at once.
   RetryPolicy retry;
-  /// Host wall-clock seconds a single cell may run before the sweep
-  /// watchdog cancels it (recorded as a `timeout`). 0 disables the
-  /// watchdog.
+  /// Host wall-clock seconds a single cell may run, retries included:
+  /// Sweep arms each cell's CancelToken with this deadline, and a cell
+  /// that passes it unwinds at its next poll (recorded as a `timeout`).
+  /// 0 = no limit.
   double cell_timeout_seconds = 0.0;
   /// Fault-injection spec (GREEN_FAULTS grammar, see common/fault.h).
   /// Empty = no injected faults.
@@ -118,7 +118,7 @@ struct SweepVariant {
 enum class RunOutcome {
   kOk = 0,      ///< Measured successfully.
   kFailed,      ///< Errored (after exhausting retries if retryable).
-  kTimeout,     ///< Cancelled by the watchdog or hit DEADLINE_EXCEEDED.
+  kTimeout,     ///< Passed its cell time limit or hit DEADLINE_EXCEEDED.
   kSkipped,     ///< Not applicable (unsupported budget, semantic reject).
 };
 
@@ -279,7 +279,7 @@ class ExperimentRunner {
 
   /// Sweep with a per-cell option-override axis: the cell grid becomes
   /// (system, budget, variant, dataset, repetition), every variant
-  /// inheriting retry, fault injection, the watchdog, journaling, and
+  /// inheriting retry, fault injection, the cell time limit, journaling and
   /// sharding exactly like the default axis. Variant names must be
   /// unique (duplicates would collide in journals); the plain overload
   /// is this one with the single default variant.

@@ -148,6 +148,78 @@ Status ReadNumber(const std::string& json, const std::string& key, T* out) {
   return Status::Ok();
 }
 
+/// The whole file at `path`. A file that cannot be opened is an error,
+/// or empty text under `missing_ok` (a journal's first run).
+Result<std::string> ReadWholeFile(const std::string& path, bool missing_ok) {
+  FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) {
+    if (missing_ok) return std::string();
+    return Status::IoError("cannot open " + path);
+  }
+  std::string text;
+  char buf[65536];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  const bool read_failed = std::ferror(f) != 0;
+  std::fclose(f);
+  if (read_failed) return Status::IoError("read failed: " + path);
+  return text;
+}
+
+/// Writes `text` to `path` opened in `mode` ("w" or "a") with one write
+/// and an explicit flush, so an append is one syscall-bounded line. The
+/// close is checked too: a full device often fails only there.
+Status WriteWholeText(const std::string& path, const char* mode,
+                      const std::string& text) {
+  FILE* f = std::fopen(path.c_str(), mode);
+  if (f == nullptr) return Status::IoError("cannot open " + path);
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  const bool flushed = written && std::fflush(f) == 0;
+  const bool closed = std::fclose(f) == 0;
+  if (!written) return Status::IoError("short write to " + path);
+  if (!flushed) return Status::IoError("flush failed for " + path);
+  if (!closed) return Status::IoError("write failed at close: " + path);
+  return Status::Ok();
+}
+
+/// Reads a `{"journal_incomplete":N}` marker's count; false if the line
+/// is no marker. The marker itself means appends were lost, so a count
+/// that is not a whole positive decimal counts as one lost append, not
+/// as none (nor as 2^64 - 1).
+bool ParseIncompleteMarker(const std::string& line, size_t* count) {
+  if (line.find("\"journal_incomplete\":") == std::string::npos) return false;
+  if (!ReadNumber(line, "journal_incomplete", count).ok() || *count == 0) {
+    LogWarning("unreadable journal incompleteness marker " + line +
+               ": counting one lost append");
+    *count = 1;
+  }
+  return true;
+}
+
+/// Resume's superseding rule as a standalone pass: later records replace
+/// earlier ones with the same cell key, each cell keeping its
+/// first-appearance position. `removed` (optional) counts superseded
+/// lines.
+std::vector<RunRecord> DedupeByCellKey(std::vector<RunRecord> records,
+                                       size_t* removed) {
+  std::map<std::string, size_t> slot;  // Cell key -> index into `kept`.
+  std::vector<RunRecord> kept;
+  if (removed != nullptr) *removed = 0;
+  for (RunRecord& record : records) {
+    const std::string key = RunRecordCellKey(record);
+    auto it = slot.find(key);
+    if (it == slot.end()) {
+      slot.emplace(key, kept.size());
+      kept.push_back(std::move(record));
+    } else {
+      kept[it->second] = std::move(record);
+      if (removed != nullptr) ++*removed;
+    }
+  }
+  return kept;
+}
+
 }  // namespace
 
 std::string RecordToJson(const RunRecord& record) {
@@ -283,33 +355,14 @@ Result<RunRecord> RecordFromJson(const std::string& line) {
 
 Status WriteRecordsJsonl(const std::vector<RunRecord>& records,
                          const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  for (const RunRecord& record : records) {
-    const std::string line = RecordToJson(record) + "\n";
-    if (std::fwrite(line.data(), 1, line.size(), f) != line.size()) {
-      std::fclose(f);
-      return Status::IoError("short write to " + path);
-    }
-  }
-  // fclose flushes the buffer, so a full device often fails only here.
-  if (std::fclose(f) != 0) {
-    return Status::IoError("write failed at close: " + path);
-  }
-  return Status::Ok();
+  std::string text;
+  for (const RunRecord& record : records) text += RecordToJson(record) + "\n";
+  return WriteWholeText(path, "w", text);
 }
 
 Result<std::vector<RunRecord>> ReadRecordsJsonl(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  std::string text;
-  char buf[65536];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  const bool read_failed = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_failed) return Status::IoError("read failed: " + path);
-
+  GREEN_ASSIGN_OR_RETURN(const std::string text,
+                         ReadWholeFile(path, /*missing_ok=*/false));
   std::vector<RunRecord> records;
   for (const std::string& line : Split(text, '\n')) {
     if (Trim(line).empty()) continue;
@@ -320,87 +373,34 @@ Result<std::vector<RunRecord>> ReadRecordsJsonl(const std::string& path) {
 }
 
 Status AppendRecordJsonl(const RunRecord& record, const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  const std::string line = RecordToJson(record) + "\n";
-  const size_t written = std::fwrite(line.data(), 1, line.size(), f);
-  if (written != line.size()) {
-    std::fclose(f);
-    return Status::IoError("short write to " + path);
-  }
-  if (std::fflush(f) != 0) {
-    std::fclose(f);
-    return Status::IoError("flush failed for " + path);
-  }
-  std::fclose(f);
-  return Status::Ok();
+  return WriteWholeText(path, "a", RecordToJson(record) + "\n");
 }
 
 Status AppendJournalIncompleteMarker(size_t lost_records,
                                      const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  const std::string line =
-      StrFormat("{\"journal_incomplete\":%zu}\n", lost_records);
-  const size_t written = std::fwrite(line.data(), 1, line.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != line.size() || !flushed) {
-    return Status::IoError("short write to " + path);
+  return WriteWholeText(
+      path, "a", StrFormat("{\"journal_incomplete\":%zu}\n", lost_records));
+}
+
+Status ReplaceJournal(const std::string& path,
+                      const std::vector<RunRecord>& records,
+                      size_t append_failures) {
+  const std::string tmp = path + ".rewrite.tmp";
+  Status replaced = WriteRecordsJsonl(records, tmp);
+  if (replaced.ok() && append_failures > 0) {
+    replaced = AppendJournalIncompleteMarker(append_failures, tmp);
   }
-  return Status::Ok();
-}
-
-namespace {
-
-/// Parses a `{"journal_incomplete":N}` marker line; npos-like nullopt
-/// behavior via ok-flag: returns true and sets `count` iff the line is a
-/// marker.
-bool ParseIncompleteMarker(const std::string& line, size_t* count) {
-  const std::string needle = "\"journal_incomplete\":";
-  const size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  *count = static_cast<size_t>(
-      std::strtoull(line.c_str() + pos + needle.size(), nullptr, 10));
-  return true;
-}
-
-/// Resume's superseding rule as a standalone pass: later records replace
-/// earlier ones with the same cell key, each cell keeping its
-/// first-appearance position. `removed` (optional) counts superseded
-/// lines.
-std::vector<RunRecord> DedupeByCellKey(std::vector<RunRecord> records,
-                                       size_t* removed) {
-  std::map<std::string, size_t> slot;  // Cell key -> index into `kept`.
-  std::vector<RunRecord> kept;
-  if (removed != nullptr) *removed = 0;
-  for (RunRecord& record : records) {
-    const std::string key = RunRecordCellKey(record);
-    auto it = slot.find(key);
-    if (it == slot.end()) {
-      slot.emplace(key, kept.size());
-      kept.push_back(std::move(record));
-    } else {
-      kept[it->second] = std::move(record);
-      if (removed != nullptr) ++*removed;
-    }
+  if (replaced.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    replaced = Status::IoError("cannot replace " + path);
   }
-  return kept;
+  if (!replaced.ok()) std::remove(tmp.c_str());
+  return replaced;
 }
-
-}  // namespace
 
 Result<JournalContents> ReadJournal(const std::string& path) {
   JournalContents contents;
-  FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return contents;  // First run.
-  std::string text;
-  char buf[65536];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  const bool read_failed = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_failed) return Status::IoError("read failed: " + path);
+  GREEN_ASSIGN_OR_RETURN(const std::string text,
+                         ReadWholeFile(path, /*missing_ok=*/true));
 
   // Every complete append ends in '\n'; a file that does not was killed
   // mid-append. The partial tail must be DISCARDED, not parsed: a
@@ -438,18 +438,10 @@ Result<size_t> CompactJournalJsonl(const std::string& path) {
   size_t removed = 0;
   const std::vector<RunRecord> kept =
       DedupeByCellKey(std::move(contents.records), &removed);
-  const std::string tmp = path + ".compact.tmp";
-  GREEN_RETURN_IF_ERROR(WriteRecordsJsonl(kept, tmp));
-  if (contents.append_failures > 0) {
-    // Compaction must not launder a known-incomplete journal into a
-    // clean-looking one: the marker survives, consolidated.
-    GREEN_RETURN_IF_ERROR(
-        AppendJournalIncompleteMarker(contents.append_failures, tmp));
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot replace " + path);
-  }
+  // Compaction must not launder a known-incomplete journal into a
+  // clean-looking one: the marker survives, consolidated.
+  GREEN_RETURN_IF_ERROR(
+      ReplaceJournal(path, kept, contents.append_failures));
   return removed;
 }
 

@@ -38,6 +38,13 @@ Status AppendRecordJsonl(const RunRecord& record, const std::string& path);
 Status AppendJournalIncompleteMarker(size_t lost_records,
                                      const std::string& path);
 
+/// Replaces the journal at `path` with `records`, plus one consolidated
+/// incompleteness marker when `append_failures` > 0, through a temp file
+/// and a rename so a crash mid-rewrite cannot lose the journal.
+Status ReplaceJournal(const std::string& path,
+                      const std::vector<RunRecord>& records,
+                      size_t append_failures);
+
 /// What ReadJournal found: the parsed records plus the journal's health.
 struct JournalContents {
   std::vector<RunRecord> records;
@@ -79,9 +86,8 @@ Result<std::vector<RunRecord>> MergeShardRecords(
 /// Rewrites a journal in place keeping only the LAST record per sweep
 /// cell (repeated resume cycles append superseding lines). Surviving
 /// records keep the order in which their cell first appeared; unparseable
-/// lines are dropped like ReadJournal drops them. The rewrite goes
-/// through a temp file + rename so a crash mid-compaction cannot lose
-/// the journal. Returns the number of lines removed.
+/// lines are dropped like ReadJournal drops them; the rewrite goes
+/// through ReplaceJournal. Returns the number of lines removed.
 Result<size_t> CompactJournalJsonl(const std::string& path);
 
 }  // namespace green

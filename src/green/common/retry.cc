@@ -1,18 +1,6 @@
 #include "green/common/retry.h"
 
-#include <algorithm>
-
 namespace green {
-
-double RetryPolicy::BackoffSeconds(int attempt) const {
-  if (attempt < 1) attempt = 1;
-  double backoff = initial_backoff_seconds;
-  for (int i = 1; i < attempt; ++i) {
-    backoff *= backoff_multiplier;
-    if (backoff >= max_backoff_seconds) break;
-  }
-  return std::min(backoff, max_backoff_seconds);
-}
 
 bool IsRetryable(const Status& status) {
   switch (status.code()) {

@@ -6,19 +6,11 @@
 namespace green {
 
 /// Retry policy for transient per-cell failures in the experiment
-/// harness. Backoff is exponential with a deterministic schedule; the
-/// harness advances its *virtual* clock by BackoffSeconds rather than
-/// sleeping, so retries are free at wall-clock time and reproducible.
+/// harness. A retry re-runs the cell at once on a fresh virtual clock, so
+/// retried and unretried sweeps cost the same wall time.
 struct RetryPolicy {
   /// Total tries including the first. 1 disables retries.
   int max_attempts = 2;
-  double initial_backoff_seconds = 0.5;
-  double backoff_multiplier = 2.0;
-  double max_backoff_seconds = 30.0;
-
-  /// Backoff charged after failed attempt `attempt` (1-based):
-  /// min(initial * multiplier^(attempt-1), max).
-  double BackoffSeconds(int attempt) const;
 };
 
 /// Whether a failure class is worth retrying. Transient infrastructure

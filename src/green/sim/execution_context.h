@@ -48,11 +48,11 @@ struct ChargeTape {
 /// ("caml/search/pipeline/fit/random_forest"), and every charge lands on
 /// the scope path active at the moment it is issued. Large charges are
 /// split into bounded virtual-time slices, polling the CancelToken (and,
-/// optionally, the deadline) between slices so the sweep watchdog can stop
-/// a cell mid-fit instead of at the next search-loop head. Slicing is
-/// bit-identical to a single Advance: the work is executed once, the final
-/// slice lands exactly on start + seconds, and a completed charge issues
-/// one meter record.
+/// optionally, the deadline) between slices so a cell that passes its
+/// host time limit stops mid-fit instead of at the next search-loop head.
+/// Slicing is bit-identical to a single Advance: the work is executed
+/// once, the final slice lands exactly on start + seconds, and a
+/// completed charge issues one meter record.
 class ExecutionContext {
  public:
   ExecutionContext(VirtualClock* clock, const EnergyModel* model, int cores)
@@ -86,9 +86,10 @@ class ExecutionContext {
   bool DeadlineExceeded() const { return clock_->Now() >= deadline_; }
   double RemainingBudget() const { return deadline_ - clock_->Now(); }
 
-  /// Cooperative cancellation: a watchdog holds the token and flips it
-  /// when a cell overruns its wall-clock allowance; search loops poll
-  /// Cancelled() at their heads and unwind with DEADLINE_EXCEEDED.
+  /// Cooperative cancellation: the token carries the cell's host
+  /// deadline (armed by Sweep from the cell time limit, or cancelled
+  /// outright); search loops poll Cancelled() at their heads and unwind
+  /// with DEADLINE_EXCEEDED.
   void SetCancelToken(const CancelToken* token) { cancel_ = token; }
   const CancelToken* cancel_token() const { return cancel_; }
   bool Cancelled() const { return cancel_ != nullptr && cancel_->cancelled(); }
@@ -96,7 +97,7 @@ class ExecutionContext {
   /// True once the context should stop doing work: either the token was
   /// cancelled or a charge was truncated mid-slice. Model fit loops poll
   /// this between units of work (trees, boosting rounds, epochs) so a
-  /// watchdog cancellation unwinds mid-fit, not at the next search head.
+  /// cancelled cell unwinds mid-fit, not at the next search head.
   bool Interrupted() const { return charge_truncated_ || Cancelled(); }
 
   /// True when the most recent Charge stopped before completing all of

@@ -392,19 +392,20 @@ TEST_F(FaultyRunnerTest, PreCancelledCellRecordsTimeout) {
   }
 }
 
-TEST_F(FaultyRunnerTest, WatchdogSweepAlwaysTerminates) {
+TEST_F(FaultyRunnerTest, CellTimeLimitTimesOutEveryCell) {
   ExperimentConfig config = SmallConfig();
-  config.dataset_limit = 1;
-  config.cell_timeout_seconds = 1e-6;  // Cancels anything measurable.
+  config.jobs = 4;
+  config.cell_timeout_seconds = 1e-9;  // Passed before any cell polls.
   ExperimentRunner runner(config);
-  auto records = runner.Sweep({"caml"}, {300.0});
+  auto records = runner.Sweep({"caml", "flaml"}, {10.0, 30.0});
   ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 1u);
-  // A cancelled cell is a recorded timeout, never a stuck sweep. (A cell
-  // can still finish before the watchdog's first scan; both outcomes
-  // are legal, hanging is not.)
-  EXPECT_TRUE((*records)[0].outcome == RunOutcome::kOk ||
-              (*records)[0].outcome == RunOutcome::kTimeout);
+  ASSERT_EQ(records->size(), 8u);  // 2 systems x 2 budgets x 2 datasets.
+  // The deadline is checked at every poll, so even the fastest cell
+  // cannot finish ok, and the sweep still ends with a record per cell.
+  for (const RunRecord& r : *records) {
+    EXPECT_EQ(r.outcome, RunOutcome::kTimeout)
+        << r.system << " on " << r.dataset << ": " << r.error;
+  }
 }
 
 TEST_F(FaultyRunnerTest, MetaStoreBuildFailureRecoversOnRetry) {

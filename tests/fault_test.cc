@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <utility>
@@ -287,16 +289,49 @@ TEST(CancelTokenConcurrencyTest, SetOnceVisibleEverywhere) {
   EXPECT_TRUE(token.cancelled());  // Cancellation is monotonic.
 }
 
-// --- retry policy ---
+TEST(CancelTokenTest, DeadlineArmsOnceAndStaysCancelled) {
+  CancelToken unarmed;
+  unarmed.CancelAfter(std::nan(""));  // Arms nothing.
+  unarmed.CancelAfter(1e300);         // Beyond any horizon: arms nothing.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_FALSE(unarmed.cancelled());
 
-TEST(RetryPolicyTest, BackoffSequenceAndCap) {
-  RetryPolicy policy;  // 0.5s initial, x2, 30s cap.
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(1), 0.5);
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(2), 1.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(3), 2.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(7), 30.0);   // Capped.
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(50), 30.0);  // No overflow.
+  CancelToken past;
+  past.CancelAfter(-1.0);
+  EXPECT_TRUE(past.cancelled());
+
+  CancelToken soon;
+  soon.CancelAfter(1e-9);
+  while (!soon.cancelled()) {
+  }
+  // A later deadline never moves an armed one back.
+  soon.CancelAfter(3600.0);
+  EXPECT_TRUE(soon.cancelled());
+
+  CancelToken later;
+  later.CancelAfter(3600.0);
+  EXPECT_FALSE(later.cancelled());
+  later.Cancel();
+  later.CancelAfter(3600.0);
+  EXPECT_TRUE(later.cancelled());
 }
+
+TEST(CancelTokenConcurrencyTest, EarliestOfRacingDeadlinesWins) {
+  CancelToken token;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    // Thread 0 arms a 1 ms deadline; the others race it with an hour.
+    threads.emplace_back([&token, t] {
+      token.CancelAfter(t == 0 ? 1e-3 : 3600.0);
+      while (!token.cancelled()) {
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_TRUE(token.cancelled());
+}
+
+// --- retry policy ---
 
 TEST(RetryPolicyTest, RetryableClassification) {
   EXPECT_TRUE(IsRetryable(Status::Internal("transient")));

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <fstream>
+
 #include "green/bench_util/record_io.h"
 
 namespace green {
@@ -148,10 +150,34 @@ TEST(RecordIoTest, JsonlFileRoundTrip) {
 }
 
 TEST(RecordIoTest, WriteFailingAtCloseIsAnError) {
-  // /dev/full accepts the buffered write and fails the flush in fclose.
+  // /dev/full accepts the buffered write and fails it at the flush.
   if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
   const Status jsonl = WriteRecordsJsonl({SampleRecord()}, "/dev/full");
   EXPECT_EQ(jsonl.code(), Status::Code::kIoError) << jsonl.ToString();
+}
+
+TEST(RecordIoTest, UnreadableIncompleteMarkerStillMarksTheJournal) {
+  // A marker whose count is not a whole positive decimal is still a
+  // marker: at least one append was lost, never none (nor 2^64 - 1).
+  for (const std::string count :
+       {"x3", "-1", "3x", "", "0", "18446744073709551616"}) {
+    const std::string path =
+        ::testing::TempDir() + "/green_bad_marker.jsonl";
+    RunRecord record = SampleRecord();
+    record.cell_index = 0;
+    std::ofstream(path) << RecordToJson(record) << "\n{\"journal_incomplete\":"
+                        << count << "}\n";
+
+    auto journal = ReadJournal(path);
+    ASSERT_TRUE(journal.ok()) << count;
+    EXPECT_EQ(journal->records.size(), 1u) << count;
+    EXPECT_GE(journal->append_failures, 1u) << count;
+    EXPECT_LT(journal->append_failures, 1000u) << count;
+    auto merged = MergeShardJournals({path}, path + ".merged");
+    ASSERT_FALSE(merged.ok()) << count;
+    EXPECT_EQ(merged.status().code(), Status::Code::kFailedPrecondition)
+        << count;
+  }
 }
 
 TEST(RecordIoTest, ReadErrorIsNotAShortFile) {
