@@ -6,8 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "green/bench_util/experiment.h"
 #include "green/common/thread_pool.h"
 #include "green/data/synthetic.h"
+#include "green/ml/kernels/tree_kernels.h"
 #include "green/ml/model_registry.h"
 #include "green/ml/models/adaboost.h"
 #include "green/ml/models/attention_few_shot.h"
@@ -83,6 +86,32 @@ void BM_TreeSplitScan(benchmark::State& state) {
                           static_cast<int64_t>(data.num_rows()));
 }
 BENCHMARK(BM_TreeSplitScan)->Arg(2)->Arg(3)->Arg(10);
+
+// The per-fit table presort on 30 columns of the argument's rows: ten
+// continuous, ten 0/1 one-hot (one 10-level category) and ten tied to a
+// grid of half units.
+void BM_TablePresortBuild(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const Dataset base = BenchData(rows, 10, 2);
+  Dataset data("presort", 30, 2);
+  data.Reserve(rows);
+  Rng rng(5);
+  std::vector<double> x(30);
+  for (size_t r = 0; r < rows; ++r) {
+    const uint64_t category = rng.NextBounded(10);
+    for (size_t f = 0; f < 10; ++f) {
+      x[f] = base.At(r, f);
+      x[10 + f] = f == category ? 1.0 : 0.0;
+      x[20 + f] = std::round(base.At(r, f) * 2.0) / 2.0;
+    }
+    if (!data.AppendRow(x, base.Label(r)).ok()) std::abort();
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TablePresort::Build(data));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_TablePresortBuild)->Arg(1058)->Arg(4000);
 
 // PCA to 8 components over 2116 rows (Fashion-MNIST's instantiated size
 // in large_tables) of the argument's width: 30 power iterations each.

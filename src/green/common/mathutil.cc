@@ -58,6 +58,8 @@ double QuantileSorted(const std::vector<double>& v, double p) {
   const size_t lo = static_cast<size_t>(pos);
   const size_t hi = std::min(lo + 1, v.size() - 1);
   const double frac = pos - static_cast<double>(lo);
+  // An exact rank is its value: an infinite v[hi] would make inf * 0 NaN.
+  if (frac == 0.0) return v[lo];
   return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 

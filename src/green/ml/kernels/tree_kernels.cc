@@ -794,6 +794,74 @@ int TreeBuilder::GrowGb(size_t lo, size_t hi, int depth) {
   return node_index;
 }
 
+/// The 64-bit key of a non-NaN double whose unsigned order is the
+/// double's `<` order: a negative value has all its bits flipped, a
+/// non-negative one gets its sign bit set. -0.0 is keyed as +0.0, so the
+/// two zeros tie here as they do under `<`.
+uint64_t OrderKey(double v) {
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  if (bits == kSign) bits = 0;
+  return bits ^ ((uint64_t{0} - (bits >> 63)) | kSign);
+}
+
+/// Writes the row ids 0..n-1 of `column` to `order` in (OrderKey, row
+/// id) order: a stable LSD radix sort over the keys' eight 8-bit digits,
+/// starting from row-id order. One pass histograms every digit; a digit
+/// that is constant over the column moves nothing and is skipped, and
+/// the last digit that moves anything scatters the row ids alone, into
+/// `order`. `keys` and `rows` are scratch of 2n entries each.
+void RadixOrder(const double* column, size_t n, uint64_t* keys,
+                uint32_t* rows, uint32_t* order) {
+  uint32_t count[8][256] = {};
+  uint64_t* src_key = keys;
+  uint64_t* dst_key = keys + n;
+  uint32_t* src_row = rows;
+  uint32_t* dst_row = rows + n;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = OrderKey(column[i]);
+    src_key[i] = key;
+    src_row[i] = static_cast<uint32_t>(i);
+    for (int b = 0; b < 8; ++b) ++count[b][(key >> (8 * b)) & 0xff];
+  }
+  bool moves[8] = {};
+  int last = -1;
+  for (int b = 0; b < 8 && n > 0; ++b) {
+    moves[b] = count[b][(src_key[0] >> (8 * b)) & 0xff] != n;
+    if (moves[b]) last = b;
+  }
+  if (last < 0) {
+    std::iota(order, order + n, uint32_t{0});
+    return;
+  }
+  for (int b = 0; b <= last; ++b) {
+    if (!moves[b]) continue;
+    const int shift = 8 * b;
+    uint32_t* offset = count[b];
+    uint32_t sum = 0;
+    for (int digit = 0; digit < 256; ++digit) {
+      const uint32_t c = offset[digit];
+      offset[digit] = sum;
+      sum += c;
+    }
+    if (b == last) {
+      for (size_t i = 0; i < n; ++i) {
+        order[offset[(src_key[i] >> shift) & 0xff]++] = src_row[i];
+      }
+      return;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t key = src_key[i];
+      const uint32_t pos = offset[(key >> shift) & 0xff]++;
+      dst_key[pos] = key;
+      dst_row[pos] = src_row[i];
+    }
+    std::swap(src_key, dst_key);
+    std::swap(src_row, dst_row);
+  }
+}
+
 }  // namespace
 
 int FlatTree::AddNode() {
@@ -818,32 +886,36 @@ Result<TablePresort> TablePresort::Build(const Dataset& train) {
   const size_t n = train.num_rows();
   const size_t d = train.num_features();
   TablePresort presort(n, d);
-  struct Key {
-    double value;
-    uint32_t row;
-  };
-  std::vector<Key> keys(n);
-  for (size_t f = 0; f < d; ++f) {
-    for (size_t r = 0; r < n; ++r) {
-      const double v = train.At(r, f);
-      // The comparator below is a strict weak order only without NaN.
-      if (std::isnan(v)) {
-        return Status::InvalidArgument(StrFormat(
-            "tree: feature %zu of row %zu is NaN; impute before fitting",
-            f, r));
+  if (n == 0) return presort;
+  // One row-major pass copies the table into values_ column by column and
+  // finds the first NaN in (feature, row) order: a NaN has no place in a
+  // (value, row id) order.
+  size_t nan_feature = d;
+  size_t nan_row = 0;
+  for (size_t r = 0; r < n; ++r) {
+    const double* row = train.RowPtr(r);
+    for (size_t f = 0; f < d; ++f) {
+      presort.values_[f * n + r] = row[f];
+      if (std::isnan(row[f]) && f < nan_feature) {
+        nan_feature = f;
+        nan_row = r;
       }
-      keys[r] = {v, static_cast<uint32_t>(r)};
     }
-    std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-      if (a.value != b.value) return a.value < b.value;
-      return a.row < b.row;
-    });
-    uint32_t* order = presort.order_.data() + f * n;
+  }
+  if (nan_feature < d) {
+    return Status::InvalidArgument(StrFormat(
+        "tree: feature %zu of row %zu is NaN; impute before fitting",
+        nan_feature, nan_row));
+  }
+  std::vector<double> column(n);
+  std::vector<uint64_t> keys(2 * n);
+  std::vector<uint32_t> rows(2 * n);
+  for (size_t f = 0; f < d; ++f) {
     double* values = presort.values_.data() + f * n;
-    for (size_t i = 0; i < n; ++i) {
-      order[i] = keys[i].row;
-      values[i] = keys[i].value;
-    }
+    uint32_t* order = presort.order_.data() + f * n;
+    std::memcpy(column.data(), values, n * sizeof(double));
+    RadixOrder(column.data(), n, keys.data(), rows.data(), order);
+    for (size_t i = 0; i < n; ++i) values[i] = column[order[i]];
   }
   return presort;
 }

@@ -101,9 +101,11 @@ Status CheckTreeIndexRange(size_t num_rows, size_t sample_size);
 /// CheckTreeIndexRange first.
 class TablePresort {
  public:
-  /// Sorts every column of `train`. A NaN has no place in a (value,
-  /// row id) order, so a table holding one is refused (InvalidArgument)
-  /// before any sort runs: impute first.
+  /// Sorts every column of `train` by a radix order on the value bits,
+  /// without comparisons. A NaN has no place in a (value, row id) order,
+  /// so a table holding one is refused (InvalidArgument, naming the
+  /// first NaN in (feature, row) order) before any sort runs: impute
+  /// first.
   static Result<TablePresort> Build(const Dataset& train);
 
   size_t num_rows() const { return n_; }

@@ -30,8 +30,11 @@ Status QuantileBinner::Fit(const Dataset& train, ExecutionContext* ctx) {
     std::sort(column.begin(), column.end());
     std::vector<double>& edges = edges_[j];
     for (int b = 1; b < num_bins_; ++b) {
-      edges.push_back(QuantileSorted(
-          column, static_cast<double>(b) / static_cast<double>(num_bins_)));
+      const double edge = QuantileSorted(
+          column, static_cast<double>(b) / static_cast<double>(num_bins_));
+      // A -inf/+inf pair straddling the quantile interpolates to NaN,
+      // which no ascending edge list can hold.
+      if (!std::isnan(edge)) edges.push_back(edge);
     }
     // Collapse duplicate edges (heavily tied columns).
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "green/automl/caml_system.h"
 #include "green/automl/random_search_system.h"
@@ -224,6 +225,36 @@ TEST_F(ExtensionsTest, BinnerSkipsCategoricalAndMissing) {
   ASSERT_TRUE(out.ok());
   EXPECT_DOUBLE_EQ(out->At(0, 1), 7.0);          // Categorical untouched.
   EXPECT_TRUE(std::isnan(out->At(1, 0)));        // Missing stays missing.
+}
+
+// Quantiles that land exactly on a rank read that value: interpolating
+// toward an infinite neighbour at weight 0 gave inf * 0 = NaN edges,
+// which sent every value to the last bin.
+TEST_F(ExtensionsTest, BinnerEdgesOnInfiniteColumn) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Dataset data("inf", 1, 2);
+  int label = 0;
+  for (double v : {0.0, 1.0, inf, inf, inf}) {
+    ASSERT_TRUE(data.AppendRow({v}, label++ % 2).ok());
+  }
+  QuantileBinner binner(4);
+  ASSERT_TRUE(binner.Fit(data, &ctx_).ok());
+  EXPECT_EQ(binner.edges(0), (std::vector<double>{1.0, inf}));
+  const double in[] = {-1.0, 0.5, 1.5, 1e300, inf};
+  const double expected[] = {0.0, 0.0, 1.0, 1.0, 2.0};
+  for (size_t i = 0; i < 5; ++i) {
+    double out = -1.0;
+    binner.TransformRow(&in[i], &out);
+    EXPECT_EQ(out, expected[i]) << "value " << in[i];
+  }
+
+  // A -inf/+inf pair straddling the median interpolates to NaN: dropped.
+  Dataset straddle("straddle", 1, 2);
+  ASSERT_TRUE(straddle.AppendRow({-inf}, 0).ok());
+  ASSERT_TRUE(straddle.AppendRow({inf}, 1).ok());
+  QuantileBinner halves(2);
+  ASSERT_TRUE(halves.Fit(straddle, &ctx_).ok());
+  EXPECT_TRUE(halves.edges(0).empty());
 }
 
 TEST_F(ExtensionsTest, BinnerRejectsBadConfig) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -491,6 +493,100 @@ TEST(TablePresortTest, OrdersEachColumnByValueThenRowId) {
   EXPECT_EQ(order1, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
 }
 
+/// The comparator sort TablePresort::Build once ran: each column's
+/// (value, row id) pairs under `<`, ties by row id. The oracle for the
+/// radix order below.
+void ComparatorPresort(const Dataset& data, size_t f,
+                       std::vector<uint32_t>* order,
+                       std::vector<double>* values) {
+  struct Key {
+    double value;
+    uint32_t row;
+  };
+  std::vector<Key> keys(data.num_rows());
+  for (size_t r = 0; r < keys.size(); ++r) {
+    keys[r] = {data.At(r, f), static_cast<uint32_t>(r)};
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.value != b.value) return a.value < b.value;
+    return a.row < b.row;
+  });
+  order->clear();
+  values->clear();
+  for (const Key& k : keys) {
+    order->push_back(k.row);
+    values->push_back(k.value);
+  }
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+/// A table of `rows` rows whose columns hold what a key map on the value
+/// bits can get wrong: both zeros, infinities, denormals, the extreme
+/// finite values, one repeated value, one-hot codes, tie-heavy grids and
+/// arbitrary non-NaN bit patterns.
+Dataset HostileColumns(size_t rows, uint64_t seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  const std::vector<std::vector<double>> pools = {
+      {-0.0, 0.0},
+      {-kInf, kInf, -1.5, -0.0, 0.0, 2.0},
+      {kDenorm, -kDenorm, 3 * kDenorm, kMin / 2, -kMin / 2, kMin, -kMin,
+       0.0, -0.0},
+      {kMax, -kMax, 1e308, -1e-308, 0.0, -0.0, -kInf, kInf},
+  };
+  Dataset data("hostile", pools.size() + 5, 2);
+  Rng rng(seed);
+  std::vector<double> x(data.num_features());
+  for (size_t r = 0; r < rows; ++r) {
+    size_t f = 0;
+    for (const std::vector<double>& pool : pools) {
+      x[f++] = pool[rng.NextBounded(pool.size())];
+    }
+    x[f++] = 3.25;                                       // all equal
+    x[f++] = rng.NextBool() ? 1.0 : 0.0;                 // one-hot
+    x[f++] = std::floor(rng.NextGaussian() * 2.0) / 2.0;  // tied grid
+    x[f++] = static_cast<double>(rng.NextBounded(40)) * 0.37 - 7.0;
+    double v = 0.0;
+    do {
+      const uint64_t bits = rng.NextUint64();
+      std::memcpy(&v, &bits, sizeof v);
+    } while (std::isnan(v));
+    x[f++] = v;
+    EXPECT_TRUE(data.AppendRow(x, static_cast<int>(r % 2)).ok());
+  }
+  return data;
+}
+
+TEST(TablePresortTest, RadixOrderMatchesComparatorSort) {
+  int columns = 0;
+  uint64_t seed = 1;
+  for (size_t rows : std::vector<size_t>{0, 1, 2, 3, 17, 256, 1000, 5000}) {
+    const Dataset data = HostileColumns(rows, seed++);
+    const TablePresort presort = TablePresort::Build(data).value();
+    ASSERT_EQ(presort.num_rows(), rows);
+    std::vector<uint32_t> order;
+    std::vector<double> values;
+    for (size_t f = 0; f < data.num_features(); ++f) {
+      ComparatorPresort(data, f, &order, &values);
+      for (size_t i = 0; i < rows; ++i) {
+        ASSERT_EQ(presort.order(f)[i], order[i])
+            << rows << " rows, feature " << f << ", rank " << i;
+        ASSERT_EQ(Bits(presort.values(f)[i]), Bits(values[i]))
+            << rows << " rows, feature " << f << ", rank " << i;
+      }
+      ++columns;
+    }
+  }
+  EXPECT_EQ(columns, 8 * 9);
+}
+
 /// Classification task whose features sit on a coarse grid, so every
 /// column has many tied values.
 Dataset TiedTask(int classes, size_t rows, uint64_t seed) {
@@ -609,9 +705,15 @@ TEST(TablePresortTest, ExactFitRejectsMissingOrMismatchedPresort) {
 TEST(TablePresortTest, NanInputRejected) {
   Dataset train = EasyTask(3, 60);
   train.Set(17, 4, NAN);
+  train.Set(40, 2, NAN);
   const auto presort = TablePresort::Build(train);
   ASSERT_FALSE(presort.ok());
   EXPECT_EQ(presort.status().code(), Status::Code::kInvalidArgument);
+  // The first NaN in (feature, row) order, not the first a row-major
+  // read meets.
+  EXPECT_NE(presort.status().message().find("feature 2 of row 40"),
+            std::string::npos)
+      << presort.status().message();
 
   VirtualClock clock;
   EnergyModel energy(MachineModel::Minimal());
