@@ -74,9 +74,9 @@ struct ExperimentConfig {
   bool collect_scopes = false;
   /// Memoize fitted transformer chains across search trials
   /// (GREEN_TRANSFORM_CACHE=0|1, CLI --transform-cache 0|1). Purely a
-  /// host-time optimization: cache hits replay the recorded charge tape,
-  /// so records, energy totals, and scope trees are bit-identical with
-  /// the cache on or off.
+  /// host-time optimization: cache hits re-issue the fitted chain's
+  /// charges, so records, energy totals, scope trees and the trace are
+  /// bit-identical with the cache on or off.
   bool transform_cache = true;
   /// Transform-cache byte budget in MB (GREEN_TRANSFORM_CACHE_MB);
   /// LRU-evicts beyond it.

@@ -86,8 +86,10 @@ Result<KnobValue> ParseKnob(const Knob& knob, std::string_view raw) {
                                  static_cast<int>(std::get<long>(*count))});
     }
   }
-  return Status::InvalidArgument("'" + std::string(raw) + "' is not " +
-                                 Describe(knob));
+  return Status::InvalidArgument(StrFormat("'%.*s' is not %s",
+                                           static_cast<int>(raw.size()),
+                                           raw.data(),
+                                           Describe(knob).c_str()));
 }
 
 KnobValues KnobValues::FromEnv() {

@@ -22,6 +22,20 @@ Result<std::vector<int>> Estimator::Predict(const Dataset& data,
   return out;
 }
 
+Status Transformer::Fit(const Dataset& train, ExecutionContext* ctx) {
+  GREEN_ASSIGN_OR_RETURN(fit_charge_, Learn(train));
+  ChargeFit(ctx);
+  fitted_ = true;
+  input_width_ = train.num_features();
+  return Status::Ok();
+}
+
+void Transformer::ChargeFit(ExecutionContext* ctx) const {
+  ChargeScope scope(ctx, Name());
+  ctx->ChargeCpu(fit_charge_.flops, fit_charge_.bytes,
+                 fit_charge_.parallel_fraction);
+}
+
 Result<Dataset> Transformer::Transform(const Dataset& data,
                                        ExecutionContext* ctx) const {
   const Transformer* chain[] = {this};
@@ -69,12 +83,17 @@ Result<Dataset> RunTransformChain(std::span<const Transformer* const> chain,
     chain[last]->TransformRow(in, x + r * width);
   }
 
+  ChargeTransformChain(chain, rows, ctx);
+  return out;
+}
+
+void ChargeTransformChain(std::span<const Transformer* const> chain,
+                          size_t rows, ExecutionContext* ctx) {
   for (const Transformer* t : chain) {
     ChargeScope scope(ctx, t->Name());
     const TransformCharge charge = t->ChargeFor(rows);
     ctx->ChargeCpu(charge.flops, charge.bytes, charge.parallel_fraction);
   }
-  return out;
 }
 
 }  // namespace green

@@ -85,8 +85,10 @@ struct TransformCharge {
 
 /// Base interface for feature transformers (preprocessors).
 ///
-/// A fitted transformer is a row map. It implements three pieces, and
-/// every transform (one transformer or a pipeline's whole chain, see
+/// Fitting is Learn, which computes the fitted state and returns the work
+/// it took, plus the one charge Fit issues for that work. A fitted
+/// transformer is a row map. It implements three pieces, and every
+/// transform (one transformer or a pipeline's whole chain, see
 /// RunTransformChain) is built from them:
 ///   * TransformRow maps one input row to one output row;
 ///   * ChargeFor is the work a transform of `rows` rows charges, a
@@ -100,7 +102,14 @@ class Transformer {
  public:
   virtual ~Transformer() = default;
 
-  virtual Status Fit(const Dataset& train, ExecutionContext* ctx) = 0;
+  /// Learns the fitted state from `train`, then charges the work Learn
+  /// reported under ChargeScope(ctx, Name()) — one charge per fit — and
+  /// keeps it for ChargeFit. A failed Learn charges nothing.
+  Status Fit(const Dataset& train, ExecutionContext* ctx);
+
+  /// Re-issues the charge the last Fit issued, under the same scope: how
+  /// a transform-cache hit accounts for a fit it did not redo.
+  void ChargeFit(ExecutionContext* ctx) const;
 
   /// Transforms `data` through this transformer alone: a chain of length
   /// one.
@@ -144,10 +153,10 @@ class Transformer {
   size_t input_width() const { return input_width_; }
 
  protected:
-  void MarkFitted(size_t input_width) {
-    fitted_ = true;
-    input_width_ = input_width;
-  }
+  /// The transformer's fitting algorithm. Sets the fitted state from
+  /// `train` and returns the work that took; charges nothing, so the
+  /// clock stands still until Fit charges the returned work.
+  virtual Result<TransformCharge> Learn(const Dataset& train) = 0;
 
   /// Logical footprint of a rows x width matrix, as Dataset::FeatureBytes.
   static double MatrixBytes(size_t rows, size_t width) {
@@ -158,17 +167,23 @@ class Transformer {
  private:
   bool fitted_ = false;
   size_t input_width_ = 0;
+  TransformCharge fit_charge_;
 };
 
 /// Sends every row of `data` through `chain` in order, ping-ponging
 /// between two row buffers, into one output dataset: `data`'s rows,
 /// labels (or targets), name and nominal size with the last
-/// transformer's columns. Then charges each transformer's ChargeFor under
-/// its own ChargeScope(ctx, Name()), in chain order. An unfitted
-/// transformer or a width mismatch anywhere in the chain fails before any
-/// charge. An empty chain returns `data` itself.
+/// transformer's columns. Then charges the chain (ChargeTransformChain).
+/// An unfitted transformer or a width mismatch anywhere in the chain
+/// fails before any charge. An empty chain returns `data` itself.
 Result<Dataset> RunTransformChain(std::span<const Transformer* const> chain,
                                   const Dataset& data, ExecutionContext* ctx);
+
+/// Charges each transformer's ChargeFor(rows) under its own
+/// ChargeScope(ctx, Name()), in chain order: what transforming `rows`
+/// rows through `chain` costs, whether or not the rows are computed.
+void ChargeTransformChain(std::span<const Transformer* const> chain,
+                          size_t rows, ExecutionContext* ctx);
 
 }  // namespace green
 

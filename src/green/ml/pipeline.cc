@@ -39,9 +39,15 @@ Status Pipeline::Fit(const Dataset& train, ExecutionContext* ctx) {
   if (cacheable) {
     chain_signature = ChainSignature();
     if (auto hit = cache->Lookup(train, chain_signature)) {
-      ctx->ReplayTape(hit->tape);
-      if (ctx->Interrupted()) {
-        return Status::DeadlineExceeded("pipeline: interrupted mid-fit");
+      // Re-issue the charges a miss would: each step's fit, then its
+      // transform of the train rows, each under the step's own scope.
+      for (const auto& t : hit->transformers) {
+        if (ctx->Interrupted()) {
+          return Status::DeadlineExceeded("pipeline: interrupted mid-fit");
+        }
+        t->ChargeFit(ctx);
+        const Transformer* step[] = {t.get()};
+        ChargeTransformChain(step, train.num_rows(), ctx);
       }
       transformers_ = hit->transformers;
       cache_entry_ = hit;
@@ -53,28 +59,16 @@ Status Pipeline::Fit(const Dataset& train, ExecutionContext* ctx) {
   }
 
   Dataset current = train;
-  ChargeTape tape;
-  const bool recording = cacheable && ctx->StartTapeRecording(&tape);
-  Status status = Status::Ok();
   for (auto& t : transformers_) {
     if (ctx->Interrupted()) {
-      status = Status::DeadlineExceeded("pipeline: interrupted mid-fit");
-      break;
+      return Status::DeadlineExceeded("pipeline: interrupted mid-fit");
     }
-    status = t->Fit(current, ctx);
-    if (!status.ok()) break;
-    Result<Dataset> transformed = t->Transform(current, ctx);
-    if (!transformed.ok()) {
-      status = transformed.status();
-      break;
-    }
-    current = std::move(transformed).value();
+    GREEN_RETURN_IF_ERROR(t->Fit(current, ctx));
+    GREEN_ASSIGN_OR_RETURN(current, t->Transform(current, ctx));
   }
-  if (recording) ctx->StopTapeRecording();
-  GREEN_RETURN_IF_ERROR(status);
-  if (recording && !ctx->charge_truncated()) {
-    cache_entry_ = cache->Insert(train, chain_signature, transformers_,
-                                 current, std::move(tape));
+  if (cacheable && !ctx->charge_truncated()) {
+    cache_entry_ =
+        cache->Insert(train, chain_signature, transformers_, current);
     if (cache_entry_ != nullptr) {
       // The chain is now shared with the cache (possibly a racing
       // incumbent's equivalently fitted instances): adopt it so later
@@ -92,30 +86,27 @@ Result<Dataset> Pipeline::RunTransforms(const Dataset& data,
                                         ExecutionContext* ctx) const {
   if (transformers_.empty()) return data;
 
+  std::vector<const Transformer*> chain;
+  chain.reserve(transformers_.size());
+  for (const auto& t : transformers_) chain.push_back(t.get());
+
   // Predict-path memo: the same eval/test view flows through the same
   // fitted chain once per scoring pass; memoize the result keyed by the
-  // adopted cache entry. Replaying the recorded tape keeps all simulated
-  // quantities bit-identical to recomputing (the compute path below also
-  // stops metering at truncation, so no interrupt special-case is
-  // needed).
+  // adopted cache entry. A hit charges the chain exactly as computing it
+  // would (the compute path also stops metering at truncation, so no
+  // interrupt special-case is needed).
   TransformCache* cache = ctx->transform_cache();
   const bool memoable = cache != nullptr && cache_entry_ != nullptr;
   if (memoable) {
     if (auto memo = cache->LookupPredict(cache_entry_, data)) {
-      ctx->ReplayTape(memo->tape);
+      ChargeTransformChain(chain, data.num_rows(), ctx);
       return memo->transformed;
     }
   }
 
-  std::vector<const Transformer*> chain;
-  chain.reserve(transformers_.size());
-  for (const auto& t : transformers_) chain.push_back(t.get());
-  ChargeTape tape;
-  const bool recording = memoable && ctx->StartTapeRecording(&tape);
   Result<Dataset> transformed = RunTransformChain(chain, data, ctx);
-  if (recording) ctx->StopTapeRecording();
-  if (transformed.ok() && recording && !ctx->charge_truncated()) {
-    cache->InsertPredict(cache_entry_, data, *transformed, std::move(tape));
+  if (transformed.ok() && memoable && !ctx->charge_truncated()) {
+    cache->InsertPredict(cache_entry_, data, *transformed);
   }
   return transformed;
 }

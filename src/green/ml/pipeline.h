@@ -30,8 +30,9 @@ class Pipeline {
   /// When the ExecutionContext carries a TransformCache, the fitted
   /// transformer chain is memoized by (train storage identity + row view,
   /// chain config signature). On a hit the host-side refit is skipped and
-  /// the recorded charge tape is replayed instead, so every simulated
-  /// quantity (clock, meter, scope tree) is bit-identical either way. A
+  /// each step re-issues its fit and transform charges under its own
+  /// scope, so every simulated quantity (clock, meter, scope tree, trace)
+  /// is bit-identical either way. A
   /// pipeline that adopted cached transformers cannot be refitted — build
   /// a fresh one (every call site already does).
   Status Fit(const Dataset& train, ExecutionContext* ctx);

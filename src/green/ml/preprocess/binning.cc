@@ -2,19 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "green/common/mathutil.h"
 
 namespace green {
 
-Status QuantileBinner::Fit(const Dataset& train, ExecutionContext* ctx) {
+Result<TransformCharge> QuantileBinner::Learn(const Dataset& train) {
   const size_t n = train.num_rows();
   const size_t d = train.num_features();
   if (n == 0) return Status::InvalidArgument("binner: empty dataset");
   if (num_bins_ < 2) {
     return Status::InvalidArgument("binner: need at least 2 bins");
   }
-  ChargeScope scope(ctx, Name());
   edges_.assign(d, {});
 
   std::vector<double> column;
@@ -32,18 +32,18 @@ Status QuantileBinner::Fit(const Dataset& train, ExecutionContext* ctx) {
     for (int b = 1; b < num_bins_; ++b) {
       const double edge = QuantileSorted(
           column, static_cast<double>(b) / static_cast<double>(num_bins_));
-      // A -inf/+inf pair straddling the quantile interpolates to NaN,
-      // which no ascending edge list can hold.
-      if (!std::isnan(edge)) edges.push_back(edge);
+      // A -inf/+inf pair straddling the quantile interpolates to NaN; the
+      // edge takes +inf, so -inf and +inf still land in different bins.
+      edges.push_back(std::isnan(edge)
+                          ? std::numeric_limits<double>::infinity()
+                          : edge);
     }
     // Collapse duplicate edges (heavily tied columns).
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   }
-  ctx->ChargeCpu(static_cast<double>(n * d) *
-                     std::log2(std::max(2.0, static_cast<double>(n))),
-                 train.FeatureBytes());
-  MarkFitted(d);
-  return Status::Ok();
+  return TransformCharge{static_cast<double>(n * d) *
+                             std::log2(std::max(2.0, static_cast<double>(n))),
+                         train.FeatureBytes()};
 }
 
 void QuantileBinner::TransformRow(const double* in, double* out) const {

@@ -18,7 +18,6 @@ class QuantileBinner : public Transformer {
  public:
   explicit QuantileBinner(int num_bins = 8) : num_bins_(num_bins) {}
 
-  Status Fit(const Dataset& train, ExecutionContext* ctx) override;
   std::string Name() const override { return "quantile_binner"; }
   std::string ConfigSignature() const override {
     return "quantile_binner(" + std::to_string(num_bins_) + ")";
@@ -37,6 +36,9 @@ class QuantileBinner : public Transformer {
   int num_bins() const { return num_bins_; }
   /// Bin edges of column j (empty for pass-through columns).
   const std::vector<double>& edges(size_t j) const { return edges_[j]; }
+
+ protected:
+  Result<TransformCharge> Learn(const Dataset& train) override;
 
  private:
   int num_bins_;

@@ -18,7 +18,6 @@ void ColumnSelector::Keep(const Dataset& train, std::vector<size_t> keep) {
   keep_ = std::move(keep);
   input_schema_ = train.schema();
   output_schema_ = BuildSchema(*input_schema_);
-  MarkFitted(train.num_features());
 }
 
 std::shared_ptr<Schema> ColumnSelector::BuildSchema(
@@ -44,11 +43,10 @@ void ColumnSelector::TransformRow(const double* in, double* out) const {
   for (size_t k = 0; k < keep_.size(); ++k) out[k] = in[keep_[k]];
 }
 
-Status VarianceThreshold::Fit(const Dataset& train, ExecutionContext* ctx) {
+Result<TransformCharge> VarianceThreshold::Learn(const Dataset& train) {
   const size_t n = train.num_rows();
   const size_t d = train.num_features();
   if (n == 0) return Status::InvalidArgument("selector: empty dataset");
-  ChargeScope scope(ctx, Name());
   std::vector<size_t> keep;
   for (size_t j = 0; j < d; ++j) {
     double sum = 0.0;
@@ -63,17 +61,16 @@ Status VarianceThreshold::Fit(const Dataset& train, ExecutionContext* ctx) {
     if (var > threshold_) keep.push_back(j);
   }
   if (keep.empty()) keep.push_back(0);  // Never emit a zero-width table.
-  ctx->ChargeCpu(2.0 * static_cast<double>(n * d), train.FeatureBytes());
   Keep(train, std::move(keep));
-  return Status::Ok();
+  return TransformCharge{2.0 * static_cast<double>(n * d),
+                         train.FeatureBytes()};
 }
 
-Status SelectKBest::Fit(const Dataset& train, ExecutionContext* ctx) {
+Result<TransformCharge> SelectKBest::Learn(const Dataset& train) {
   const size_t n = train.num_rows();
   const size_t d = train.num_features();
   const int k_classes = train.num_classes();
   if (n == 0) return Status::InvalidArgument("selector: empty dataset");
-  ChargeScope scope(ctx, Name());
 
   std::vector<double> scores(d, 0.0);
   const std::vector<int> counts = train.ClassCounts();
@@ -116,9 +113,9 @@ Status SelectKBest::Fit(const Dataset& train, ExecutionContext* ctx) {
   std::vector<size_t> keep(order.begin(), order.begin() + take);
   std::sort(keep.begin(), keep.end());
 
-  ctx->ChargeCpu(3.0 * static_cast<double>(n * d), train.FeatureBytes());
   Keep(train, std::move(keep));
-  return Status::Ok();
+  return TransformCharge{3.0 * static_cast<double>(n * d),
+                         train.FeatureBytes()};
 }
 
 }  // namespace green

@@ -32,8 +32,7 @@ class ColumnSelector : public Transformer {
   std::shared_ptr<Schema> OutputSchema(const Schema& input) const override;
 
  protected:
-  /// Fixes the kept columns of `train` (ascending) and marks the selector
-  /// fitted.
+  /// Fixes the kept columns of `train` (ascending).
   void Keep(const Dataset& train, std::vector<size_t> keep);
 
  private:
@@ -50,9 +49,11 @@ class VarianceThreshold : public ColumnSelector {
   explicit VarianceThreshold(double threshold = 0.0)
       : threshold_(threshold) {}
 
-  Status Fit(const Dataset& train, ExecutionContext* ctx) override;
   std::string Name() const override { return "variance_threshold"; }
   std::string ConfigSignature() const override;
+
+ protected:
+  Result<TransformCharge> Learn(const Dataset& train) override;
 
  private:
   double threshold_;
@@ -65,11 +66,13 @@ class SelectKBest : public ColumnSelector {
  public:
   explicit SelectKBest(size_t k) : k_(k) {}
 
-  Status Fit(const Dataset& train, ExecutionContext* ctx) override;
   std::string Name() const override { return "select_k_best"; }
   std::string ConfigSignature() const override {
     return "select_k_best(" + std::to_string(k_) + ")";
   }
+
+ protected:
+  Result<TransformCharge> Learn(const Dataset& train) override;
 
  private:
   size_t k_;

@@ -6,11 +6,10 @@
 
 namespace green {
 
-Status MeanModeImputer::Fit(const Dataset& train, ExecutionContext* ctx) {
+Result<TransformCharge> MeanModeImputer::Learn(const Dataset& train) {
   const size_t n = train.num_rows();
   const size_t d = train.num_features();
   if (n == 0) return Status::InvalidArgument("imputer: empty dataset");
-  ChargeScope scope(ctx, Name());
   fill_values_.assign(d, 0.0);
 
   for (size_t j = 0; j < d; ++j) {
@@ -43,9 +42,8 @@ Status MeanModeImputer::Fit(const Dataset& train, ExecutionContext* ctx) {
       fill_values_[j] = seen > 0 ? sum / static_cast<double>(seen) : 0.0;
     }
   }
-  ctx->ChargeCpu(static_cast<double>(n * d), static_cast<double>(n * d) * 8);
-  MarkFitted(d);
-  return Status::Ok();
+  return TransformCharge{static_cast<double>(n * d),
+                         static_cast<double>(n * d) * 8};
 }
 
 void MeanModeImputer::TransformRow(const double* in, double* out) const {

@@ -14,7 +14,6 @@ namespace green {
 /// do not count towards the mode.
 class MeanModeImputer : public Transformer {
  public:
-  Status Fit(const Dataset& train, ExecutionContext* ctx) override;
   std::string Name() const override { return "imputer"; }
   // Parameter-free; the name is the whole configuration.
   std::string ConfigSignature() const override { return Name(); }
@@ -28,6 +27,9 @@ class MeanModeImputer : public Transformer {
   }
 
   const std::vector<double>& fill_values() const { return fill_values_; }
+
+ protected:
+  Result<TransformCharge> Learn(const Dataset& train) override;
 
  private:
   std::vector<double> fill_values_;

@@ -6,8 +6,7 @@
 
 namespace green {
 
-Status OneHotEncoder::Fit(const Dataset& train, ExecutionContext* ctx) {
-  ChargeScope scope(ctx, Name());
+Result<TransformCharge> OneHotEncoder::Learn(const Dataset& train) {
   const size_t d = train.num_features();
   cardinality_.assign(d, 0);
   output_width_ = 0;
@@ -34,10 +33,8 @@ Status OneHotEncoder::Fit(const Dataset& train, ExecutionContext* ctx) {
   }
   input_schema_ = train.schema();
   output_schema_ = BuildSchema(*input_schema_);
-  ctx->ChargeCpu(static_cast<double>(train.num_rows() * d),
-                 train.FeatureBytes());
-  MarkFitted(d);
-  return Status::Ok();
+  return TransformCharge{static_cast<double>(train.num_rows() * d),
+                         train.FeatureBytes()};
 }
 
 std::shared_ptr<Schema> OneHotEncoder::BuildSchema(const Schema& input) const {

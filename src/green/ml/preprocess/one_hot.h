@@ -24,7 +24,6 @@ class OneHotEncoder : public Transformer {
   explicit OneHotEncoder(int max_cardinality = 32)
       : max_cardinality_(max_cardinality) {}
 
-  Status Fit(const Dataset& train, ExecutionContext* ctx) override;
   std::string Name() const override { return "one_hot"; }
   std::string ConfigSignature() const override {
     return "one_hot(" + std::to_string(max_cardinality_) + ")";
@@ -47,6 +46,9 @@ class OneHotEncoder : public Transformer {
             MatrixBytes(rows, output_width_)};
   }
   std::shared_ptr<Schema> OutputSchema(const Schema& input) const override;
+
+ protected:
+  Result<TransformCharge> Learn(const Dataset& train) override;
 
  private:
   /// A fresh output schema for an input whose columns are named like

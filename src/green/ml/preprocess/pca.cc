@@ -51,11 +51,10 @@ void PowerStep(const double* x, size_t n, size_t d, const double* v,
 
 }  // namespace
 
-Status Pca::Fit(const Dataset& train, ExecutionContext* ctx) {
+Result<TransformCharge> Pca::Learn(const Dataset& train) {
   const size_t n = train.num_rows();
   const size_t d = train.num_features();
   if (n < 2) return Status::InvalidArgument("pca: need at least 2 rows");
-  ChargeScope scope(ctx, Name());
   const size_t k = std::max<size_t>(1, std::min(num_components_, d));
 
   // Column means.
@@ -115,10 +114,8 @@ Status Pca::Fit(const Dataset& train, ExecutionContext* ctx) {
   }
   components_fitted_ = k;
   output_schema_ = std::make_shared<Schema>(k);
-  ctx->ChargeCpu(flops, static_cast<double>(n * d) * 8,
-                 /*parallel_fraction=*/0.85);
-  MarkFitted(d);
-  return Status::Ok();
+  return TransformCharge{flops, static_cast<double>(n * d) * 8,
+                         /*parallel_fraction=*/0.85};
 }
 
 void Pca::TransformRow(const double* in, double* out) const {

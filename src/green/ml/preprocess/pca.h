@@ -21,7 +21,6 @@ class Pca : public Transformer {
         power_iterations_(power_iterations),
         seed_(seed) {}
 
-  Status Fit(const Dataset& train, ExecutionContext* ctx) override;
   std::string Name() const override { return "pca"; }
   std::string ConfigSignature() const override {
     return "pca(" + std::to_string(num_components_) + "," +
@@ -55,6 +54,9 @@ class Pca : public Transformer {
   size_t components_fitted() const { return components_fitted_; }
   /// Row-major (components_fitted x input width) unit directions.
   const std::vector<double>& components() const { return components_; }
+
+ protected:
+  Result<TransformCharge> Learn(const Dataset& train) override;
 
  private:
   size_t num_components_;

@@ -5,11 +5,10 @@
 
 namespace green {
 
-Status Scaler::Fit(const Dataset& train, ExecutionContext* ctx) {
+Result<TransformCharge> Scaler::Learn(const Dataset& train) {
   const size_t n = train.num_rows();
   const size_t d = train.num_features();
   if (n == 0) return Status::InvalidArgument("scaler: empty dataset");
-  ChargeScope scope(ctx, Name());
   offset_.assign(d, 0.0);
   scale_.assign(d, 1.0);
 
@@ -39,9 +38,8 @@ Status Scaler::Fit(const Dataset& train, ExecutionContext* ctx) {
       scale_[j] = (hi - lo) > 1e-12 ? (hi - lo) : 1.0;
     }
   }
-  ctx->ChargeCpu(2.0 * static_cast<double>(n * d), train.FeatureBytes());
-  MarkFitted(d);
-  return Status::Ok();
+  return TransformCharge{2.0 * static_cast<double>(n * d),
+                         train.FeatureBytes()};
 }
 
 void Scaler::TransformRow(const double* in, double* out) const {

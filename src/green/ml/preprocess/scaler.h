@@ -15,7 +15,6 @@ class Scaler : public Transformer {
  public:
   explicit Scaler(ScalerKind kind) : kind_(kind) {}
 
-  Status Fit(const Dataset& train, ExecutionContext* ctx) override;
   std::string Name() const override {
     return kind_ == ScalerKind::kStandard ? "standard_scaler"
                                           : "minmax_scaler";
@@ -30,6 +29,9 @@ class Scaler : public Transformer {
     return {2.0 * static_cast<double>(rows * input_width()),
             MatrixBytes(rows, input_width())};
   }
+
+ protected:
+  Result<TransformCharge> Learn(const Dataset& train) override;
 
  private:
   ScalerKind kind_;

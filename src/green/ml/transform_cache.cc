@@ -44,7 +44,6 @@ size_t TransformCache::EstimateBytes(const TransformCacheEntry& entry,
   bytes += entry.transformed.num_rows() * sizeof(int);  // Labels.
   // Pinned input view: row index + labels.
   bytes += entry.input.num_rows() * (sizeof(size_t) + sizeof(int));
-  bytes += entry.tape.ApproxBytes();
   bytes += entry.transformers.size() * 256;  // Fitted-state ballpark.
   return bytes;
 }
@@ -94,12 +93,11 @@ std::shared_ptr<const TransformCacheEntry> TransformCache::AdmitLocked(
 std::shared_ptr<const TransformCacheEntry> TransformCache::Insert(
     const Dataset& input, const std::string& chain_signature,
     std::vector<std::shared_ptr<Transformer>> transformers,
-    Dataset transformed, ChargeTape tape) {
+    Dataset transformed) {
   auto entry = std::make_shared<TransformCacheEntry>();
   entry->input = input;
   entry->transformers = std::move(transformers);
   entry->transformed = std::move(transformed);
-  entry->tape = std::move(tape);
   entry->bytes = EstimateBytes(*entry, chain_signature);
 
   std::string key = MapKey(input, chain_signature);
@@ -125,11 +123,10 @@ std::shared_ptr<const TransformCacheEntry> TransformCache::LookupPredict(
 
 void TransformCache::InsertPredict(
     const std::shared_ptr<const TransformCacheEntry>& chain,
-    const Dataset& input, Dataset transformed, ChargeTape tape) {
+    const Dataset& input, Dataset transformed) {
   auto entry = std::make_shared<TransformCacheEntry>();
   entry->input = input;
   entry->transformed = std::move(transformed);
-  entry->tape = std::move(tape);
   entry->parent = chain;  // Pins the chain's address for the key.
   entry->bytes = EstimateBytes(*entry, /*chain_signature=*/"");
 

@@ -16,11 +16,12 @@
 
 namespace green {
 
-/// One memoized transformer-chain fit: the fitted transformers, the
-/// transformed train set (sharing storage), and the charge tape recorded
-/// during the original fit. `input` pins the source matrix and schema —
-/// while the entry lives, neither address can be recycled by a different
-/// dataset, which is what makes pointer-identity keys exact.
+/// One memoized transformer-chain fit: the fitted transformers and the
+/// transformed train set (sharing storage). The charges a hit re-issues
+/// are the fitted transformers' own (Transformer::ChargeFit, ChargeFor),
+/// so the entry keeps no record of them. `input` pins the source matrix
+/// and schema — while the entry lives, neither address can be recycled by
+/// a different dataset, which is what makes pointer-identity keys exact.
 struct TransformCacheEntry {
   Dataset input;
   /// Fitted instances, shared with every pipeline that adopted them.
@@ -28,10 +29,9 @@ struct TransformCacheEntry {
   /// thread-safe; Fit is not).
   std::vector<std::shared_ptr<Transformer>> transformers;
   Dataset transformed;
-  ChargeTape tape;
   size_t bytes = 0;
   /// For predict-path memos only: the fitted-chain entry this memo was
-  /// recorded through. Pins the chain so its address stays unique for the
+  /// computed through. Pins the chain so its address stays unique for the
   /// pointer-identity part of the memo key. Null for fit entries.
   std::shared_ptr<const TransformCacheEntry> parent;
 };
@@ -50,8 +50,9 @@ struct TransformCacheStats {
 /// Thread-safe, byte-bounded, LRU-evicting memo of fitted transformer
 /// chains, keyed by (dataset storage and schema identity, exact row view,
 /// chain config signature). Purely a *host-time* optimization: on a hit the
-/// caller replays the recorded charge tape, so every simulated quantity is
-/// bit-identical to recomputing. Failed or interrupted fits are never
+/// caller re-issues the charges the fitted chain would have issued, through
+/// the same ChargeScopes, so every simulated quantity (clock, meter, trace)
+/// is bit-identical to recomputing. Failed or interrupted fits are never
 /// inserted (same rule the ASKL meta-store follows).
 class TransformCache {
  public:
@@ -74,7 +75,7 @@ class TransformCache {
   std::shared_ptr<const TransformCacheEntry> Insert(
       const Dataset& input, const std::string& chain_signature,
       std::vector<std::shared_ptr<Transformer>> transformers,
-      Dataset transformed, ChargeTape tape);
+      Dataset transformed);
 
   /// Predict-path memo: the result of pushing `input` through the fitted
   /// chain `chain`. Memos are ordinary LRU entries (same byte budget and
@@ -87,7 +88,7 @@ class TransformCache {
   /// Memoizes a completed (non-truncated) predict-path transform.
   void InsertPredict(
       const std::shared_ptr<const TransformCacheEntry>& chain,
-      const Dataset& input, Dataset transformed, ChargeTape tape);
+      const Dataset& input, Dataset transformed);
 
   TransformCacheStats Stats() const;
   size_t max_bytes() const { return max_bytes_; }

@@ -41,20 +41,11 @@ double ExecutionContext::Charge(const Work& work) {
   }
 
   if (completed == slices) {
-    counter_.Add(work);
     if (meter_ != nullptr) meter_->Record(work, exec, scope_path_);
-    if (tape_ != nullptr) {
-      const size_t skip =
-          tape_base_length_ == 0 ? 0 : tape_base_length_ + 1;
-      tape_->entries.push_back(
-          {scope_path_.size() > tape_base_length_ ? scope_path_.substr(skip)
-                                                  : std::string(),
-           work});
-    }
     return exec.seconds;
   }
 
-  // Truncated: meter and count only the completed fraction so energy
+  // Truncated: meter only the completed fraction so energy
   // stays a pure function of the virtual time actually elapsed.
   const double fraction =
       static_cast<double>(completed) / static_cast<double>(slices);
@@ -66,7 +57,6 @@ double ExecutionContext::Charge(const Work& work) {
   partial_exec.busy_core_seconds *= fraction;
   partial_exec.gpu_busy_seconds *= fraction;
   partial_exec.dynamic_joules *= fraction;
-  counter_.Add(partial_work);
   if (meter_ != nullptr) meter_->Record(partial_work, partial_exec, scope_path_);
   return clock_->Now() - start;
 }
@@ -88,39 +78,6 @@ double ExecutionContext::ChargeAccelerated(double flops, double bytes) {
   w.device = HasGpu() ? Device::kGpu : Device::kCpu;
   w.parallel_fraction = 0.98;  // Matmul-heavy work parallelizes well.
   return Charge(w);
-}
-
-size_t ChargeTape::ApproxBytes() const {
-  size_t bytes = entries.size() * sizeof(ChargeTapeEntry);
-  for (const ChargeTapeEntry& entry : entries) {
-    bytes += entry.rel_path.capacity();
-  }
-  return bytes;
-}
-
-bool ExecutionContext::StartTapeRecording(ChargeTape* tape) {
-  if (tape_ != nullptr) return false;
-  tape_ = tape;
-  tape_base_length_ = scope_path_.size();
-  return true;
-}
-
-double ExecutionContext::ReplayTape(const ChargeTape& tape) {
-  ChargeTape* saved = tape_;  // A replayed charge is already on its tape.
-  tape_ = nullptr;
-  double total = 0.0;
-  for (const ChargeTapeEntry& entry : tape.entries) {
-    const size_t previous_length = scope_path_.size();
-    if (!entry.rel_path.empty()) {
-      if (!scope_path_.empty()) scope_path_.push_back('/');
-      scope_path_.append(entry.rel_path);
-    }
-    total += Charge(entry.work);
-    scope_path_.resize(previous_length);
-    if (charge_truncated_) break;
-  }
-  tape_ = saved;
-  return total;
 }
 
 size_t ExecutionContext::PushScope(std::string_view name) {

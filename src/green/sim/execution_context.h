@@ -5,35 +5,16 @@
 #include <limits>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "green/common/cancel.h"
 #include "green/energy/energy_meter.h"
 #include "green/energy/energy_model.h"
 #include "green/sim/virtual_clock.h"
-#include "green/sim/work_counter.h"
 
 namespace green {
 
 class ChargeScope;
 class TransformCache;
-
-/// One completed charge, recorded relative to the scope path that was
-/// active when tape recording started ("" = at the base path itself).
-struct ChargeTapeEntry {
-  std::string rel_path;
-  Work work;
-};
-
-/// A recorded sequence of completed charges. Replaying a tape re-issues
-/// each Work through Charge() at the recorded relative scope path, so the
-/// clock, meter, counters, and slicing behave bit-identically to the
-/// original computation (WorkExecution is a pure function of the Work and
-/// the machine model — the tape stores only the Work).
-struct ChargeTape {
-  std::vector<ChargeTapeEntry> entries;
-  size_t ApproxBytes() const;
-};
 
 /// The handle every instrumented kernel threads through.
 ///
@@ -53,6 +34,12 @@ struct ChargeTape {
 /// Slicing is bit-identical to a single Advance: the work is executed
 /// once, the final slice lands exactly on start + seconds, and a
 /// completed charge issues one meter record.
+///
+/// Charge prices, slices and meters a charge and keeps no record of its
+/// own: the meter is the one place a charge is written down. Work that is
+/// reused instead of recomputed (a transform-cache hit) re-issues its
+/// charges through the same ChargeScopes, so the clock, meter and trace
+/// see what a recomputation would have shown them.
 class ExecutionContext {
  public:
   ExecutionContext(VirtualClock* clock, const EnergyModel* model, int cores)
@@ -61,7 +48,7 @@ class ExecutionContext {
         cores_(cores),
         max_slice_seconds_(kDefaultMaxSliceSeconds) {}
 
-  /// Executes `work`: advances the clock, records energy and counters.
+  /// Executes `work`: advances the clock and records energy on the meter.
   /// Returns the virtual seconds consumed. When the charge is truncated
   /// mid-way (cancellation, or hard-deadline mode), the clock stops at the
   /// last completed slice, the completed fraction of the work is metered,
@@ -144,20 +131,6 @@ class ExecutionContext {
 
   VirtualClock* clock() const { return clock_; }
   const EnergyModel* model() const { return model_; }
-  WorkCounter* counter() { return &counter_; }
-
-  // --- charge tape (transform-cache record/replay) ---
-  /// Starts recording completed charges into `tape`, with scope paths
-  /// stored relative to the current path. Returns false (and records
-  /// nothing) if a recording is already active — tapes don't nest.
-  bool StartTapeRecording(ChargeTape* tape);
-  void StopTapeRecording() { tape_ = nullptr; }
-
-  /// Re-issues every charge on the tape at its recorded relative scope
-  /// path. Stops early if a charge is truncated (cancellation / hard
-  /// deadline), exactly like the original computation would have. Returns
-  /// the virtual seconds consumed. Never records into an active tape.
-  double ReplayTape(const ChargeTape& tape);
 
   /// The transform cache runs attach so Pipeline::Fit can memoize fitted
   /// transformer prefixes (null = caching disabled). Not owned.
@@ -187,9 +160,6 @@ class ExecutionContext {
   uint64_t charge_slices_ = 0;
   std::string scope_path_;
   size_t scope_depth_ = 0;
-  WorkCounter counter_;
-  ChargeTape* tape_ = nullptr;  // Not owned; non-null while recording.
-  size_t tape_base_length_ = 0;
   TransformCache* transform_cache_ = nullptr;  // Not owned.
 };
 

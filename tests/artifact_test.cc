@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "bit_hash.h"
+#include "flops_meter.h"
 #include "green/automl/fitted_artifact.h"
 #include "green/bench_util/experiment.h"
 #include "green/data/synthetic.h"
@@ -152,17 +153,16 @@ TEST_F(ArtifactTest, StackedPredictsAndChargesMore) {
   EXPECT_TRUE(stacked.stacked());
   EXPECT_EQ(stacked.NumPipelines(), 3u);
 
-  const double before = ctx_.counter()->total_flops();
+  FlopsMeter metered(&ctx_);
   auto proba = stacked.PredictProba(data_, &ctx_);
   ASSERT_TRUE(proba.ok());
-  const double stack_work = ctx_.counter()->total_flops() - before;
+  const double stack_work = metered.flops();
 
   const FittedArtifact single = FittedArtifact::Single(
       FitConfig("naive_bayes"));
-  const double before_single = ctx_.counter()->total_flops();
+  const double before_single = metered.flops();
   ASSERT_TRUE(single.PredictProba(data_, &ctx_).ok());
-  const double single_work =
-      ctx_.counter()->total_flops() - before_single;
+  const double single_work = metered.flops() - before_single;
   // Observation O1 at artifact granularity: stacking costs strictly more
   // per prediction than a single model.
   EXPECT_GT(stack_work, 2.0 * single_work);

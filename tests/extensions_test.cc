@@ -248,13 +248,20 @@ TEST_F(ExtensionsTest, BinnerEdgesOnInfiniteColumn) {
     EXPECT_EQ(out, expected[i]) << "value " << in[i];
   }
 
-  // A -inf/+inf pair straddling the median interpolates to NaN: dropped.
+  // A -inf/+inf pair straddling the median interpolates to NaN; the edge
+  // takes +inf, so the two values get the codes 0 and 1.
   Dataset straddle("straddle", 1, 2);
   ASSERT_TRUE(straddle.AppendRow({-inf}, 0).ok());
   ASSERT_TRUE(straddle.AppendRow({inf}, 1).ok());
   QuantileBinner halves(2);
   ASSERT_TRUE(halves.Fit(straddle, &ctx_).ok());
-  EXPECT_TRUE(halves.edges(0).empty());
+  EXPECT_EQ(halves.edges(0), (std::vector<double>{inf}));
+  const double ends[] = {-inf, inf};
+  for (size_t i = 0; i < 2; ++i) {
+    double out = -1.0;
+    halves.TransformRow(&ends[i], &out);
+    EXPECT_EQ(out, static_cast<double>(i)) << "value " << ends[i];
+  }
 }
 
 TEST_F(ExtensionsTest, BinnerRejectsBadConfig) {

@@ -64,7 +64,7 @@ std::vector<Row> Rows() {
   };
   rows.push_back(faults);
 
-  // Cache hits replay the recorded charge tape.
+  // Cache hits re-issue the fitted chain's charges.
   Row cache{"TransformCache", SmallCase({10.0}),
             {InvarianceStrategy::CacheOff()}};
   cache.sweep.config.seed = 42;

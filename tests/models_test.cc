@@ -25,6 +25,7 @@
 #include "green/ml/models/random_forest.h"
 #include "green/table/split.h"
 #include "bit_hash.h"
+#include "flops_meter.h"
 
 namespace green {
 namespace {
@@ -180,10 +181,10 @@ TEST_P(AllModelsTest, RefusesEmptyTraining) {
 TEST_P(AllModelsTest, ChargesTrainingWork) {
   const ModelCase& c = AllModels()[GetParam()];
   const Dataset data = EasyTask();
-  const double before = ctx_.counter()->total_flops();
+  FlopsMeter metered(&ctx_);
   auto estimator = c.make();
   ASSERT_TRUE(estimator->Fit(data, &ctx_).ok());
-  EXPECT_GT(ctx_.counter()->total_flops(), before) << c.name;
+  EXPECT_GT(metered.flops(), 0.0) << c.name;
 }
 
 TEST_P(AllModelsTest, InferenceCostPositiveAfterFit) {
@@ -354,13 +355,11 @@ TEST_F(ModelsTest, FewShotExecutionCheapInferenceExpensive) {
   // TabPFN's signature asymmetry, at the model level.
   const Dataset data = EasyTask(2, 400);
   AttentionFewShot model{AttentionFewShotParams{}};
-  const double before_fit = ctx_.counter()->total_flops();
+  FlopsMeter metered(&ctx_);
   ASSERT_TRUE(model.Fit(data, &ctx_).ok());
-  const double fit_work = ctx_.counter()->total_flops() - before_fit;
-  const double before_predict = ctx_.counter()->total_flops();
+  const double fit_work = metered.flops();
   ASSERT_TRUE(model.PredictProba(data, &ctx_).ok());
-  const double predict_work =
-      ctx_.counter()->total_flops() - before_predict;
+  const double predict_work = metered.flops() - fit_work;
   EXPECT_GT(predict_work, 5.0 * fit_work);
 }
 
@@ -409,9 +408,9 @@ TEST_F(ModelsTest, MlpImprovesWithTraining) {
 TEST_F(ModelsTest, NaiveBayesIsCheapestToTrain) {
   const Dataset data = EasyTask(2, 400);
   auto work_of = [&](Estimator* estimator) {
-    const double before = ctx_.counter()->total_flops();
+    FlopsMeter metered(&ctx_);
     EXPECT_TRUE(estimator->Fit(data, &ctx_).ok());
-    return ctx_.counter()->total_flops() - before;
+    return metered.flops();
   };
   GaussianNaiveBayes nb{NaiveBayesParams{}};
   RandomForestParams fp;

@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 
 #include "bit_hash.h"
+#include "flops_meter.h"
 #include "green/common/rng.h"
 #include "green/ml/preprocess/binning.h"
 #include "green/ml/preprocess/feature_selection.h"
@@ -68,9 +70,9 @@ TEST_F(PreprocessTest, ImputerErrors) {
 TEST_F(PreprocessTest, ImputerChargesWork) {
   MeanModeImputer imputer;
   const Dataset data = WithMissing();
-  const double before = ctx_.counter()->total_flops();
+  FlopsMeter metered(&ctx_);
   ASSERT_TRUE(imputer.Fit(data, &ctx_).ok());
-  EXPECT_GT(ctx_.counter()->total_flops(), before);
+  EXPECT_GT(metered.flops(), 0.0);
 }
 
 // --- Scaler ---
@@ -437,14 +439,17 @@ void AddTable(const Dataset& d, BitHash* hash) {
   }
 }
 
-/// The (scope path, flops, bytes, parallel fraction) of every charge.
-void AddTape(const ChargeTape& tape, BitHash* hash) {
-  hash->Add(static_cast<uint64_t>(tape.entries.size()));
-  for (const ChargeTapeEntry& e : tape.entries) {
-    hash->Add(e.rel_path);
-    hash->Add(e.work.flops);
-    hash->Add(e.work.bytes);
-    hash->Add(e.work.parallel_fraction);
+/// The (scope name, flops, bytes, parallel fraction) of the charge each
+/// step of `chain` issues for a transform of `rows` rows.
+void AddCharges(const std::vector<const Transformer*>& chain, size_t rows,
+                BitHash* hash) {
+  hash->Add(static_cast<uint64_t>(chain.size()));
+  for (const Transformer* t : chain) {
+    const TransformCharge charge = t->ChargeFor(rows);
+    hash->Add(t->Name());
+    hash->Add(charge.flops);
+    hash->Add(charge.bytes);
+    hash->Add(charge.parallel_fraction);
   }
 }
 
@@ -495,19 +500,39 @@ TEST_F(PreprocessTest, RowChainMatchesPinnedDigest) {
   };
 
   std::vector<std::pair<std::string, uint64_t>> got;
-  // Runs `chain` (fitted) on `test`, digesting output and charges.
+  // Runs `chain` (fitted) on `test`, digesting output and charges, and
+  // checks on a meter that the run charged exactly those: one charge per
+  // step, under the step's name.
   const auto digest = [&](const std::string& name,
                           const std::vector<const Transformer*>& chain,
                           const Dataset& test) {
-    ChargeTape tape;
+    EnergyMeter meter(&model_);
+    meter.Start(ctx_.Now());
+    ctx_.SetMeter(&meter);
     ChargeScope scope(&ctx_, "chain");
-    ASSERT_TRUE(ctx_.StartTapeRecording(&tape));
     Result<Dataset> out = RunTransformChain(chain, test, &ctx_);
-    ctx_.StopTapeRecording();
+    ctx_.SetMeter(nullptr);
     ASSERT_TRUE(out.ok()) << name << ": " << out.status().ToString();
+    std::map<std::string, ScopeCharge> expected;
+    for (const Transformer* t : chain) {
+      const TransformCharge charge = t->ChargeFor(test.num_rows());
+      ScopeCharge& row = expected["chain/" + t->Name()];
+      row.flops += charge.flops;
+      row.bytes += charge.bytes;
+      ++row.charges;
+    }
+    const EnergyReading reading = meter.Stop(ctx_.Now());
+    ASSERT_EQ(reading.scopes.size(), expected.size()) << name;
+    for (const auto& [path, row] : expected) {
+      ASSERT_EQ(reading.scopes.count(path), 1u) << name << ": " << path;
+      const ScopeCharge& metered = reading.scopes.at(path);
+      EXPECT_EQ(metered.charges, row.charges) << name << ": " << path;
+      EXPECT_EQ(metered.flops, row.flops) << name << ": " << path;
+      EXPECT_EQ(metered.bytes, row.bytes) << name << ": " << path;
+    }
     BitHash hash;
     AddTable(*out, &hash);
-    AddTape(tape, &hash);
+    AddCharges(chain, test.num_rows(), &hash);
     got.emplace_back(name, hash.value());
   };
 
@@ -595,19 +620,20 @@ TEST_F(PreprocessTest, ChainFailsBeforeAnyCharge) {
   OneHotEncoder one_hot;
   ASSERT_TRUE(imputer.Fit(data, &ctx_).ok());
   const std::vector<const Transformer*> chain = {&imputer, &one_hot};
-  const double before = ctx_.counter()->total_flops();
+  FlopsMeter metered(&ctx_);
+  const double before = metered.flops();
   // The second step is not fitted.
   EXPECT_EQ(RunTransformChain(chain, data, &ctx_).status().code(),
             Status::Code::kFailedPrecondition);
-  EXPECT_EQ(ctx_.counter()->total_flops(), before);
+  EXPECT_EQ(metered.flops(), before);
   // The first step sees the wrong width.
   ASSERT_TRUE(one_hot.Fit(data, &ctx_).ok());
-  const double fitted = ctx_.counter()->total_flops();
+  const double fitted = metered.flops();
   Dataset narrow("narrow", 2, 3);
   ASSERT_TRUE(narrow.AppendRow({1.0, 2.0}, 0).ok());
   EXPECT_EQ(RunTransformChain(chain, narrow, &ctx_).status().code(),
             Status::Code::kInvalidArgument);
-  EXPECT_EQ(ctx_.counter()->total_flops(), fitted);
+  EXPECT_EQ(metered.flops(), fitted);
 }
 
 }  // namespace

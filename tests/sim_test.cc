@@ -4,7 +4,7 @@
 #include "green/sim/execution_context.h"
 #include "green/sim/task_scheduler.h"
 #include "green/sim/virtual_clock.h"
-#include "green/sim/work_counter.h"
+#include "flops_meter.h"
 
 namespace green {
 namespace {
@@ -19,25 +19,6 @@ TEST(VirtualClockTest, AdvancesAndResets) {
   EXPECT_EQ(clock.Now(), 0.0);
 }
 
-TEST(WorkCounterTest, AccumulatesByDevice) {
-  WorkCounter counter;
-  Work cpu;
-  cpu.flops = 100;
-  cpu.bytes = 10;
-  Work gpu;
-  gpu.flops = 200;
-  gpu.device = Device::kGpu;
-  counter.Add(cpu);
-  counter.Add(gpu);
-  EXPECT_DOUBLE_EQ(counter.cpu_flops(), 100.0);
-  EXPECT_DOUBLE_EQ(counter.gpu_flops(), 200.0);
-  EXPECT_DOUBLE_EQ(counter.total_flops(), 300.0);
-  EXPECT_DOUBLE_EQ(counter.bytes(), 10.0);
-  EXPECT_EQ(counter.num_charges(), 2u);
-  counter.Reset();
-  EXPECT_EQ(counter.total_flops(), 0.0);
-}
-
 class ExecutionContextTest : public ::testing::Test {
  protected:
   ExecutionContextTest()
@@ -49,10 +30,11 @@ class ExecutionContextTest : public ::testing::Test {
 };
 
 TEST_F(ExecutionContextTest, ChargeAdvancesClock) {
+  FlopsMeter metered(&ctx_);
   const double seconds = ctx_.ChargeCpu(2e6, 0.0, 1.0);
   EXPECT_NEAR(seconds, 2.0, 1e-9);
   EXPECT_NEAR(ctx_.Now(), 2.0, 1e-9);
-  EXPECT_DOUBLE_EQ(ctx_.counter()->cpu_flops(), 2e6);
+  EXPECT_DOUBLE_EQ(metered.flops(), 2e6);
 }
 
 TEST_F(ExecutionContextTest, ChargeFeedsMeter) {
@@ -83,9 +65,14 @@ TEST_F(ExecutionContextTest, DeadlineSemantics) {
 
 TEST_F(ExecutionContextTest, AcceleratedFallsBackWithoutGpu) {
   EXPECT_FALSE(ctx_.HasGpu());
+  EnergyMeter meter(&model_);
+  meter.Start(ctx_.Now());
+  ctx_.SetMeter(&meter);
   ctx_.ChargeAccelerated(1e6, 0.0);
-  EXPECT_DOUBLE_EQ(ctx_.counter()->cpu_flops(), 1e6);
-  EXPECT_DOUBLE_EQ(ctx_.counter()->gpu_flops(), 0.0);
+  const EnergyReading r = meter.Stop(ctx_.Now());
+  EXPECT_DOUBLE_EQ(r.scopes.at(kUnscopedPath).flops, 1e6);
+  EXPECT_GT(r.breakdown.cpu_dynamic_j, 0.0);
+  EXPECT_EQ(r.breakdown.gpu_dynamic_j, 0.0);
 }
 
 TEST(ExecutionContextGpuTest, AcceleratedUsesGpu) {
@@ -93,8 +80,14 @@ TEST(ExecutionContextGpuTest, AcceleratedUsesGpu) {
   EnergyModel model(MachineModel::GpuNodeT4());
   ExecutionContext ctx(&clock, &model, 1);
   EXPECT_TRUE(ctx.HasGpu());
+  EnergyMeter meter(&model);
+  meter.Start(ctx.Now());
+  ctx.SetMeter(&meter);
   ctx.ChargeAccelerated(1e6, 0.0);
-  EXPECT_DOUBLE_EQ(ctx.counter()->gpu_flops(), 1e6);
+  const EnergyReading r = meter.Stop(ctx.Now());
+  EXPECT_DOUBLE_EQ(r.scopes.at(kUnscopedPath).flops, 1e6);
+  EXPECT_GT(r.breakdown.gpu_dynamic_j, 0.0);
+  EXPECT_EQ(r.breakdown.cpu_dynamic_j, 0.0);
 }
 
 TEST(ExecutionContextGpuTest, GpuFasterThanWeakCpu) {

@@ -1,6 +1,6 @@
-// Tests for zero-copy dataset views and the charge-replaying transform
-// cache: CoW semantics, tape record/replay bit-identity, pipeline-level
-// cache hits, LRU byte bounding, truncation safety and config
+// Tests for zero-copy dataset views and the transform cache: CoW
+// semantics, pipeline-level cache hits that re-issue the fitted chain's
+// charges bit-identically, LRU byte bounding, truncation safety and config
 // signatures. Sweep identity with the cache on vs off is a row of
 // invariance_test.
 
@@ -106,55 +106,6 @@ TEST(DatasetViewTest, ViewFingerprintSeparatesDistinctViews) {
             base.Subset({1, 2, 3}).ViewFingerprint());
 }
 
-// --- Charge tape record / replay -------------------------------------
-
-TEST(ChargeTapeTest, ReplayIsBitIdenticalToRecording) {
-  EnergyModel model(MachineModel::Minimal());
-  VirtualClock clock_a, clock_b;
-  ExecutionContext recorded(&clock_a, &model, 1);
-  ExecutionContext replayed(&clock_b, &model, 1);
-  EnergyMeter meter_a(&model), meter_b(&model);
-  meter_a.Start(0.0);
-  meter_b.Start(0.0);
-  recorded.SetMeter(&meter_a);
-  replayed.SetMeter(&meter_b);
-
-  ChargeTape tape;
-  {
-    ChargeScope fit(&recorded, "fit");
-    ASSERT_TRUE(recorded.StartTapeRecording(&tape));
-    {
-      ChargeScope t(&recorded, "scaler");
-      recorded.ChargeCpu(3e6, 128.0);
-    }
-    {
-      ChargeScope t(&recorded, "pca");
-      recorded.ChargeCpu(7e6, 256.0, /*parallel_fraction=*/0.85);
-      recorded.ChargeCpu(1e5, 0.0);
-    }
-    recorded.StopTapeRecording();
-  }
-  ASSERT_EQ(tape.entries.size(), 3u);
-  EXPECT_GT(tape.ApproxBytes(), 0u);
-
-  {
-    ChargeScope fit(&replayed, "fit");
-    replayed.ReplayTape(tape);
-  }
-
-  EXPECT_EQ(replayed.Now(), recorded.Now());
-  const EnergyReading a = meter_a.Stop(recorded.Now());
-  const EnergyReading b = meter_b.Stop(replayed.Now());
-  EXPECT_EQ(a.breakdown.TotalJoules(), b.breakdown.TotalJoules());
-  ASSERT_EQ(a.scopes.size(), b.scopes.size());
-  for (const auto& [path, charge] : a.scopes) {
-    ASSERT_EQ(b.scopes.count(path), 1u) << path;
-    EXPECT_EQ(b.scopes.at(path).joules, charge.joules) << path;
-    EXPECT_EQ(b.scopes.at(path).seconds, charge.seconds) << path;
-    EXPECT_EQ(b.scopes.at(path).charges, charge.charges) << path;
-  }
-}
-
 // --- Pipeline-level cache behavior -----------------------------------
 
 Pipeline MakePipeline() {
@@ -191,8 +142,8 @@ TEST(TransformCachePipelineTest, HitIsBitIdenticalAndSkipsRefit) {
                            std::move(pred).value());
   };
 
-  const auto cold = run(&cache);      // Miss: fits and records.
-  const auto warm = run(&cache);      // Hit: replays the tape.
+  const auto cold = run(&cache);      // Miss: fits and inserts.
+  const auto warm = run(&cache);      // Hit: re-issues the charges.
   const auto uncached = run(nullptr);  // No cache at all.
 
   const TransformCacheStats stats = cache.Stats();
@@ -207,6 +158,17 @@ TEST(TransformCachePipelineTest, HitIsBitIdenticalAndSkipsRefit) {
             std::get<1>(warm).breakdown.TotalJoules());
   EXPECT_EQ(std::get<1>(cold).breakdown.TotalJoules(),
             std::get<1>(uncached).breakdown.TotalJoules());
+  // The same charges land on the same scope rows, hit or miss.
+  for (const EnergyReading* other : {&std::get<1>(warm),
+                                     &std::get<1>(uncached)}) {
+    ASSERT_EQ(other->scopes.size(), std::get<1>(cold).scopes.size());
+    for (const auto& [path, charge] : std::get<1>(cold).scopes) {
+      ASSERT_EQ(other->scopes.count(path), 1u) << path;
+      EXPECT_EQ(other->scopes.at(path).charges, charge.charges) << path;
+      EXPECT_EQ(other->scopes.at(path).flops, charge.flops) << path;
+      EXPECT_EQ(other->scopes.at(path).joules, charge.joules) << path;
+    }
+  }
   EXPECT_EQ(std::get<2>(cold), std::get<2>(warm));
   EXPECT_EQ(std::get<2>(cold), std::get<2>(uncached));
 }
@@ -253,7 +215,7 @@ TEST(TransformCacheTest, LruStaysWithinByteBudgetAndEvicts) {
   const Dataset data = TestData(500, 10, 2);  // ~40 KB dense.
   TransformCache cache(100 * 1024);
   for (int i = 0; i < 6; ++i) {
-    cache.Insert(data, "chain" + std::to_string(i), {}, data, ChargeTape{});
+    cache.Insert(data, "chain" + std::to_string(i), {}, data);
   }
   const TransformCacheStats stats = cache.Stats();
   EXPECT_LE(stats.bytes, 100u * 1024u);
@@ -268,7 +230,7 @@ TEST(TransformCacheTest, LruStaysWithinByteBudgetAndEvicts) {
 TEST(TransformCacheTest, OversizedEntryIsNeverAdmitted) {
   const Dataset data = TestData(500, 10, 2);
   TransformCache cache(1024);  // Smaller than one entry.
-  EXPECT_EQ(cache.Insert(data, "chain", {}, data, ChargeTape{}), nullptr);
+  EXPECT_EQ(cache.Insert(data, "chain", {}, data), nullptr);
   const TransformCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.insertions, 0u);
   EXPECT_EQ(stats.entries, 0u);
@@ -280,7 +242,7 @@ TEST(TransformCacheTest, LookupIsExactOnViewNotJustFingerprint) {
   const Dataset view_a = base.Subset({1, 2, 3});
   const Dataset view_b = base.Subset({1, 2, 4});
   TransformCache cache(16 * 1024 * 1024);
-  ASSERT_NE(cache.Insert(view_a, "chain", {}, view_a, ChargeTape{}),
+  ASSERT_NE(cache.Insert(view_a, "chain", {}, view_a),
             nullptr);
   EXPECT_NE(cache.Lookup(view_a, "chain"), nullptr);
   EXPECT_EQ(cache.Lookup(view_b, "chain"), nullptr);
@@ -294,7 +256,7 @@ TEST(TransformCacheTest, LookupSeparatesSchemasOverOneMatrix) {
   retyped.SetFeatureType(0, FeatureType::kCategorical);
   ASSERT_EQ(retyped.StorageId(), view.StorageId());
   TransformCache cache(16 * 1024 * 1024);
-  ASSERT_NE(cache.Insert(view, "chain", {}, view, ChargeTape{}), nullptr);
+  ASSERT_NE(cache.Insert(view, "chain", {}, view), nullptr);
   EXPECT_NE(cache.Lookup(base.Subset({1, 2, 3}), "chain"), nullptr);
   EXPECT_EQ(cache.Lookup(retyped, "chain"), nullptr);
 }
