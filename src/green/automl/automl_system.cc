@@ -111,8 +111,8 @@ Result<EvaluatedPipeline> TrainFallback(const PipelineConfig& config,
 
 bool AutoMlSystem::MayStartEvaluation(const ExecutionContext& ctx,
                                       double estimated_seconds) const {
-  return BudgetPolicy(budget_policy())
-      .MayStartEvaluation(ctx.Now(), ctx.deadline(), estimated_seconds);
+  return green::MayStartEvaluation(budget_policy(), ctx.Now(), ctx.deadline(),
+                                  estimated_seconds);
 }
 
 Status AutoMlSystem::FinishSingle(Incumbent best,

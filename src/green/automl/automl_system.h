@@ -20,7 +20,7 @@ namespace green {
 /// paper's development stage tunes).
 struct AutoMlOptions {
   /// The search-time termination criterion of the paper's §3.2. How
-  /// strictly it is honoured depends on the system's BudgetPolicy
+  /// strictly it is honoured depends on the system's BudgetPolicyKind
   /// (Table 7).
   double search_budget_seconds = 60.0;
   int cores = 1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "green/automl/caml_system.h"
 #include "green/automl/search_model_space.h"
 #include "green/common/logging.h"
 #include "green/table/split.h"
@@ -18,11 +19,7 @@ Status RandomSearchSystem::Search(const Dataset& train,
 
   // The same space CAML searches, so the only difference is the strategy.
   PipelineSpaceOptions space_options;
-  space_options.models = FilterModelsForTask(
-      {"decision_tree", "random_forest", "extra_trees",
-       "gradient_boosting", "logistic_regression", "knn", "naive_bayes",
-       "mlp"},
-      train.task());
+  space_options.models = FilterModelsForTask(CamlParams().models, train.task());
   PipelineSearchSpace space(space_options);
 
   Incumbent best;

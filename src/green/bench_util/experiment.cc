@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <map>
 #include <optional>
 
@@ -53,25 +54,18 @@ ExperimentConfig ExperimentConfig::FromEnv() {
   return config;
 }
 
+/// Indexed by RunOutcome.
+constexpr const char* kOutcomeNames[] = {"ok", "failed", "timeout",
+                                         "skipped"};
+
 const char* RunOutcomeName(RunOutcome outcome) {
-  switch (outcome) {
-    case RunOutcome::kOk:
-      return "ok";
-    case RunOutcome::kFailed:
-      return "failed";
-    case RunOutcome::kTimeout:
-      return "timeout";
-    case RunOutcome::kSkipped:
-      return "skipped";
-  }
-  return "failed";
+  return kOutcomeNames[static_cast<size_t>(outcome)];
 }
 
 Result<RunOutcome> RunOutcomeFromName(const std::string& name) {
-  if (name == "ok") return RunOutcome::kOk;
-  if (name == "failed") return RunOutcome::kFailed;
-  if (name == "timeout") return RunOutcome::kTimeout;
-  if (name == "skipped") return RunOutcome::kSkipped;
+  for (size_t i = 0; i < std::size(kOutcomeNames); ++i) {
+    if (name == kOutcomeNames[i]) return static_cast<RunOutcome>(i);
+  }
   return Status::InvalidArgument("unknown outcome: " + name);
 }
 
@@ -90,15 +84,6 @@ RunOutcome OutcomeForStatus(const Status& status) {
   }
 }
 
-const std::vector<std::string>& AllSystemNames() {
-  static const std::vector<std::string>* kNames =
-      new std::vector<std::string>{
-          "tabpfn", "caml",         "caml_tuned",   "flaml",
-          "autogluon", "autogluon_refit", "autosklearn1",
-          "autosklearn2", "tpot",       "random_search", "autopt"};
-  return *kNames;
-}
-
 ExperimentRunner::ExperimentRunner(const ExperimentConfig& config)
     : config_(config),
       energy_model_(config.machine),
@@ -115,39 +100,61 @@ ExperimentRunner::ExperimentRunner(const ExperimentConfig& config)
 
 namespace {
 
-bool IsAskl(const std::string& system_name) {
-  return system_name == "autosklearn1" || system_name == "autosklearn2";
+using SystemPtr = std::unique_ptr<AutoMlSystem>;
+
+/// What MakeSystem resolves before a system is built.
+enum class Needs { kNothing, kTunedParams, kMetaStore };
+
+/// One AutoML system. `make` takes the tuned parameters (read by
+/// caml_tuned) and the meta-store (read by the ASKL rows); defaults and
+/// nullptr build a system whose declared properties (MinBudgetSeconds
+/// etc.) are exact without reading a tuned config or building the
+/// meta-store.
+struct SystemEntry {
+  const char* name;
+  Needs needs;
+  SystemPtr (*make)(const CamlParams& tuned, const AsklMetaStore* meta_store);
+};
+
+template <typename System>
+SystemPtr MakeDefault(const CamlParams&, const AsklMetaStore*) {
+  return std::make_unique<System>();
 }
 
-/// The one name -> system switch. `tuned` parameterizes caml_tuned and
-/// `meta_store` warm-starts autosklearn2; defaults and nullptr build a
-/// system whose declared properties (MinBudgetSeconds etc.) are exact
-/// without reading a tuned config or building the meta-store.
-Result<std::unique_ptr<AutoMlSystem>> NewSystem(
-    const std::string& name, const CamlParams& tuned,
-    const AsklMetaStore* meta_store) {
-  GluonParams gluon;
-  gluon.refit_for_inference = name == "autogluon_refit";
-  AsklParams askl;
-  askl.warm_start = name == "autosklearn2";
-  std::unique_ptr<AutoMlSystem> system;
-  if (name == "tabpfn") system = std::make_unique<TabPfnSystem>();
-  if (name == "caml") system = std::make_unique<CamlSystem>();
-  if (name == "caml_tuned") {
-    system = std::make_unique<CamlSystem>(tuned, "caml_tuned");
+template <bool kWarmStart>
+SystemPtr MakeAskl(const CamlParams&, const AsklMetaStore* meta_store) {
+  return std::make_unique<AsklSystem>(AsklParams{.warm_start = kWarmStart},
+                                      meta_store);
+}
+
+/// One row per system, in AllSystemNames() order.
+constexpr SystemEntry kSystems[] = {
+    {"tabpfn", Needs::kNothing, MakeDefault<TabPfnSystem>},
+    {"caml", Needs::kNothing, MakeDefault<CamlSystem>},
+    {"caml_tuned", Needs::kTunedParams,
+     [](const CamlParams& tuned, const AsklMetaStore*) -> SystemPtr {
+       return std::make_unique<CamlSystem>(tuned, "caml_tuned");
+     }},
+    {"flaml", Needs::kNothing, MakeDefault<FlamlSystem>},
+    {"autogluon", Needs::kNothing, MakeDefault<GluonSystem>},
+    {"autogluon_refit", Needs::kNothing,
+     [](const CamlParams&, const AsklMetaStore*) -> SystemPtr {
+       return std::make_unique<GluonSystem>(
+           GluonParams{.refit_for_inference = true});
+     }},
+    {"autosklearn1", Needs::kMetaStore, MakeAskl</*kWarmStart=*/false>},
+    {"autosklearn2", Needs::kMetaStore, MakeAskl</*kWarmStart=*/true>},
+    {"tpot", Needs::kNothing, MakeDefault<TpotSystem>},
+    {"random_search", Needs::kNothing, MakeDefault<RandomSearchSystem>},
+    {"autopt", Needs::kNothing, MakeDefault<AutoPtSystem>},
+};
+
+/// The row named `name`, or nullptr.
+const SystemEntry* FindSystem(const std::string& name) {
+  for (const SystemEntry& entry : kSystems) {
+    if (entry.name == name) return &entry;
   }
-  if (name == "flaml") system = std::make_unique<FlamlSystem>();
-  if (name == "autogluon" || name == "autogluon_refit") {
-    system = std::make_unique<GluonSystem>(gluon);
-  }
-  if (IsAskl(name)) system = std::make_unique<AsklSystem>(askl, meta_store);
-  if (name == "tpot") system = std::make_unique<TpotSystem>();
-  if (name == "random_search") system = std::make_unique<RandomSearchSystem>();
-  if (name == "autopt") system = std::make_unique<AutoPtSystem>();
-  if (system == nullptr) {
-    return Status::NotFound("unknown system: " + name);
-  }
-  return system;
+  return nullptr;
 }
 
 /// Copies `reading`'s scope tree onto `record` as "<stage>/<path>" rows
@@ -183,6 +190,15 @@ RunRecord CellRecord(const std::string& system, const Dataset& dataset,
 
 }  // namespace
 
+const std::vector<std::string>& AllSystemNames() {
+  static const std::vector<std::string>* kNames = [] {
+    auto* names = new std::vector<std::string>;
+    for (const SystemEntry& entry : kSystems) names->push_back(entry.name);
+    return names;
+  }();
+  return *kNames;
+}
+
 std::string RunRecordCellKey(const std::string& system,
                              const std::string& dataset, double budget,
                              int repetition, const std::string& variant) {
@@ -204,9 +220,10 @@ std::string RunRecordCellKey(const RunRecord& record) {
 double ExperimentRunner::MinBudget(const std::string& system_name) const {
   // Single source of truth: the system's own declaration, so harness
   // gating can never drift from AutoMlSystem::MinBudgetSeconds().
-  auto probe = NewSystem(system_name, CamlParams(), /*meta_store=*/nullptr);
-  if (!probe.ok()) return 0.0;  // RunOne reports the NotFound per cell.
-  return (*probe)->MinBudgetSeconds();
+  const SystemEntry* entry = FindSystem(system_name);
+  if (entry == nullptr) return 0.0;  // RunOne reports the NotFound per cell.
+  return entry->make(CamlParams(), /*meta_store=*/nullptr)
+      ->MinBudgetSeconds();
 }
 
 Status ExperimentRunner::EnsureMetaStore() {
@@ -271,16 +288,20 @@ Status ExperimentRunner::EnsureMetaStore() {
 
 Result<std::unique_ptr<AutoMlSystem>> ExperimentRunner::MakeSystem(
     const std::string& system_name, double paper_budget) {
+  const SystemEntry* entry = FindSystem(system_name);
+  if (entry == nullptr) {
+    return Status::NotFound("unknown system: " + system_name);
+  }
   CamlParams tuned;
-  if (system_name == "caml_tuned") {
+  if (entry->needs == Needs::kTunedParams) {
     GREEN_ASSIGN_OR_RETURN(tuned, tuned_store_.Get(paper_budget));
   }
   const AsklMetaStore* meta_store = nullptr;
-  if (IsAskl(system_name)) {
+  if (entry->needs == Needs::kMetaStore) {
     GREEN_RETURN_IF_ERROR(EnsureMetaStore());
     meta_store = meta_store_.get();
   }
-  return NewSystem(system_name, tuned, meta_store);
+  return entry->make(tuned, meta_store);
 }
 
 Result<RunRecord> ExperimentRunner::RunOne(const std::string& system_name,

@@ -38,6 +38,11 @@ std::string Describe(const Knob& knob) {
 
 Result<KnobValue> ParseKnob(const Knob& knob, std::string_view raw) {
   const std::string text(Trim(raw));
+  // Every accepted input is assigned here and returned as this one named
+  // value (its initial 0 is "auto"): returning KnobValue temporaries makes
+  // g++ 12 report -Wmaybe-uninitialized on the string alternative under
+  // ASan+UBSan.
+  KnobValue value = 0L;
   switch (knob.type) {
     case KnobType::kInt:
     case KnobType::kDouble: {
@@ -49,14 +54,14 @@ Result<KnobValue> ParseKnob(const Knob& knob, std::string_view raw) {
           is_int ? static_cast<double>(std::strtol(text.c_str(), &end, 10))
                  : std::strtod(text.c_str(), &end);
       if (text.empty() || *end != '\0' || !std::isfinite(parsed)) break;
-      if (knob.zero_means_auto && parsed == 0.0) return KnobValue(0L);
+      if (knob.zero_means_auto && parsed == 0.0) return value;
       if (knob.reject_out_of_range &&
           (parsed < knob.min || parsed > knob.max)) {
         break;
       }
       const double bounded = std::clamp(parsed, knob.min, knob.max);
-      if (is_int) return KnobValue(static_cast<long>(bounded));
-      return KnobValue(bounded);
+      if (is_int) return value = static_cast<long>(bounded);
+      return value = bounded;
     }
     case KnobType::kBool:
     case KnobType::kSwitch:
@@ -64,12 +69,12 @@ Result<KnobValue> ParseKnob(const Knob& knob, std::string_view raw) {
       const std::vector<std::string> names =
           Split(knob.type == KnobType::kEnum ? knob.choices : "0|1", '|');
       for (size_t i = 0; i < names.size(); ++i) {
-        if (names[i] == text) return KnobValue(static_cast<long>(i));
+        if (names[i] == text) return value = static_cast<long>(i);
       }
       break;
     }
     case KnobType::kString:
-      return KnobValue(std::string(raw));
+      return value = std::string(raw);
     case KnobType::kShardSpec: {
       // Both halves parse as strict integers in [0, 4096].
       constexpr Knob kPart{.type = KnobType::kInt, .max = 4096,
@@ -82,8 +87,8 @@ Result<KnobValue> ParseKnob(const Knob& knob, std::string_view raw) {
           std::get<long>(*index) >= std::get<long>(*count)) {
         break;
       }
-      return KnobValue(ShardSpec{static_cast<int>(std::get<long>(*index)),
-                                 static_cast<int>(std::get<long>(*count))});
+      return value = ShardSpec{static_cast<int>(std::get<long>(*index)),
+                               static_cast<int>(std::get<long>(*count))};
     }
   }
   return Status::InvalidArgument(StrFormat("'%.*s' is not %s",

@@ -15,38 +15,25 @@
 
 namespace green {
 
-namespace {
-
-/// Trial layout: 8 model-inclusion switches, then the six AutoML system
-/// parameters §3.7 lists (hold-out fraction, evaluation fraction,
-/// sampling, refit, random validation splitting, incremental training).
-constexpr size_t kNumModelSwitches = 8;
-
-const std::vector<std::string>& SwitchableModels() {
-  static const std::vector<std::string>* kModels =
-      new std::vector<std::string>{
-          "decision_tree",  "random_forest",       "extra_trees",
-          "gradient_boosting", "logistic_regression", "knn",
-          "naive_bayes",    "mlp"};
-  return *kModels;
-}
-
-}  // namespace
-
-size_t AutoMlTuner::TrialDimension() { return kNumModelSwitches + 6; }
+/// Trial layout: one inclusion switch per family of CAML's default search
+/// space, then the six AutoML system parameters §3.7 lists (hold-out
+/// fraction, evaluation fraction, sampling, refit, random validation
+/// splitting, incremental training).
+size_t AutoMlTuner::TrialDimension() { return CamlParams().models.size() + 6; }
 
 CamlParams AutoMlTuner::DecodeTrial(const std::vector<double>& unit) {
   GREEN_CHECK(unit.size() == TrialDimension());
   CamlParams params;
+  const std::vector<std::string> switchable = std::move(params.models);
   params.models.clear();
-  for (size_t m = 0; m < kNumModelSwitches; ++m) {
-    if (unit[m] > 0.5) params.models.push_back(SwitchableModels()[m]);
+  for (size_t m = 0; m < switchable.size(); ++m) {
+    if (unit[m] > 0.5) params.models.push_back(switchable[m]);
   }
   if (params.models.empty()) {
     // Decision trees "can be both simple and complex" — the safe core.
     params.models.push_back("decision_tree");
   }
-  size_t i = kNumModelSwitches;
+  size_t i = switchable.size();
   params.holdout_fraction = 0.15 + 0.35 * unit[i++];
   params.evaluation_fraction =
       std::exp(std::log(0.03) +

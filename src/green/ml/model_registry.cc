@@ -1,5 +1,6 @@
 #include "green/ml/model_registry.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -25,105 +26,206 @@ namespace green {
 
 namespace {
 
-double GetParam(const std::map<std::string, double>& params,
-                const std::string& key, double fallback) {
+using Params = std::map<std::string, double>;
+using Built = std::unique_ptr<Estimator>;
+
+/// `key` from `params`, or `fallback` (the model's own default) if absent.
+double Get(const Params& params, const char* key, double fallback) {
   auto it = params.find(key);
   return it == params.end() ? fallback : it->second;
 }
 
-int GetInt(const std::map<std::string, double>& params,
-           const std::string& key, int fallback) {
-  return static_cast<int>(
-      GetParam(params, key, static_cast<double>(fallback)));
+/// Overwrites a defaulted model field with `key` from `params`; integer
+/// fields truncate. The cost terms read the untruncated value via Get.
+template <typename T>
+void Read(const Params& params, const char* key, T* field) {
+  *field = static_cast<T>(Get(params, key, *field));
 }
 
-Result<std::unique_ptr<Estimator>> BuildModel(
-    const PipelineConfig& config) {
-  const auto& p = config.params;
-  if (config.model == "decision_tree") {
-    DecisionTreeParams dt;
-    dt.max_depth = GetInt(p, "max_depth", 8);
-    dt.min_samples_leaf = GetInt(p, "min_samples_leaf", 2);
-    dt.max_features_fraction = GetParam(p, "max_features_fraction", 0.0);
-    dt.seed = config.seed;
-    return std::unique_ptr<Estimator>(new DecisionTree(dt));
+/// The log factor of split search over n rows.
+double LogN(double n) { return std::log2(std::max(2.0, n)); }
+
+/// Forest training work. `kScale` is the share of an exhaustive split
+/// search each split costs (extra trees draw random thresholds); a
+/// max_features_fraction that is absent or 0 means sqrt(d)/d.
+template <typename ForestParams, double kScale>
+double ForestTrainCost(const Params& p, double n, double d, double) {
+  constexpr ForestParams kDefault;
+  const double sqrt_frac = std::sqrt(d) / std::max(1.0, d);
+  const double frac =
+      Get(p, "max_features_fraction", kDefault.max_features_fraction);
+  return Get(p, "num_trees", kDefault.num_trees) * n * LogN(n) * d *
+         (frac > 0 ? frac : sqrt_frac) *
+         Get(p, "max_depth", kDefault.max_depth) * kScale;
+}
+
+template <typename ForestParams>
+double ForestPredictCost(const Params& p, double, double, double k) {
+  constexpr ForestParams kDefault;
+  return Get(p, "num_trees", kDefault.num_trees) *
+         (2.0 * Get(p, "max_depth", kDefault.max_depth) + k);
+}
+
+/// Everything the registry knows about one model family. Defaults live in
+/// the family's params struct; the cost terms are relative work on top of
+/// the preprocessing floor, over n train rows, d features and k classes.
+struct ModelFamily {
+  const char* name;
+  bool fits_regression;
+  Built (*build)(const Params& p, uint64_t seed);
+  double (*train_cost)(const Params& p, double n, double d, double k);
+  /// Per predicted row.
+  double (*predict_cost)(const Params& p, double n, double d, double k);
+};
+
+// The defaults the cost terms fall back to, as the builders do.
+constexpr DecisionTreeParams kTree;
+constexpr GradientBoostingParams kBoosting;
+constexpr AdaBoostParams kAda;
+constexpr LogisticRegressionParams kLogistic;
+constexpr MlpParams kMlp;
+constexpr AttentionFewShotParams kAttention;
+
+/// One row per family, in KnownModels() order.
+constexpr ModelFamily kFamilies[] = {
+    {"decision_tree", true, [](const Params& p, uint64_t seed) -> Built {
+       DecisionTreeParams dt;
+       Read(p, "max_depth", &dt.max_depth);
+       Read(p, "min_samples_leaf", &dt.min_samples_leaf);
+       Read(p, "max_features_fraction", &dt.max_features_fraction);
+       dt.seed = seed;
+       return std::make_unique<DecisionTree>(dt);
+     },
+     [](const Params& p, double n, double d, double) {
+       return n * LogN(n) * d * Get(p, "max_depth", kTree.max_depth);
+     },
+     [](const Params& p, double, double, double) {
+       return 2.0 * Get(p, "max_depth", kTree.max_depth);
+     }},
+    {"random_forest", true, [](const Params& p, uint64_t seed) -> Built {
+       RandomForestParams rf;
+       Read(p, "num_trees", &rf.num_trees);
+       Read(p, "max_depth", &rf.max_depth);
+       Read(p, "min_samples_leaf", &rf.min_samples_leaf);
+       Read(p, "max_features_fraction", &rf.max_features_fraction);
+       Read(p, "bootstrap_fraction", &rf.bootstrap_fraction);
+       rf.seed = seed;
+       return std::make_unique<RandomForest>(rf);
+     },
+     ForestTrainCost<RandomForestParams, 1.0>,
+     ForestPredictCost<RandomForestParams>},
+    {"extra_trees", true, [](const Params& p, uint64_t seed) -> Built {
+       ExtraTreesParams et;
+       Read(p, "num_trees", &et.num_trees);
+       Read(p, "max_depth", &et.max_depth);
+       Read(p, "min_samples_leaf", &et.min_samples_leaf);
+       Read(p, "max_features_fraction", &et.max_features_fraction);
+       et.seed = seed;
+       return std::make_unique<ExtraTrees>(et);
+     },
+     ForestTrainCost<ExtraTreesParams, 0.25>,
+     ForestPredictCost<ExtraTreesParams>},
+    {"gradient_boosting", true, [](const Params& p, uint64_t seed) -> Built {
+       GradientBoostingParams gb;
+       Read(p, "num_rounds", &gb.num_rounds);
+       Read(p, "max_depth", &gb.max_depth);
+       Read(p, "learning_rate", &gb.learning_rate);
+       Read(p, "min_samples_leaf", &gb.min_samples_leaf);
+       Read(p, "subsample", &gb.subsample);
+       gb.seed = seed;
+       return std::make_unique<GradientBoosting>(gb);
+     },
+     [](const Params& p, double n, double d, double k) {
+       return Get(p, "num_rounds", kBoosting.num_rounds) * k * n * LogN(n) *
+              d * Get(p, "max_depth", kBoosting.max_depth) * 0.5;
+     },
+     [](const Params& p, double, double, double k) {
+       return 2.0 * Get(p, "num_rounds", kBoosting.num_rounds) * k *
+              Get(p, "max_depth", kBoosting.max_depth);
+     }},
+    {"adaboost", false, [](const Params& p, uint64_t seed) -> Built {
+       AdaBoostParams ab;
+       Read(p, "num_rounds", &ab.num_rounds);
+       Read(p, "max_depth", &ab.max_depth);
+       Read(p, "learning_rate", &ab.learning_rate);
+       ab.seed = seed;
+       return std::make_unique<AdaBoost>(ab);
+     },
+     [](const Params& p, double n, double d, double) {
+       return Get(p, "num_rounds", kAda.num_rounds) * n * LogN(n) * d *
+              Get(p, "max_depth", kAda.max_depth);
+     },
+     [](const Params& p, double, double, double) {
+       return 2.0 * Get(p, "num_rounds", kAda.num_rounds) *
+              Get(p, "max_depth", kAda.max_depth);
+     }},
+    {"logistic_regression", true, [](const Params& p, uint64_t seed) -> Built {
+       LogisticRegressionParams lr;
+       Read(p, "epochs", &lr.epochs);
+       Read(p, "learning_rate", &lr.learning_rate);
+       Read(p, "l2", &lr.l2);
+       Read(p, "batch_size", &lr.batch_size);
+       lr.seed = seed;
+       return std::make_unique<LogisticRegression>(lr);
+     },
+     [](const Params& p, double n, double d, double k) {
+       return Get(p, "epochs", kLogistic.epochs) * 4.0 * n * d * k;
+     },
+     [](const Params&, double, double d, double k) { return 2.0 * d * k; }},
+    {"knn", true, [](const Params& p, uint64_t) -> Built {
+       KnnParams knn;
+       Read(p, "k", &knn.k);
+       knn.distance_weighted =
+           Get(p, "distance_weighted", knn.distance_weighted) > 0.5;
+       return std::make_unique<Knn>(knn);
+     },
+     [](const Params&, double n, double, double) { return n; },
+     [](const Params&, double n, double d, double) { return 3.0 * n * d; }},
+    {"naive_bayes", false, [](const Params& p, uint64_t) -> Built {
+       NaiveBayesParams nb;
+       Read(p, "var_smoothing", &nb.var_smoothing);
+       return std::make_unique<GaussianNaiveBayes>(nb);
+     },
+     [](const Params&, double n, double d, double) { return 4.0 * n * d; },
+     [](const Params&, double, double d, double k) { return 4.0 * d * k; }},
+    {"mlp", true, [](const Params& p, uint64_t seed) -> Built {
+       MlpParams mlp;
+       Read(p, "hidden_units", &mlp.hidden_units);
+       Read(p, "epochs", &mlp.epochs);
+       Read(p, "learning_rate", &mlp.learning_rate);
+       Read(p, "l2", &mlp.l2);
+       Read(p, "batch_size", &mlp.batch_size);
+       mlp.seed = seed;
+       return std::make_unique<Mlp>(mlp);
+     },
+     [](const Params& p, double n, double d, double k) {
+       return Get(p, "epochs", kMlp.epochs) * 4.0 * n * (d + k) *
+              Get(p, "hidden_units", kMlp.hidden_units);
+     },
+     [](const Params& p, double, double d, double k) {
+       return 2.0 * Get(p, "hidden_units", kMlp.hidden_units) * (d + k);
+     }},
+    {"attention_few_shot", false, [](const Params& p, uint64_t) -> Built {
+       AttentionFewShotParams af;
+       Read(p, "embed_dim", &af.embed_dim);
+       Read(p, "num_layers", &af.num_layers);
+       Read(p, "max_context", &af.max_context);
+       Read(p, "temperature", &af.temperature);
+       return std::make_unique<AttentionFewShot>(af);
+     },
+     [](const Params&, double n, double, double) { return n; },
+     [](const Params& p, double n, double d, double) {
+       return 3.0 * std::min(n, Get(p, "max_context", kAttention.max_context)) *
+              (Get(p, "embed_dim", kAttention.embed_dim) + d);
+     }},
+};
+
+/// The row named `model`, or nullptr.
+const ModelFamily* FindFamily(const std::string& model) {
+  for (const ModelFamily& family : kFamilies) {
+    if (family.name == model) return &family;
   }
-  if (config.model == "random_forest") {
-    RandomForestParams rf;
-    rf.num_trees = GetInt(p, "num_trees", 32);
-    rf.max_depth = GetInt(p, "max_depth", 10);
-    rf.min_samples_leaf = GetInt(p, "min_samples_leaf", 2);
-    rf.max_features_fraction = GetParam(p, "max_features_fraction", 0.0);
-    rf.bootstrap_fraction = GetParam(p, "bootstrap_fraction", 1.0);
-    rf.seed = config.seed;
-    return std::unique_ptr<Estimator>(new RandomForest(rf));
-  }
-  if (config.model == "extra_trees") {
-    ExtraTreesParams et;
-    et.num_trees = GetInt(p, "num_trees", 32);
-    et.max_depth = GetInt(p, "max_depth", 10);
-    et.min_samples_leaf = GetInt(p, "min_samples_leaf", 2);
-    et.max_features_fraction = GetParam(p, "max_features_fraction", 0.0);
-    et.seed = config.seed;
-    return std::unique_ptr<Estimator>(new ExtraTrees(et));
-  }
-  if (config.model == "gradient_boosting") {
-    GradientBoostingParams gb;
-    gb.num_rounds = GetInt(p, "num_rounds", 40);
-    gb.max_depth = GetInt(p, "max_depth", 3);
-    gb.learning_rate = GetParam(p, "learning_rate", 0.15);
-    gb.min_samples_leaf = GetInt(p, "min_samples_leaf", 4);
-    gb.subsample = GetParam(p, "subsample", 1.0);
-    gb.seed = config.seed;
-    return std::unique_ptr<Estimator>(new GradientBoosting(gb));
-  }
-  if (config.model == "logistic_regression") {
-    LogisticRegressionParams lr;
-    lr.epochs = GetInt(p, "epochs", 30);
-    lr.learning_rate = GetParam(p, "learning_rate", 0.1);
-    lr.l2 = GetParam(p, "l2", 1e-4);
-    lr.batch_size = GetInt(p, "batch_size", 32);
-    lr.seed = config.seed;
-    return std::unique_ptr<Estimator>(new LogisticRegression(lr));
-  }
-  if (config.model == "knn") {
-    KnnParams knn;
-    knn.k = GetInt(p, "k", 5);
-    knn.distance_weighted = GetParam(p, "distance_weighted", 0.0) > 0.5;
-    return std::unique_ptr<Estimator>(new Knn(knn));
-  }
-  if (config.model == "naive_bayes") {
-    NaiveBayesParams nb;
-    nb.var_smoothing = GetParam(p, "var_smoothing", 1e-9);
-    return std::unique_ptr<Estimator>(new GaussianNaiveBayes(nb));
-  }
-  if (config.model == "mlp") {
-    MlpParams mlp;
-    mlp.hidden_units = GetInt(p, "hidden_units", 32);
-    mlp.epochs = GetInt(p, "epochs", 40);
-    mlp.learning_rate = GetParam(p, "learning_rate", 0.05);
-    mlp.l2 = GetParam(p, "l2", 1e-5);
-    mlp.batch_size = GetInt(p, "batch_size", 32);
-    mlp.seed = config.seed;
-    return std::unique_ptr<Estimator>(new Mlp(mlp));
-  }
-  if (config.model == "adaboost") {
-    AdaBoostParams ab;
-    ab.num_rounds = GetInt(p, "num_rounds", 30);
-    ab.max_depth = GetInt(p, "max_depth", 2);
-    ab.learning_rate = GetParam(p, "learning_rate", 1.0);
-    ab.seed = config.seed;
-    return std::unique_ptr<Estimator>(new AdaBoost(ab));
-  }
-  if (config.model == "attention_few_shot") {
-    AttentionFewShotParams af;
-    af.embed_dim = GetInt(p, "embed_dim", 48);
-    af.num_layers = GetInt(p, "num_layers", 3);
-    af.max_context = GetInt(p, "max_context", 1024);
-    af.temperature = GetParam(p, "temperature", 0.35);
-    return std::unique_ptr<Estimator>(new AttentionFewShot(af));
-  }
-  return Status::InvalidArgument("unknown model: " + config.model);
+  return nullptr;
 }
 
 }  // namespace
@@ -154,22 +256,18 @@ std::string PipelineConfig::Describe() const {
 }
 
 const std::vector<std::string>& KnownModels() {
-  static const std::vector<std::string>* kModels =
-      new std::vector<std::string>{
-          "decision_tree",  "random_forest",       "extra_trees",
-          "gradient_boosting", "adaboost",         "logistic_regression",
-          "knn",            "naive_bayes",         "mlp",
-          "attention_few_shot",
-      };
+  static const std::vector<std::string>* kModels = [] {
+    auto* names = new std::vector<std::string>;
+    for (const ModelFamily& family : kFamilies) names->push_back(family.name);
+    return names;
+  }();
   return *kModels;
 }
 
 bool ModelSupportsTask(const std::string& model, TaskType task) {
   if (IsClassification(task)) return true;
-  return model == "decision_tree" || model == "random_forest" ||
-         model == "extra_trees" || model == "gradient_boosting" ||
-         model == "logistic_regression" || model == "knn" ||
-         model == "mlp";
+  const ModelFamily* family = FindFamily(model);
+  return family != nullptr && family->fits_regression;
 }
 
 std::vector<std::string> FilterModelsForTask(
@@ -213,9 +311,11 @@ Result<Pipeline> BuildPipeline(const PipelineConfig& config) {
     pipeline.AddTransformer(std::make_unique<Pca>(
         static_cast<size_t>(config.pca_components)));
   }
-  GREEN_ASSIGN_OR_RETURN(std::unique_ptr<Estimator> model,
-                         BuildModel(config));
-  pipeline.SetModel(std::move(model));
+  const ModelFamily* family = FindFamily(config.model);
+  if (family == nullptr) {
+    return Status::InvalidArgument("unknown model: " + config.model);
+  }
+  pipeline.SetModel(family->build(config.params, config.seed));
   return pipeline;
 }
 
@@ -223,78 +323,24 @@ double EstimateTrainCost(const PipelineConfig& config, size_t rows,
                          size_t features, int classes) {
   const double n = static_cast<double>(rows);
   const double d = static_cast<double>(features);
-  const double k = static_cast<double>(classes);
-  const auto& p = config.params;
-  double cost = 2.0 * n * d;  // Preprocessing floor.
-  if (config.model == "decision_tree") {
-    cost += n * std::log2(std::max(2.0, n)) * d *
-            GetParam(p, "max_depth", 8);
-  } else if (config.model == "random_forest" ||
-             config.model == "extra_trees") {
-    const double sqrt_frac = std::sqrt(d) / std::max(1.0, d);
-    const double frac = GetParam(p, "max_features_fraction", sqrt_frac);
-    cost += GetParam(p, "num_trees", 32) * n *
-            std::log2(std::max(2.0, n)) * d *
-            (frac > 0 ? frac : sqrt_frac) * GetParam(p, "max_depth", 10) *
-            (config.model == "extra_trees" ? 0.25 : 1.0);
-  } else if (config.model == "gradient_boosting") {
-    cost += GetParam(p, "num_rounds", 40) * k * n *
-            std::log2(std::max(2.0, n)) * d *
-            GetParam(p, "max_depth", 3) * 0.5;
-  } else if (config.model == "adaboost") {
-    cost += GetParam(p, "num_rounds", 30) * n *
-            std::log2(std::max(2.0, n)) * d *
-            GetParam(p, "max_depth", 2);
-  } else if (config.model == "logistic_regression") {
-    cost += GetParam(p, "epochs", 30) * 4.0 * n * d * k;
-  } else if (config.model == "knn") {
-    cost += n;
-  } else if (config.model == "naive_bayes") {
-    cost += 4.0 * n * d;
-  } else if (config.model == "mlp") {
-    cost += GetParam(p, "epochs", 40) * 4.0 * n *
-            (d + k) * GetParam(p, "hidden_units", 32);
-  } else if (config.model == "attention_few_shot") {
-    cost += n;
-  }
-  return cost;
+  const double floor = 2.0 * n * d;  // Preprocessing.
+  const ModelFamily* family = FindFamily(config.model);
+  if (family == nullptr) return floor;
+  return floor + family->train_cost(config.params, n, d,
+                                    static_cast<double>(classes));
 }
 
 double EstimatePredictCost(const PipelineConfig& config, size_t train_rows,
                            size_t predict_rows, size_t features,
                            int classes) {
-  const double n = static_cast<double>(train_rows);
-  const double m = static_cast<double>(predict_rows);
   const double d = static_cast<double>(features);
-  const double k = static_cast<double>(classes);
-  const auto& p = config.params;
   double per_row = 2.0 * d;  // Preprocessing floor.
-  if (config.model == "decision_tree") {
-    per_row += 2.0 * GetParam(p, "max_depth", 8);
-  } else if (config.model == "random_forest" ||
-             config.model == "extra_trees") {
-    per_row += GetParam(p, "num_trees", 32) *
-               (2.0 * GetParam(p, "max_depth", 10) + k);
-  } else if (config.model == "gradient_boosting") {
-    per_row += 2.0 * GetParam(p, "num_rounds", 40) * k *
-               GetParam(p, "max_depth", 3);
-  } else if (config.model == "adaboost") {
-    per_row += 2.0 * GetParam(p, "num_rounds", 30) *
-               GetParam(p, "max_depth", 2);
-  } else if (config.model == "logistic_regression") {
-    per_row += 2.0 * d * k;
-  } else if (config.model == "knn") {
-    per_row += 3.0 * n * d;
-  } else if (config.model == "naive_bayes") {
-    per_row += 4.0 * d * k;
-  } else if (config.model == "mlp") {
-    const double h = GetParam(p, "hidden_units", 32);
-    per_row += 2.0 * h * (d + k);
-  } else if (config.model == "attention_few_shot") {
-    per_row += 3.0 * std::min(n, 1024.0) *
-               (GetParam(p, "embed_dim", 48) + d);
+  if (const ModelFamily* family = FindFamily(config.model)) {
+    per_row += family->predict_cost(config.params,
+                                    static_cast<double>(train_rows), d,
+                                    static_cast<double>(classes));
   }
-  return per_row * m;
+  return per_row * static_cast<double>(predict_rows);
 }
 
 }  // namespace green

@@ -2,9 +2,9 @@
 
 namespace green {
 
-bool BudgetPolicy::MayStartEvaluation(double now, double deadline,
-                                      double estimated_seconds) const {
-  switch (kind_) {
+bool MayStartEvaluation(BudgetPolicyKind kind, double now, double deadline,
+                        double estimated_seconds) {
+  switch (kind) {
     case BudgetPolicyKind::kStrict:
       return now + estimated_seconds <= deadline;
     case BudgetPolicyKind::kFinishLastEvaluation:

@@ -25,21 +25,11 @@ enum class BudgetPolicyKind {
   kNoBudget,
 };
 
-/// Helper shared by the AutoML systems for budget decisions.
-class BudgetPolicy {
- public:
-  explicit BudgetPolicy(BudgetPolicyKind kind) : kind_(kind) {}
-
-  BudgetPolicyKind kind() const { return kind_; }
-
-  /// Whether a new evaluation expected to take `estimated_seconds` may
-  /// start at time `now` under deadline `deadline`.
-  bool MayStartEvaluation(double now, double deadline,
-                          double estimated_seconds) const;
-
- private:
-  BudgetPolicyKind kind_;
-};
+/// Whether a new evaluation expected to take `estimated_seconds` may start
+/// at time `now` under deadline `deadline` when the budget is read as
+/// `kind` says.
+bool MayStartEvaluation(BudgetPolicyKind kind, double now, double deadline,
+                        double estimated_seconds);
 
 }  // namespace green
 

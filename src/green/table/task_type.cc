@@ -1,23 +1,21 @@
 #include "green/table/task_type.h"
 
+#include <iterator>
+
 namespace green {
 
+/// Indexed by TaskType.
+constexpr const char* kTaskTypeNames[] = {"binary", "multiclass",
+                                          "regression"};
+
 const char* TaskTypeName(TaskType task) {
-  switch (task) {
-    case TaskType::kBinary:
-      return "binary";
-    case TaskType::kMulticlass:
-      return "multiclass";
-    case TaskType::kRegression:
-      return "regression";
-  }
-  return "binary";
+  return kTaskTypeNames[static_cast<size_t>(task)];
 }
 
 Result<TaskType> ParseTaskType(const std::string& name) {
-  if (name == "binary") return TaskType::kBinary;
-  if (name == "multiclass") return TaskType::kMulticlass;
-  if (name == "regression") return TaskType::kRegression;
+  for (size_t i = 0; i < std::size(kTaskTypeNames); ++i) {
+    if (name == kTaskTypeNames[i]) return static_cast<TaskType>(i);
+  }
   return Status::InvalidArgument("unknown task type: " + name);
 }
 

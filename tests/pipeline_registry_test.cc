@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "green/data/synthetic.h"
 #include "green/ml/metrics.h"
 #include "green/ml/model_registry.h"
@@ -171,6 +176,98 @@ TEST_F(PipelineTest, TrainCostMonotoneInRows) {
     config.model = name;
     EXPECT_LE(EstimateTrainCost(config, 100, 10, 2),
               EstimateTrainCost(config, 10000, 10, 2))
+        << name;
+  }
+}
+
+TEST_F(PipelineTest, CostEstimatesPinned) {
+  // Budget gating reads these estimates before every evaluation, so they
+  // are pinned bit for bit: every family at its defaults, then decoded
+  // search points, including the non-integral depths the AdaBoost and
+  // boosting decode emits (costs read them untruncated) and a forest
+  // whose max_features_fraction of 0 falls back to sqrt(d)/d. Shape:
+  // 3000 train rows, 500 predict rows, 12 features, 3 classes.
+  struct Pinned {
+    std::string model;
+    std::map<std::string, double> params;
+    double train;
+    double predict;
+  };
+  const std::vector<Pinned> pinned = {
+      {"decision_tree", {}, 3398615.0741903735, 20000},
+      {"random_forest", {}, 38484442.17148158, 380000},
+      {"extra_trees", {}, 9675110.5428703949, 380000},
+      {"gradient_boosting", {}, 74920839.16928342, 372000},
+      {"adaboost", {}, 25021613.056427807, 72000},
+      {"logistic_regression", {}, 13032000, 48000},
+      {"knn", {}, 75000, 54012000},
+      {"naive_bayes", {}, 216000, 84000},
+      {"mlp", {}, 230472000, 492000},
+      {"attention_few_shot", {}, 75000, 92172000},
+      {"decision_tree",
+       {{"max_depth", 5.0},
+        {"min_samples_leaf", 3.0},
+        {"max_features_fraction", 0.4}},
+       2151134.4213689836,
+       17000},
+      {"random_forest",
+       {{"num_trees", 17.0},
+        {"max_depth", 6.0},
+        {"max_features_fraction", 0.0}},
+       12315965.942159753,
+       139500},
+      {"random_forest",
+       {{"num_trees", 17.0},
+        {"max_depth", 6.0},
+        {"max_features_fraction", 0.55}},
+       23399888.207759999,
+       139500},
+      {"extra_trees",
+       {{"num_trees", 9.0},
+        {"max_depth", 12.0},
+        {"max_features_fraction", 0.3}},
+       3440197.7626177538,
+       133500},
+      {"gradient_boosting",
+       {{"num_rounds", 23.0},
+        {"max_depth", 8.0 / 3.0},
+        {"learning_rate", 0.07},
+        {"subsample", 0.8}},
+       38328073.353189304,
+       196000},
+      {"adaboost",
+       {{"num_rounds", 11.0}, {"max_depth", 2.25}, {"learning_rate", 0.3}},
+       10363715.385776469,
+       36750},
+      {"logistic_regression",
+       {{"epochs", 17.0}, {"learning_rate", 0.05}},
+       7416000,
+       48000},
+      {"knn", {{"k", 7.0}}, 75000, 54012000},
+      {"mlp",
+       {{"hidden_units", 21.0}, {"epochs", 13.0}, {"learning_rate", 0.2}},
+       49212000,
+       327000},
+      {"attention_few_shot", {{"embed_dim", 24.0}}, 75000, 55308000},
+      // An unknown family is charged the preprocessing floor only.
+      {"quantum_svm", {}, 72000, 12000},
+  };
+  for (const Pinned& row : pinned) {
+    PipelineConfig config;
+    config.model = row.model;
+    config.params = row.params;
+    const std::string label = config.Describe();
+    EXPECT_EQ(EstimateTrainCost(config, 3000, 12, 3), row.train) << label;
+    EXPECT_EQ(EstimatePredictCost(config, 3000, 500, 12, 3), row.predict)
+        << label;
+  }
+  // Every known family has a defaults row.
+  for (const std::string& name : KnownModels()) {
+    EXPECT_EQ(std::count_if(pinned.begin(), pinned.end(),
+                            [&](const Pinned& row) {
+                              return row.model == name && row.params.empty();
+                            }),
+              1)
         << name;
   }
 }

@@ -188,32 +188,32 @@ TEST(SchedulerTest, MakespanMonotoneNonIncreasingInCores) {
   }
 }
 
-// --- BudgetPolicy ---
+// --- MayStartEvaluation ---
 
 TEST(BudgetPolicyTest, StrictRefusesOverrun) {
-  const BudgetPolicy policy(BudgetPolicyKind::kStrict);
-  EXPECT_TRUE(policy.MayStartEvaluation(0.0, 10.0, 5.0));
-  EXPECT_FALSE(policy.MayStartEvaluation(6.0, 10.0, 5.0));
-  EXPECT_TRUE(policy.MayStartEvaluation(5.0, 10.0, 5.0));
+  const BudgetPolicyKind kind = BudgetPolicyKind::kStrict;
+  EXPECT_TRUE(MayStartEvaluation(kind, 0.0, 10.0, 5.0));
+  EXPECT_FALSE(MayStartEvaluation(kind, 6.0, 10.0, 5.0));
+  EXPECT_TRUE(MayStartEvaluation(kind, 5.0, 10.0, 5.0));
 }
 
 TEST(BudgetPolicyTest, FinishLastAllowsStartBeforeDeadline) {
-  const BudgetPolicy policy(BudgetPolicyKind::kFinishLastEvaluation);
-  EXPECT_TRUE(policy.MayStartEvaluation(9.99, 10.0, 100.0));
-  EXPECT_FALSE(policy.MayStartEvaluation(10.0, 10.0, 0.0));
+  const BudgetPolicyKind kind = BudgetPolicyKind::kFinishLastEvaluation;
+  EXPECT_TRUE(MayStartEvaluation(kind, 9.99, 10.0, 100.0));
+  EXPECT_FALSE(MayStartEvaluation(kind, 10.0, 10.0, 0.0));
 }
 
 TEST(BudgetPolicyTest, EnsemblingNotCountedBehavesLikeFinishLast) {
-  const BudgetPolicy policy(BudgetPolicyKind::kEnsemblingNotCounted);
-  EXPECT_TRUE(policy.MayStartEvaluation(9.0, 10.0, 50.0));
-  EXPECT_FALSE(policy.MayStartEvaluation(11.0, 10.0, 0.0));
+  const BudgetPolicyKind kind = BudgetPolicyKind::kEnsemblingNotCounted;
+  EXPECT_TRUE(MayStartEvaluation(kind, 9.0, 10.0, 50.0));
+  EXPECT_FALSE(MayStartEvaluation(kind, 11.0, 10.0, 0.0));
 }
 
 TEST(BudgetPolicyTest, PlannedAndNoBudgetAlwaysRun) {
-  EXPECT_TRUE(BudgetPolicy(BudgetPolicyKind::kEstimatedPlan)
-                  .MayStartEvaluation(100.0, 10.0, 5.0));
-  EXPECT_TRUE(BudgetPolicy(BudgetPolicyKind::kNoBudget)
-                  .MayStartEvaluation(100.0, 10.0, 5.0));
+  EXPECT_TRUE(
+      MayStartEvaluation(BudgetPolicyKind::kEstimatedPlan, 100.0, 10.0, 5.0));
+  EXPECT_TRUE(
+      MayStartEvaluation(BudgetPolicyKind::kNoBudget, 100.0, 10.0, 5.0));
 }
 
 }  // namespace
