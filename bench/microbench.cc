@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -16,7 +15,6 @@
 #include "green/automl/caml_system.h"
 #include "green/automl/fitted_artifact.h"
 #include "green/bench_util/experiment.h"
-#include "green/common/thread_pool.h"
 #include "green/data/synthetic.h"
 #include "green/ml/kernels/tree_kernels.h"
 #include "green/ml/model_registry.h"
@@ -450,20 +448,6 @@ BENCHMARK(BM_ExperimentSweep)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-void BM_ThreadPoolDispatch(benchmark::State& state) {
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    std::atomic<int> done{0};
-    for (int i = 0; i < 256; ++i) {
-      pool.Submit([&done] { done.fetch_add(1); });
-    }
-    pool.Wait();
-    benchmark::DoNotOptimize(done.load());
-  }
-  state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_ThreadPoolDispatch)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_EnergyMeterOverhead(benchmark::State& state) {
   Ctx c;

@@ -798,12 +798,12 @@ Status Table7(const ExhibitInput& in) {
   TablePrinter table({"AutoML", "10s", "30s", "1min", "5min"});
   for (const std::string& system : in.grid.systems) {
     std::vector<std::string> row = {system};
+    const bool one_budget = HasNoBudget(system);
     for (double budget : in.grid.budgets) {
       // TabPFN has no search-time parameter: one column, repeated.
       const auto cell = Filter(
           records, system,
-          system == "tabpfn" ? DistinctBudgets(records, system).front()
-                             : budget);
+          one_budget ? DistinctBudgets(records, system).front() : budget);
       if (cell.empty()) {
         row.push_back("-");
         continue;
@@ -1087,24 +1087,25 @@ const std::vector<Exhibit>& Exhibits() {
 
 /// `grid`'s cells of a sweep over a superset grid, in the (system,
 /// budget, dataset, repetition) order a sweep of `grid` enumerates. The
-/// sweep runs TabPFN once, at its first budget, whatever the grid; its
-/// cells are stamped with `grid`'s first budget, as a sweep of `grid`
-/// would have recorded them.
+/// sweep runs a no-budget system (HasNoBudget: TabPFN) once, at its first
+/// budget, whatever the grid; its cells are stamped with `grid`'s first
+/// budget, as a sweep of `grid` would have recorded them.
 std::vector<RunRecord> CellsOf(const std::vector<RunRecord>& shared,
                                const Grid& grid) {
   std::vector<RunRecord> cells;
   for (const std::string& system : grid.systems) {
+    const bool one_budget = HasNoBudget(system);
     for (double budget : grid.budgets) {
       for (const RunRecord& record : shared) {
         if (record.system != system) continue;
-        if (system == "tabpfn") {
+        if (one_budget) {
           cells.push_back(record);
           cells.back().paper_budget_seconds = budget;
         } else if (record.paper_budget_seconds == budget) {
           cells.push_back(record);
         }
       }
-      if (system == "tabpfn") break;
+      if (one_budget) break;
     }
   }
   return cells;

@@ -37,7 +37,7 @@ void ExperimentConfig::Load(const KnobValues& knobs) {
   knobs.Assign(knob::kFaults, &faults);
   knobs.Assign(knob::kJournal, &journal_path);
   knobs.Assign(knob::kResume, &resume);
-  knobs.Assign(knob::kRetries, &retry.max_attempts);
+  knobs.Assign(knob::kRetries, &max_attempts);
   knobs.Assign(knob::kCellTimeout, &cell_timeout_seconds);
   knobs.Assign(knob::kScopes, &collect_scopes);
   knobs.Assign(knob::kTransformCache, &transform_cache);
@@ -81,6 +81,17 @@ RunOutcome OutcomeForStatus(const Status& status) {
       return RunOutcome::kSkipped;
     default:
       return RunOutcome::kFailed;
+  }
+}
+
+bool IsRetryable(const Status& status) {
+  switch (status.code()) {
+    case Status::Code::kInternal:
+    case Status::Code::kIoError:
+    case Status::Code::kResourceExhausted:
+      return true;
+    default:
+      return false;
   }
 }
 
@@ -157,6 +168,14 @@ const SystemEntry* FindSystem(const std::string& name) {
   return nullptr;
 }
 
+/// The system named `name` built from its row with defaults, for reading
+/// its declared properties; nullptr for unknown names.
+SystemPtr DeclaredSystem(const std::string& name) {
+  const SystemEntry* entry = FindSystem(name);
+  if (entry == nullptr) return nullptr;
+  return entry->make(CamlParams(), /*meta_store=*/nullptr);
+}
+
 /// Copies `reading`'s scope tree onto `record` as "<stage>/<path>" rows
 /// in paper-scale units, divided by `per` instances (1 for execution).
 void AppendScopeRows(const EnergyReading& reading, const std::string& stage,
@@ -217,13 +236,18 @@ std::string RunRecordCellKey(const RunRecord& record) {
                           record.variant);
 }
 
+bool HasNoBudget(const std::string& system_name) {
+  const SystemPtr system = DeclaredSystem(system_name);
+  return system != nullptr &&
+         system->budget_policy() == BudgetPolicyKind::kNoBudget;
+}
+
 double ExperimentRunner::MinBudget(const std::string& system_name) const {
   // Single source of truth: the system's own declaration, so harness
   // gating can never drift from AutoMlSystem::MinBudgetSeconds().
-  const SystemEntry* entry = FindSystem(system_name);
-  if (entry == nullptr) return 0.0;  // RunOne reports the NotFound per cell.
-  return entry->make(CamlParams(), /*meta_store=*/nullptr)
-      ->MinBudgetSeconds();
+  const SystemPtr system = DeclaredSystem(system_name);
+  if (system == nullptr) return 0.0;  // RunOne reports the NotFound per cell.
+  return system->MinBudgetSeconds();
 }
 
 Status ExperimentRunner::EnsureMetaStore() {
@@ -458,10 +482,10 @@ RunRecord ExperimentRunner::RunCell(const std::string& system_name,
     const RunOutcome outcome = OutcomeForStatus(status);
     const bool cancelled = cancel != nullptr && cancel->cancelled();
     if (outcome == RunOutcome::kFailed && IsRetryable(status) &&
-        attempt < config_.retry.max_attempts && !cancelled) {
+        attempt < config_.max_attempts && !cancelled) {
       LogDebug(StrFormat("retrying %s on %s (attempt %d/%d): %s",
                          system_name.c_str(), dataset.name().c_str(),
-                         attempt + 1, config_.retry.max_attempts,
+                         attempt + 1, config_.max_attempts,
                          status.ToString().c_str()));
       continue;
     }
@@ -524,6 +548,7 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
   std::vector<Cell> cells;
   int64_t total_cells = 0;
   for (const std::string& system : systems) {
+    const bool one_budget = HasNoBudget(system);
     for (double budget : paper_budgets) {
       for (const SweepVariant& variant : variants) {
         for (const Dataset& dataset : suite_) {
@@ -535,8 +560,8 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
           }
         }
       }
-      // TabPFN has no search-time parameter: one budget point suffices.
-      if (system == "tabpfn") break;
+      // A system without a search-time parameter needs one budget point.
+      if (one_budget) break;
     }
   }
 

@@ -12,7 +12,6 @@
 #include "green/common/cancel.h"
 #include "green/common/fault.h"
 #include "green/common/knobs.h"
-#include "green/common/retry.h"
 #include "green/common/shard.h"
 #include "green/data/amlb_suite.h"
 #include "green/energy/machine_model.h"
@@ -50,9 +49,11 @@ struct ExperimentConfig {
   int shard_index = 0;
   int shard_count = 1;
 
-  /// Per-cell retry policy for transient failures (max_attempts = 1
-  /// disables retries). A retry re-runs the cell at once.
-  RetryPolicy retry;
+  /// Tries per cell, the first included, for failures IsRetryable
+  /// accepts (1 disables retries). A retry re-runs the cell at once on a
+  /// fresh virtual clock, so retried and unretried sweeps cost the same
+  /// wall time.
+  int max_attempts = 2;
   /// Host wall-clock seconds a single cell may run, retries included:
   /// Sweep arms each cell's CancelToken with this deadline, and a cell
   /// that passes it unwinds at its next poll (recorded as a `timeout`).
@@ -129,6 +130,12 @@ Result<RunOutcome> RunOutcomeFromName(const std::string& name);
 /// INVALID_ARGUMENT / UNIMPLEMENTED / FAILED_PRECONDITION -> skipped;
 /// any other error -> failed. OK maps to ok.
 RunOutcome OutcomeForStatus(const Status& status);
+
+/// Whether a failure class is worth retrying. Transient infrastructure
+/// errors (INTERNAL, IO_ERROR, RESOURCE_EXHAUSTED) are; semantic
+/// rejections (INVALID_ARGUMENT, UNIMPLEMENTED, ...) and deadline
+/// expiries are not — a timed-out cell would only time out again.
+bool IsRetryable(const Status& status);
 
 /// One row of a per-record energy breakdown: a stage-prefixed scope path
 /// ("execution/caml/search/pipeline/fit/random_forest") and the dynamic
@@ -211,6 +218,11 @@ std::string RunRecordCellKey(const std::string& system,
 
 /// Names accepted by MakeSystem / RunOne.
 const std::vector<std::string>& AllSystemNames();
+
+/// Whether the system declares BudgetPolicyKind::kNoBudget (TabPFN): it
+/// has no search-time parameter, so a sweep runs it at its first budget
+/// only. Unknown names report false.
+bool HasNoBudget(const std::string& system_name);
 
 /// Runs paper experiments: constructs systems by name, instantiates AMLB
 /// tasks, meters execution and inference separately, scales readings back

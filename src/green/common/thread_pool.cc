@@ -1,145 +1,33 @@
 #include "green/common/thread_pool.h"
 
 #include <algorithm>
-#include <utility>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 namespace green {
-
-namespace {
-
-/// Identifies the pool (if any) the current thread is a worker of, so
-/// Submit from inside a task targets the submitter's own deque.
-thread_local ThreadPool* tls_pool = nullptr;
-thread_local size_t tls_worker = 0;
-
-}  // namespace
-
-ThreadPool::ThreadPool(int num_threads) {
-  const int n = std::max(1, num_threads);
-  queues_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back(
-        [this, i] { WorkerLoop(static_cast<size_t>(i)); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  work_ready_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  const size_t target =
-      tls_pool == this
-          ? tls_worker
-          : next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                queues_.size();
-  {
-    std::lock_guard<std::mutex> lock(queues_[target]->mu);
-    queues_[target]->tasks.push_back(std::move(task));
-  }
-  pending_.fetch_add(1, std::memory_order_release);
-  // Lock-then-notify (empty critical section) so a worker between its
-  // failed steal scan and its wait cannot miss the wakeup: it either
-  // sees pending_ > 0 in the predicate or is already waiting.
-  { std::lock_guard<std::mutex> lock(mu_); }
-  work_ready_.notify_one();
-}
-
-bool ThreadPool::TryTake(size_t self, std::function<void()>* task) {
-  // Own deque first: bottom (back), LIFO — the most recently queued
-  // task is the hottest in cache.
-  {
-    WorkerQueue& own = *queues_[self];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      *task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      return true;
-    }
-  }
-  // Steal: top (front), FIFO — the oldest task in the victim's deque,
-  // farthest from what the victim is about to pop.
-  const size_t n = queues_.size();
-  for (size_t offset = 1; offset < n; ++offset) {
-    WorkerQueue& victim = *queues_[(self + offset) % n];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      *task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_idle_.wait(lock, [this] {
-    return pending_.load(std::memory_order_acquire) == 0 &&
-           active_.load(std::memory_order_acquire) == 0;
-  });
-}
 
 int ThreadPool::DefaultThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-void ThreadPool::WorkerLoop(size_t self) {
-  tls_pool = this;
-  tls_worker = self;
-  for (;;) {
-    std::function<void()> task;
-    if (TryTake(self, &task)) {
-      // Claim order matters: active_ up BEFORE pending_ down, so a
-      // Wait()er never sees both counters at zero mid-claim.
-      active_.fetch_add(1, std::memory_order_acq_rel);
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      task();
-      task = nullptr;
-      if (active_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-          pending_.load(std::memory_order_acquire) == 0) {
-        std::lock_guard<std::mutex> lock(mu_);
-        all_idle_.notify_all();
-      }
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    work_ready_.wait(lock, [this] {
-      return shutdown_ || pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (shutdown_ && pending_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
-  }
-}
-
 void ParallelFor(size_t n, int jobs, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (jobs <= 1 || n == 1) {
+  if (jobs <= 1 || n <= 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  const int workers =
-      static_cast<int>(std::min<size_t>(static_cast<size_t>(jobs), n));
-  ThreadPool pool(workers);
-  // One task per index: Submit round-robins them across the worker
-  // deques, so every worker starts with its own slice and the stealing
-  // path rebalances skewed index costs.
-  for (size_t i = 0; i < n; ++i) {
-    pool.Submit([&fn, i] { fn(i); });
+  std::atomic<size_t> next{0};
+  const size_t workers = std::min(static_cast<size_t>(jobs), n);
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  for (size_t w = 0; w < workers; ++w) {
+    threads.emplace_back([&] {
+      size_t i;
+      while ((i = next.fetch_add(1, std::memory_order_relaxed)) < n) fn(i);
+    });
   }
-  pool.Wait();
+  for (std::thread& t : threads) t.join();
 }
 
 }  // namespace green

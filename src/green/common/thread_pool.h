@@ -1,98 +1,25 @@
 #ifndef GREEN_COMMON_THREAD_POOL_H_
 #define GREEN_COMMON_THREAD_POOL_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace green {
 
-/// Fixed-size worker pool over per-worker work-stealing deques. Each
-/// worker owns a deque: the owner pushes and pops LIFO at the bottom
-/// (hot, cache-friendly, contended only with occasional thieves), while
-/// an idle worker steals FIFO from the top of a victim's deque (taking
-/// the oldest — and for divide-style workloads largest — task). External
-/// Submit calls distribute round-robin across the deques, so a batch of
-/// fine-grained tasks never serializes on one shared queue mutex the way
-/// the previous single-queue pool did. The pool is the host-side
-/// counterpart of the simulated TaskGraphScheduler: the scheduler models
-/// parallel phases inside the virtual machine, the pool parallelizes
-/// real sweep cells across real cores.
+/// Holds no pool, only the host's default worker count. The class keeps
+/// the name ThreadPool::DefaultThreads() because perfbench/perf_bench.cc,
+/// whose source is pinned with the benchmark, calls it; ROADMAP lists the
+/// rename to a free function for the next change to the benchmark.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (clamped to >= 1).
-  explicit ThreadPool(int num_threads);
-
-  /// Drains nothing: pending tasks are completed, then workers join.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task. Tasks must not throw (the library never throws).
-  /// Called from a pool worker, the task lands on that worker's own
-  /// deque (LIFO locality); called externally, deques are filled
-  /// round-robin.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every deque is empty and every worker is idle.
-  void Wait();
-
-  int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  /// Tasks executed by a worker other than the one whose deque they were
-  /// queued on, since construction. Observability for tests and the
-  /// sweep log line; monotonic.
-  uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
-
   /// std::thread::hardware_concurrency with a floor of 1.
   static int DefaultThreads();
-
- private:
-  /// One worker's deque. back() is the bottom (owner side, LIFO),
-  /// front() is the top (thief side, FIFO). A plain mutex per deque
-  /// keeps the pool TSan-provable; the win over the old design is that
-  /// the mutex is *per worker*, so owners almost never contend.
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  /// Pops from `self`'s own deque, else steals from the others
-  /// (scanning from self+1 so thieves spread across victims).
-  bool TryTake(size_t self, std::function<void()>* task);
-
-  void WorkerLoop(size_t self);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-  std::mutex mu_;  ///< Sleep/wake + shutdown only — never queue access.
-  std::condition_variable work_ready_;
-  std::condition_variable all_idle_;
-  /// pending_ counts queued-but-unclaimed tasks, active_ counts tasks
-  /// being executed. A claim increments active_ BEFORE decrementing
-  /// pending_, so (pending_ == 0 && active_ == 0) is never observed
-  /// while a task exists.
-  std::atomic<int> pending_{0};
-  std::atomic<int> active_{0};
-  std::atomic<uint64_t> steals_{0};
-  std::atomic<size_t> next_queue_{0};
-  bool shutdown_ = false;  ///< Guarded by mu_.
 };
 
-/// Runs fn(i) for every i in [0, n) on up to `jobs` workers. Each index
-/// becomes one pool task, pre-distributed round-robin across the worker
-/// deques; uneven cell durations balance themselves through stealing.
-/// jobs <= 1 (or n <= 1) runs inline on the calling thread —
+/// Runs fn(i) for every i in [0, n) on min(jobs, n) threads. Each thread
+/// claims the next unclaimed index from one shared atomic counter, so
+/// indices start in ascending order and a slow index never holds back
+/// the others. jobs <= 1 (or n <= 1) runs inline on the calling thread —
 /// byte-identical behavior to a plain loop, no threads spawned. `fn`
 /// must be safe to invoke concurrently for distinct indices.
 void ParallelFor(size_t n, int jobs, const std::function<void(size_t)>& fn);

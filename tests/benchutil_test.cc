@@ -10,7 +10,6 @@
 #include "green/bench_util/table_printer.h"
 #include "green/common/cancel.h"
 #include "green/common/fault.h"
-#include "green/common/retry.h"
 
 namespace green {
 namespace {
@@ -264,7 +263,7 @@ TEST_F(FaultyRunnerTest, AlwaysFiringFaultFailsEveryCellAfterRetries) {
   ExperimentConfig config = SmallConfig();
   config.dataset_limit = 1;
   config.faults = "run.fit@1.0";
-  config.retry.max_attempts = 2;
+  config.max_attempts = 2;
   ExperimentRunner runner(config);
   auto records = runner.Sweep({"caml"}, {10.0, 30.0});
   ASSERT_TRUE(records.ok());
@@ -284,7 +283,7 @@ TEST_F(FaultyRunnerTest, ExactlyKCellsFailWithCorrectTaxonomy) {
   // Two single-shot faults with different kinds; retries disabled so
   // the taxonomy is visible in the records.
   config.faults = "run.fit#2,run.fit#4=timeout";
-  config.retry.max_attempts = 1;
+  config.max_attempts = 1;
   ExperimentRunner runner(config);
   auto records = runner.Sweep({"caml"}, {10.0, 30.0});
   ASSERT_TRUE(records.ok());
@@ -362,7 +361,7 @@ TEST_F(FaultyRunnerTest, RetryRecoversSingleShotFault) {
   ExperimentConfig config = SmallConfig();
   config.dataset_limit = 2;
   config.faults = "run.fit#2";  // Transient: fires once, ever.
-  config.retry.max_attempts = 2;
+  config.max_attempts = 2;
   ExperimentRunner runner(config);
   auto records = runner.Sweep({"caml"}, {10.0, 30.0});
   ASSERT_TRUE(records.ok());
@@ -412,7 +411,7 @@ TEST_F(FaultyRunnerTest, MetaStoreBuildFailureRecoversOnRetry) {
   ExperimentConfig config = SmallConfig();
   config.dataset_limit = 1;
   config.faults = "askl.metastore.build#1";
-  config.retry.max_attempts = 2;
+  config.max_attempts = 2;
   ExperimentRunner runner(config);
   // Attempt 1 hits the injected build failure; the store must NOT be
   // poisoned — attempt 2 rebuilds and succeeds.

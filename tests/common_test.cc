@@ -413,7 +413,7 @@ Fields() {
                           l.config.shard_count);
        }},
       {&knob::kRetries,
-       [](const Loaded& l) { return Num(l.config.retry.max_attempts); }},
+       [](const Loaded& l) { return Num(l.config.max_attempts); }},
       {&knob::kCellTimeout,
        [](const Loaded& l) { return Num(l.config.cell_timeout_seconds); }},
       {&knob::kFaults, [](const Loaded& l) { return l.config.faults; }},

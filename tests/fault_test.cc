@@ -11,8 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "green/bench_util/experiment.h"
 #include "green/common/cancel.h"
-#include "green/common/retry.h"
 
 namespace green {
 namespace {

@@ -55,7 +55,7 @@ std::vector<Row> Rows() {
              {InvarianceStrategy::Jobs(4), InvarianceStrategy::Resume()}};
   faults.sweep.config.repetitions = 2;
   faults.sweep.config.faults = "run.fit@0.5";
-  faults.sweep.config.retry.max_attempts = 2;
+  faults.sweep.config.max_attempts = 2;
   faults.also = [](const InvarianceMatrix& matrix) {
     // p=0.5 over 16 cells: some must draw it.
     EXPECT_TRUE(std::any_of(matrix.reference().begin(),

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -11,150 +12,49 @@
 namespace green {
 namespace {
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&done] { done.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 1000);
+TEST(ThreadPoolTest, DefaultThreadsAtLeastOne) {
+  EXPECT_GE(ThreadPool::DefaultThreads(), 1);
 }
 
-TEST(ThreadPoolTest, ClampsThreadCountToAtLeastOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1);
-  ThreadPool negative(-3);
-  EXPECT_EQ(negative.num_threads(), 1);
-  std::atomic<int> done{0};
-  pool.Submit([&done] { done.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(done.load(), 1);
-}
-
-TEST(ThreadPoolTest, WaitWithoutTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // Must not deadlock.
-  std::atomic<int> done{0};
-  pool.Submit([&done] { done.fetch_add(1); });
-  pool.Wait();
-  pool.Wait();  // Idempotent.
-  EXPECT_EQ(done.load(), 1);
-}
-
-TEST(ThreadPoolTest, DestructorCompletesPendingTasks) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&done] {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        done.fetch_add(1);
-      });
-    }
-    // No Wait(): the destructor must drain the queue before joining.
-  }
-  EXPECT_EQ(done.load(), 64);
-}
-
-TEST(ThreadPoolTest, TasksRunConcurrently) {
-  ThreadPool pool(4);
+TEST(ParallelForTest, TasksRunConcurrently) {
   std::mutex mu;
   std::set<std::thread::id> seen;
   std::atomic<int> done{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.Submit([&] {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        seen.insert(std::this_thread::get_id());
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      done.fetch_add(1);
-    });
-  }
-  pool.Wait();
+  ParallelFor(200, 4, [&](size_t) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      seen.insert(std::this_thread::get_id());
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    done.fetch_add(1);
+  });
   EXPECT_EQ(done.load(), 200);
   // 200 x 100us of sleeping across 4 workers: more than one thread must
   // have participated.
   EXPECT_GT(seen.size(), 1u);
 }
 
-TEST(ThreadPoolTest, SubmitFromMultipleThreads) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&pool, &done] {
-      for (int i = 0; i < 100; ++i) {
-        pool.Submit([&done] { done.fetch_add(1); });
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  pool.Wait();
-  EXPECT_EQ(done.load(), 400);
-}
-
-TEST(ThreadPoolTest, DefaultThreadsAtLeastOne) {
-  EXPECT_GE(ThreadPool::DefaultThreads(), 1);
-}
-
-TEST(ThreadPoolTest, StealsRebalanceSkewedTaskCosts) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  std::atomic<bool> blocker_running{false};
-
-  // Pin one worker on a long task first, then queue short tasks. The
-  // round-robin submit path spreads them across both deques, so some
-  // land behind the blocked worker's deque — they can only complete by
-  // being stolen. The blocker releases only once every short task is
-  // done, so completion of Wait() PROVES the steals happened (and the
-  // counter confirms it).
-  pool.Submit([&] {
-    blocker_running.store(true, std::memory_order_release);
-    while (done.load(std::memory_order_acquire) < 8) {
+TEST(ParallelForTest, BlockedIndexDoesNotHoldBackOthers) {
+  // Index 0 waits until every other index has run. With indices claimed
+  // one at a time, the second thread runs all of them; a static split
+  // that queued some behind index 0 would time the wait out instead.
+  constexpr size_t kN = 16;
+  std::atomic<size_t> others_done{0};
+  bool all_others_ran = false;
+  ParallelFor(kN, 2, [&](size_t i) {
+    if (i != 0) {
+      others_done.fetch_add(1, std::memory_order_acq_rel);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (others_done.load(std::memory_order_acquire) < kN - 1 &&
+           std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
+    all_others_ran = others_done.load(std::memory_order_acquire) == kN - 1;
   });
-  while (!blocker_running.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&done] { done.fetch_add(1, std::memory_order_acq_rel); });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 8);
-  EXPECT_GT(pool.steals(), 0u);
-}
-
-TEST(ThreadPoolTest, SingleWorkerNeverSteals) {
-  ThreadPool pool(1);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&done] { done.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 100);
-  EXPECT_EQ(pool.steals(), 0u);
-}
-
-TEST(ThreadPoolTest, SubmitFromInsideWorkerCompletesBeforeWait) {
-  // A task fanning out subtasks from inside the pool (the in-worker
-  // Submit path targets the worker's own deque; idle workers steal the
-  // overflow). Wait() must cover transitively submitted work.
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  pool.Submit([&pool, &done] {
-    for (int i = 0; i < 16; ++i) {
-      pool.Submit([&pool, &done] {
-        pool.Submit([&done] { done.fetch_add(1); });
-        done.fetch_add(1);
-      });
-    }
-    done.fetch_add(1);
-  });
-  pool.Wait();
-  EXPECT_EQ(done.load(), 1 + 16 * 2);
+  EXPECT_TRUE(all_others_ran);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
