@@ -134,11 +134,6 @@ int SweepMain(const KnobValues& knobs, const ExperimentConfig& config) {
   if (!failures.empty()) std::printf("%s", failures.c_str());
   const std::string breakdown = RenderEnergyBreakdown(*records);
   if (!breakdown.empty()) std::printf("%s", breakdown.c_str());
-  if (config.transform_cache) {
-    const std::string cache_stats = RenderTransformCacheStats(
-        runner.transform_cache_stats(), config.transform_cache_mb);
-    if (!cache_stats.empty()) std::printf("%s", cache_stats.c_str());
-  }
   const std::vector<RunRecord> measured = OkOnly(*records);
   if (config.shard_count > 1) {
     std::printf("sweep complete (shard %d/%d): %zu/%zu owned cells "

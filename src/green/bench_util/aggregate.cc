@@ -177,40 +177,6 @@ std::string RenderFailureSummary(
   return out;
 }
 
-std::string RenderTransformCacheStats(const TransformCacheStats& stats,
-                                      double budget_mb) {
-  if (stats.hits + stats.misses + stats.predict_hits +
-          stats.predict_misses ==
-      0) {
-    return std::string();
-  }
-  auto rate = [](uint64_t hits, uint64_t misses) {
-    const uint64_t total = hits + misses;
-    return total == 0 ? 0.0
-                      : 100.0 * static_cast<double>(hits) /
-                            static_cast<double>(total);
-  };
-  TablePrinter table({"cache path", "hits", "misses", "hit rate"});
-  table.AddRow({"fit", StrFormat("%llu",
-                                 static_cast<unsigned long long>(stats.hits)),
-                StrFormat("%llu",
-                          static_cast<unsigned long long>(stats.misses)),
-                StrFormat("%.1f%%", rate(stats.hits, stats.misses))});
-  table.AddRow(
-      {"predict",
-       StrFormat("%llu", static_cast<unsigned long long>(stats.predict_hits)),
-       StrFormat("%llu",
-                 static_cast<unsigned long long>(stats.predict_misses)),
-       StrFormat("%.1f%%", rate(stats.predict_hits, stats.predict_misses))});
-  std::string out = table.Render();
-  out += StrFormat(
-      "transform cache  : %zu entries, %.1f MB of %.0f MB, %llu "
-      "eviction(s)\n",
-      stats.entries, static_cast<double>(stats.bytes) / (1024.0 * 1024.0),
-      budget_mb, static_cast<unsigned long long>(stats.evictions));
-  return out;
-}
-
 std::string RenderEnergyBreakdown(const std::vector<RunRecord>& records) {
   const std::vector<RunRecord> ok = OkOnly(records);
   bool any_scopes = false;

@@ -84,12 +84,6 @@ std::string RenderFailureSummary(
 /// for. Empty string when no record carries scopes.
 std::string RenderEnergyBreakdown(const std::vector<RunRecord>& records);
 
-/// One-table summary of the transform-prefix cache (hit/miss/eviction
-/// counters for the fit and predict paths plus residency against the
-/// byte budget). Empty string when the cache saw no traffic.
-std::string RenderTransformCacheStats(const TransformCacheStats& stats,
-                                      double budget_mb);
-
 /// Distinct (in insertion order) values of a record field.
 std::vector<std::string> DistinctSystems(
     const std::vector<RunRecord>& records);

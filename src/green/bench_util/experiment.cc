@@ -802,13 +802,10 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
   if (config_.transform_cache) {
     const TransformCacheStats cache = transform_cache_.Stats();
     LogInfo(StrFormat(
-        "transform cache: %llu hit(s), %llu miss(es), %llu predict hit(s), "
-        "%llu predict miss(es), %llu eviction(s), "
+        "transform cache: %llu hit(s), %llu miss(es), %llu eviction(s), "
         "%zu entries (%.1f MB of %.0f MB)",
         static_cast<unsigned long long>(cache.hits),
         static_cast<unsigned long long>(cache.misses),
-        static_cast<unsigned long long>(cache.predict_hits),
-        static_cast<unsigned long long>(cache.predict_misses),
         static_cast<unsigned long long>(cache.evictions), cache.entries,
         static_cast<double>(cache.bytes) / (1024.0 * 1024.0),
         config_.transform_cache_mb));

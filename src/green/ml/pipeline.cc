@@ -50,7 +50,6 @@ Status Pipeline::Fit(const Dataset& train, ExecutionContext* ctx) {
         ChargeTransformChain(step, train.num_rows(), ctx);
       }
       transformers_ = hit->transformers;
-      cache_entry_ = hit;
       cache_adopted_ = true;
       GREEN_RETURN_IF_ERROR(model_->Fit(hit->transformed, ctx));
       fitted_ = true;
@@ -67,13 +66,12 @@ Status Pipeline::Fit(const Dataset& train, ExecutionContext* ctx) {
     GREEN_ASSIGN_OR_RETURN(current, t->Transform(current, ctx));
   }
   if (cacheable && !ctx->charge_truncated()) {
-    cache_entry_ =
-        cache->Insert(train, chain_signature, transformers_, current);
-    if (cache_entry_ != nullptr) {
+    if (auto admitted =
+            cache->Insert(train, chain_signature, transformers_, current)) {
       // The chain is now shared with the cache (possibly a racing
       // incumbent's equivalently fitted instances): adopt it so later
       // hits and this pipeline use the same objects.
-      transformers_ = cache_entry_->transformers;
+      transformers_ = admitted->transformers;
       cache_adopted_ = true;
     }
   }
@@ -84,31 +82,10 @@ Status Pipeline::Fit(const Dataset& train, ExecutionContext* ctx) {
 
 Result<Dataset> Pipeline::RunTransforms(const Dataset& data,
                                         ExecutionContext* ctx) const {
-  if (transformers_.empty()) return data;
-
   std::vector<const Transformer*> chain;
   chain.reserve(transformers_.size());
   for (const auto& t : transformers_) chain.push_back(t.get());
-
-  // Predict-path memo: the same eval/test view flows through the same
-  // fitted chain once per scoring pass; memoize the result keyed by the
-  // adopted cache entry. A hit charges the chain exactly as computing it
-  // would (the compute path also stops metering at truncation, so no
-  // interrupt special-case is needed).
-  TransformCache* cache = ctx->transform_cache();
-  const bool memoable = cache != nullptr && cache_entry_ != nullptr;
-  if (memoable) {
-    if (auto memo = cache->LookupPredict(cache_entry_, data)) {
-      ChargeTransformChain(chain, data.num_rows(), ctx);
-      return memo->transformed;
-    }
-  }
-
-  Result<Dataset> transformed = RunTransformChain(chain, data, ctx);
-  if (transformed.ok() && memoable && !ctx->charge_truncated()) {
-    cache->InsertPredict(cache_entry_, data, *transformed);
-  }
-  return transformed;
+  return RunTransformChain(chain, data, ctx);
 }
 
 Result<ProbaMatrix> Pipeline::PredictProba(const Dataset& data,

@@ -9,8 +9,6 @@
 
 namespace green {
 
-struct TransformCacheEntry;
-
 /// A preprocessing chain followed by a classifier — the unit every AutoML
 /// system in the paper searches over ("ML pipeline").
 class Pipeline {
@@ -32,11 +30,13 @@ class Pipeline {
   /// chain config signature). On a hit the host-side refit is skipped and
   /// each step re-issues its fit and transform charges under its own
   /// scope, so every simulated quantity (clock, meter, scope tree, trace)
-  /// is bit-identical either way. A
-  /// pipeline that adopted cached transformers cannot be refitted — build
-  /// a fresh one (every call site already does).
+  /// is bit-identical either way. A pipeline that adopted cached
+  /// transformers cannot be refitted — build a fresh one (every call site
+  /// already does).
   Status Fit(const Dataset& train, ExecutionContext* ctx);
 
+  /// Both run the fitted chain over `data`, then the model; the transform
+  /// cache takes no part in prediction.
   Result<ProbaMatrix> PredictProba(const Dataset& data,
                                    ExecutionContext* ctx) const;
   Result<std::vector<int>> Predict(const Dataset& data,
@@ -67,9 +67,6 @@ class Pipeline {
   /// transform cache; unique until the first cache interaction.
   std::vector<std::shared_ptr<Transformer>> transformers_;
   std::unique_ptr<Estimator> model_;
-  /// The cache entry this pipeline's chain lives in (hit or donated miss);
-  /// enables the predict-path transform memo. Null when uncached.
-  std::shared_ptr<const TransformCacheEntry> cache_entry_;
   bool fitted_ = false;
   bool cache_adopted_ = false;
   size_t fitted_input_width_ = 0;

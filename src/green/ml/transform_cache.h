@@ -30,15 +30,13 @@ struct TransformCacheEntry {
   std::vector<std::shared_ptr<Transformer>> transformers;
   Dataset transformed;
   size_t bytes = 0;
-  /// For predict-path memos only: the fitted-chain entry this memo was
-  /// computed through. Pins the chain so its address stays unique for the
-  /// pointer-identity part of the memo key. Null for fit entries.
-  std::shared_ptr<const TransformCacheEntry> parent;
 };
 
 struct TransformCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
+  /// Always 0: the cache memoizes fitted chains only. Kept because the
+  /// benchmark driver (perfbench/perf_bench.cc) still reads them.
   uint64_t predict_hits = 0;
   uint64_t predict_misses = 0;
   uint64_t insertions = 0;
@@ -53,7 +51,9 @@ struct TransformCacheStats {
 /// caller re-issues the charges the fitted chain would have issued, through
 /// the same ChargeScopes, so every simulated quantity (clock, meter, trace)
 /// is bit-identical to recomputing. Failed or interrupted fits are never
-/// inserted (same rule the ASKL meta-store follows).
+/// inserted (same rule the ASKL meta-store follows). Predict-path
+/// transforms are recomputed every time: memoizing them cost more memory
+/// than the host time it saved.
 class TransformCache {
  public:
   explicit TransformCache(size_t max_bytes) : max_bytes_(max_bytes) {}
@@ -77,19 +77,6 @@ class TransformCache {
       std::vector<std::shared_ptr<Transformer>> transformers,
       Dataset transformed);
 
-  /// Predict-path memo: the result of pushing `input` through the fitted
-  /// chain `chain`. Memos are ordinary LRU entries (same byte budget and
-  /// eviction), keyed by (chain identity, input storage and schema
-  /// identity, exact row view). Returns null on miss.
-  std::shared_ptr<const TransformCacheEntry> LookupPredict(
-      const std::shared_ptr<const TransformCacheEntry>& chain,
-      const Dataset& input);
-
-  /// Memoizes a completed (non-truncated) predict-path transform.
-  void InsertPredict(
-      const std::shared_ptr<const TransformCacheEntry>& chain,
-      const Dataset& input, Dataset transformed);
-
   TransformCacheStats Stats() const;
   size_t max_bytes() const { return max_bytes_; }
 
@@ -100,17 +87,9 @@ class TransformCache {
 
   static std::string MapKey(const Dataset& input,
                             const std::string& chain_signature);
-  static std::string PredictKey(const TransformCacheEntry* chain,
-                                const Dataset& input);
   static bool SameView(const Dataset& a, const Dataset& b);
   static size_t EstimateBytes(const TransformCacheEntry& entry,
                               const std::string& chain_signature);
-
-  /// Admits `entry` under `key`, evicting from the LRU tail as needed.
-  /// Returns the entry now stored under the key (incumbent on a race) or
-  /// null if the entry exceeds the whole budget. Requires mutex_ held.
-  std::shared_ptr<const TransformCacheEntry> AdmitLocked(
-      std::string key, std::shared_ptr<const TransformCacheEntry> entry);
 
   const size_t max_bytes_;
   mutable std::mutex mutex_;
@@ -119,8 +98,6 @@ class TransformCache {
   size_t bytes_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  uint64_t predict_hits_ = 0;
-  uint64_t predict_misses_ = 0;
   uint64_t insertions_ = 0;
   uint64_t evictions_ = 0;
 };

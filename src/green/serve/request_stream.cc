@@ -103,7 +103,8 @@ Result<std::vector<ServeRequest>> LoadTraceCsv(const std::string& path,
     char* end = nullptr;
     errno = 0;
     const double arrival = std::strtod(begin, &end);
-    if (end == begin || errno == ERANGE || !(arrival >= 0.0)) {
+    if (end == begin || errno == ERANGE || !std::isfinite(arrival) ||
+        arrival < 0.0) {
       return Status::InvalidArgument(
           StrFormat("trace: bad arrival time at %s:%zu", path.c_str(),
                     line_number));

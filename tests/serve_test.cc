@@ -152,7 +152,8 @@ TEST_F(ServeTest, TraceCsvParsesCommentsRowsAndSorts) {
 
 TEST_F(ServeTest, TraceCsvRejectsMalformedLines) {
   const std::string path = ::testing::TempDir() + "/bad_trace.csv";
-  for (const char* body : {"abc\n", "-1.0\n", "0.5,3,junk\n", "0.5,-2\n"}) {
+  for (const char* body : {"abc\n", "-1.0\n", "0.5,3,junk\n", "0.5,-2\n",
+                           "inf\n", "infinity,1\n"}) {
     std::ofstream(path) << body;
     EXPECT_FALSE(LoadTraceCsv(path, 10).ok()) << body;
   }

@@ -1,8 +1,8 @@
 // Tests for zero-copy dataset views and the transform cache: CoW
 // semantics, pipeline-level cache hits that re-issue the fitted chain's
-// charges bit-identically, LRU byte bounding, truncation safety and config
-// signatures. Sweep identity with the cache on vs off is a row of
-// invariance_test.
+// charges bit-identically, prediction leaving the cache alone, LRU byte
+// bounding, truncation safety and config signatures. Sweep identity with
+// the cache on vs off is a row of invariance_test.
 
 #include <gtest/gtest.h>
 
@@ -150,7 +150,6 @@ TEST(TransformCachePipelineTest, HitIsBitIdenticalAndSkipsRefit) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_GE(stats.insertions, 1u);
-  EXPECT_EQ(stats.predict_hits, 1u);
 
   EXPECT_EQ(std::get<0>(cold), std::get<0>(warm));
   EXPECT_EQ(std::get<0>(cold), std::get<0>(uncached));
@@ -186,6 +185,32 @@ TEST(TransformCachePipelineTest, AdoptedPipelineRefusesRefit) {
   // The chain was donated to the cache on the miss: the pipeline now
   // shares transformer instances with it and must refuse a refit.
   EXPECT_EQ(p.Fit(train, &ctx).code(), Status::Code::kFailedPrecondition);
+}
+
+TEST(TransformCachePipelineTest, RepeatedPredictsLeaveCacheUnchanged) {
+  const Dataset base = TestData(120, 6, 2);
+  const Dataset train = base.Subset({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+  const Dataset test = base.Subset({30, 31, 32, 33, 34, 35});
+  EnergyModel model(MachineModel::Minimal());
+  TransformCache cache(16 * 1024 * 1024);
+  VirtualClock clock;
+  ExecutionContext ctx(&clock, &model, 1);
+  ctx.SetTransformCache(&cache);
+
+  Pipeline p = MakePipeline();
+  ASSERT_TRUE(p.Fit(train, &ctx).ok());  // Donates its chain: adopted.
+  const TransformCacheStats fitted = cache.Stats();
+  ASSERT_EQ(fitted.entries, 1u);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(p.Predict(test, &ctx).ok());
+    ASSERT_TRUE(p.PredictProba(test, &ctx).ok());
+  }
+  // Prediction neither reads nor grows the cache.
+  const TransformCacheStats after = cache.Stats();
+  EXPECT_EQ(after.entries, fitted.entries);
+  EXPECT_EQ(after.bytes, fitted.bytes);
+  EXPECT_EQ(after.hits, fitted.hits);
+  EXPECT_EQ(after.misses, fitted.misses);
 }
 
 TEST(TransformCachePipelineTest, TruncatedFitIsNeverMemoized) {
@@ -235,6 +260,27 @@ TEST(TransformCacheTest, OversizedEntryIsNeverAdmitted) {
   EXPECT_EQ(stats.insertions, 0u);
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.evictions, 1u);
+}
+
+TEST(TransformCacheTest, RegressionEntryCountsItsTargets) {
+  // Same matrix twice: once with class labels, once with targets. Both
+  // the pinned input and the transformed table of a regression entry
+  // carry one double per row beside the all-zero labels.
+  constexpr size_t kRows = 400;
+  Dataset classes("cls", 3, 2);
+  Dataset targets = Dataset::Regression("reg", 3);
+  for (size_t r = 0; r < kRows; ++r) {
+    const double x = static_cast<double>(r);
+    const std::vector<double> row = {x, 0.5 * x, 1.0};
+    ASSERT_TRUE(classes.AppendRow(row, static_cast<int>(r % 2)).ok());
+    ASSERT_TRUE(targets.AppendTargetRow(row, 0.25 * x).ok());
+  }
+  TransformCache cls_cache(16 * 1024 * 1024);
+  TransformCache reg_cache(16 * 1024 * 1024);
+  ASSERT_NE(cls_cache.Insert(classes, "chain", {}, classes), nullptr);
+  ASSERT_NE(reg_cache.Insert(targets, "chain", {}, targets), nullptr);
+  EXPECT_GE(reg_cache.Stats().bytes,
+            cls_cache.Stats().bytes + 2 * kRows * sizeof(double));
 }
 
 TEST(TransformCacheTest, LookupIsExactOnViewNotJustFingerprint) {
