@@ -27,7 +27,6 @@
 #include "green/common/stringutil.h"
 #include "green/data/meta_corpus.h"
 #include "green/energy/co2.h"
-#include "green/energy/stage_ledger.h"
 #include "green/metaopt/automl_tuner.h"
 #include "green/metaopt/tuned_config_store.h"
 #include "green/ml/metrics.h"
@@ -465,8 +464,7 @@ Status Fig7(const ExhibitInput& in) {
   };
   const double saving_per_run =
       mean_exec("autogluon", 30.0) - mean_exec("caml_tuned", 30.0);
-  const double runs =
-      StageLedger::AmortizationRuns(development_kwh, saving_per_run);
+  const double runs = AmortizationRuns(development_kwh, saving_per_run);
   std::printf(
       "\nAmortization: tuning cost %.3f kWh; vs autogluon@30s saving "
       "%.5f kWh/run -> pays off after ~%.0f executions (paper: ~885; "

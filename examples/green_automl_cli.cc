@@ -21,7 +21,6 @@
 #include "green/common/stringutil.h"
 #include "green/data/synthetic.h"
 #include "green/energy/co2.h"
-#include "green/energy/stage_ledger.h"
 #include "green/serve/inference_server.h"
 #include "green/serve/request_stream.h"
 #include "green/table/csv.h"
@@ -51,7 +50,7 @@ const Knob kTask{.flag = "--task", .type = kEnum,
 constexpr Knob kCores{.flag = "--cores", .type = kInt, .min = 1,
     .max = 1024, .help = "Simulated CPU cores"};
 constexpr Knob kJson{.flag = "--json", .choices = "PATH",
-    .help = "Append the run's records as JSON lines"};
+    .help = "Append the run's record as a JSON line; --sweep overwrites PATH"};
 constexpr Knob kSweep{.flag = "--sweep", .choices = "SYS1,SYS2,...",
     .help = "Fault-tolerant sweep of these systems over the AMLB subset"};
 constexpr Knob kBudgets{.flag = "--budgets", .choices = "B1,B2,...",
@@ -248,9 +247,6 @@ int ServeMain(const std::string& system_name, double budget,
     return 1;
   }
 
-  StageLedger ledger;
-  ledger.Add(system_name, Stage::kServing, report->reading);
-
   std::printf("\nserving           : %s artifact, %zu-tier ladder (",
               system_name.c_str(), server.ladder().size());
   for (size_t t = 0; t < server.ladder().size(); ++t) {
@@ -284,21 +280,22 @@ int ServeMain(const std::string& system_name, double budget,
   std::printf("energy            : %.4g J dynamic total, %.4g J per "
               "request, %.3e kWh serving stage\n",
               report->total_joules, report->JoulesPerRequest(),
-              ledger.Get(system_name, Stage::kServing).kwh());
+              report->reading.kwh());
 
   if (config.collect_scopes) {
     TablePrinter table({"scope", "joules", "share", "charges"});
-    const ScopeCharge total =
-        ledger.Rollup(system_name, StageName(Stage::kServing));
-    for (const ScopeRow& row : ledger.ScopeRows(system_name)) {
+    double total_joules = 0.0;
+    for (const auto& [path, charge] : report->reading.scopes) {
+      total_joules += charge.joules;
+    }
+    for (const auto& [path, charge] : report->reading.scopes) {
       table.AddRow(
-          {row.path, StrFormat("%.6g", row.charge.joules),
-           StrFormat("%.1f%%", total.joules > 0.0
-                                   ? 100.0 * row.charge.joules /
-                                         total.joules
+          {"serving/" + path, StrFormat("%.6g", charge.joules),
+           StrFormat("%.1f%%", total_joules > 0.0
+                                   ? 100.0 * charge.joules / total_joules
                                    : 0.0),
-           StrFormat("%llu", static_cast<unsigned long long>(
-                                 row.charge.charges))});
+           StrFormat("%llu",
+                     static_cast<unsigned long long>(charge.charges))});
     }
     std::printf("\n%s", table.Render().c_str());
   }
@@ -483,19 +480,13 @@ int Main(int argc, char** argv) {
               yearly.kwh, yearly.kg_co2, yearly.eur);
 
   if (std::optional<std::string> json_path = knobs.Get<std::string>(kJson)) {
-    auto existing = ReadRecordsJsonl(*json_path);
-    std::vector<RunRecord> all =
-        existing.ok() ? std::move(existing).value()
-                      : std::vector<RunRecord>{};
-    all.push_back(*record);
-    Status st = WriteRecordsJsonl(all, *json_path);
+    Status st = AppendRecordJsonl(*record, *json_path);
     if (!st.ok()) {
       std::fprintf(stderr, "json export failed: %s\n",
                    st.ToString().c_str());
       return 1;
     }
-    std::printf("record appended   : %s (%zu total)\n", json_path->c_str(),
-                all.size());
+    std::printf("record appended   : %s\n", json_path->c_str());
   }
   return 0;
 }

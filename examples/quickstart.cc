@@ -8,14 +8,13 @@
 //   2. set up the simulated machine, virtual clock, and execution context;
 //   3. run an AutoML system under a search budget;
 //   4. meter inference separately;
-//   5. convert energy into CO2 / EUR and print the per-stage ledger.
+//   5. print each stage's energy and convert the total into CO2 / EUR.
 
 #include <cstdio>
 
 #include "green/automl/caml_system.h"
 #include "green/data/synthetic.h"
 #include "green/energy/co2.h"
-#include "green/energy/stage_ledger.h"
 #include "green/ml/metrics.h"
 #include "green/table/split.h"
 
@@ -72,10 +71,6 @@ int main() {
   if (!predictions.ok()) return 1;
 
   // 5. Report.
-  StageLedger ledger;
-  ledger.Add(automl.Name(), Stage::kExecution, run->execution);
-  ledger.Add(automl.Name(), Stage::kInference, inference);
-
   const double accuracy =
       BalancedAccuracy(data.test.labels(), predictions.value(),
                        data.test.num_classes());
@@ -90,7 +85,8 @@ int main() {
               inference.kwh() / static_cast<double>(data.test.num_rows()));
 
   const ImpactEstimate impact = EstimateImpact(
-      ledger.TotalKwh(automl.Name()), EmissionFactors::Germany2023());
+      run->execution.kwh() + inference.kwh(),
+      EmissionFactors::Germany2023());
   std::printf("total footprint : %.3e kWh = %.3e kg CO2 = %.3e EUR\n",
               impact.kwh, impact.kg_co2, impact.eur);
   return 0;

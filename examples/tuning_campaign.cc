@@ -9,7 +9,7 @@
 
 #include "green/automl/caml_system.h"
 #include "green/data/meta_corpus.h"
-#include "green/energy/stage_ledger.h"
+#include "green/energy/co2.h"
 #include "green/metaopt/automl_tuner.h"
 #include "green/ml/metrics.h"
 #include "green/table/split.h"
@@ -108,8 +108,7 @@ int main() {
   // 5. Amortization (the paper's 885-run criterion).
   const double saving =
       (default_kwh - tuned_kwh) / static_cast<double>(evaluated);
-  const double runs =
-      StageLedger::AmortizationRuns(tuned->development.kwh(), saving);
+  const double runs = AmortizationRuns(tuned->development.kwh(), saving);
   if (std::isfinite(runs)) {
     std::printf(
         "\nthe tuning investment amortizes after ~%.0f executions.\n",

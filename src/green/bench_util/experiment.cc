@@ -178,7 +178,7 @@ SystemPtr DeclaredSystem(const std::string& name) {
 
 /// Copies `reading`'s scope tree onto `record` as "<stage>/<path>" rows
 /// in paper-scale units, divided by `per` instances (1 for execution).
-void AppendScopeRows(const EnergyReading& reading, const std::string& stage,
+void AppendRunScopes(const EnergyReading& reading, const std::string& stage,
                      double per, double budget_scale, RunRecord* record) {
   for (const auto& [path, charge] : reading.scopes) {
     RunScope row;
@@ -395,7 +395,7 @@ Result<RunRecord> ExperimentRunner::RunOne(const std::string& system_name,
   if (config_.collect_scopes) {
     // Scope rows carry the same paper-scale units as execution_kwh /
     // execution_seconds; FLOPs are counted work and need no rescaling.
-    AppendScopeRows(run.execution, "execution", 1.0, config_.budget_scale,
+    AppendRunScopes(run.execution, "execution", 1.0, config_.budget_scale,
                     &record);
   }
 
@@ -431,7 +431,7 @@ Result<RunRecord> ExperimentRunner::RunOne(const std::string& system_name,
   if (config_.collect_scopes && n_test > 0) {
     // Inference scopes are normalized per test instance, like the
     // headline inference_kwh_per_instance.
-    AppendScopeRows(inference, "inference", n_test, config_.budget_scale,
+    AppendRunScopes(inference, "inference", n_test, config_.budget_scale,
                     &record);
   }
   if (regression) {

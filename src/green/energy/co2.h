@@ -24,6 +24,12 @@ struct ImpactEstimate {
 
 ImpactEstimate EstimateImpact(double kwh, const EmissionFactors& factors);
 
+/// Amortization: number of executions after which investing
+/// `development_kwh` up-front pays off against a baseline whose
+/// per-execution energy is higher by `per_run_saving_kwh`.
+/// Returns +infinity if the saving is non-positive.
+double AmortizationRuns(double development_kwh, double per_run_saving_kwh);
+
 }  // namespace green
 
 #endif  // GREEN_ENERGY_CO2_H_

@@ -23,15 +23,6 @@ struct ScopeCharge {
   uint64_t charges = 0;  ///< Number of Charge calls attributed here.
 
   double kwh() const { return joules / 3.6e6; }
-
-  ScopeCharge& operator+=(const ScopeCharge& o) {
-    seconds += o.seconds;
-    joules += o.joules;
-    flops += o.flops;
-    bytes += o.bytes;
-    charges += o.charges;
-    return *this;
-  }
 };
 
 /// Scope path used for charges issued with no ChargeScope open.
@@ -50,13 +41,6 @@ struct EnergyReading {
 
   double kwh() const { return breakdown.TotalKwh(); }
   double joules() const { return breakdown.TotalJoules(); }
-
-  EnergyReading& operator+=(const EnergyReading& o) {
-    seconds += o.seconds;
-    breakdown += o.breakdown;
-    for (const auto& [path, charge] : o.scopes) scopes[path] += charge;
-    return *this;
-  }
 };
 
 /// CodeCarbon-style scoped tracker.
@@ -85,9 +69,6 @@ class EnergyMeter {
   /// `scope_path` (empty = kUnscopedPath).
   void Record(const Work& work, const WorkExecution& exec,
               std::string_view scope_path);
-  void Record(const Work& work, const WorkExecution& exec) {
-    Record(work, exec, std::string_view());
-  }
 
   /// Ends the scope, charging baseline power for the elapsed wall time.
   EnergyReading Stop(double clock_now);

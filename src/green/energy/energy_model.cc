@@ -4,15 +4,6 @@
 
 namespace green {
 
-EnergyBreakdown& EnergyBreakdown::operator+=(const EnergyBreakdown& o) {
-  cpu_dynamic_j += o.cpu_dynamic_j;
-  cpu_static_j += o.cpu_static_j;
-  dram_j += o.dram_j;
-  gpu_dynamic_j += o.gpu_dynamic_j;
-  gpu_idle_j += o.gpu_idle_j;
-  return *this;
-}
-
 WorkExecution EnergyModel::Execute(const Work& work, int cores) const {
   WorkExecution out;
   if (work.flops <= 0.0 && work.bytes <= 0.0) return out;
@@ -21,8 +12,6 @@ WorkExecution EnergyModel::Execute(const Work& work, int cores) const {
     const double seconds = work.flops / machine_.gpu_flops;
     out.seconds = seconds;
     out.gpu_busy_seconds = seconds;
-    out.dynamic_joules = machine_.gpu_active_watts * seconds +
-                         machine_.dram_joules_per_byte * work.bytes;
     return out;
   }
 
@@ -46,9 +35,6 @@ WorkExecution EnergyModel::Execute(const Work& work, int cores) const {
   // workloads still save wall time and amortize static power.
   out.busy_core_seconds =
       serial_seconds + parallel_seconds * static_cast<double>(c);
-  out.dynamic_joules =
-      machine_.cpu_active_watts_per_core * out.busy_core_seconds +
-      machine_.dram_joules_per_byte * work.bytes;
   return out;
 }
 

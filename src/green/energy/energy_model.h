@@ -15,12 +15,13 @@ struct Work {
   double parallel_fraction = 0.9;
 };
 
-/// Outcome of executing one Work item on a machine.
+/// Outcome of executing one Work item on a machine: time and busy time
+/// only. EnergyMeter::Record prices it in Joules from the same machine's
+/// watts; no other code turns work into energy.
 struct WorkExecution {
   double seconds = 0.0;            ///< Virtual wall time consumed.
   double busy_core_seconds = 0.0;  ///< CPU core-seconds actually busy.
   double gpu_busy_seconds = 0.0;   ///< GPU busy time.
-  double dynamic_joules = 0.0;     ///< Energy excluding static/idle draw.
 };
 
 /// Breakdown of energy attributed to a metered scope (Joules).
@@ -36,14 +37,13 @@ struct EnergyBreakdown {
            gpu_idle_j;
   }
   double TotalKwh() const { return TotalJoules() / 3.6e6; }
-
-  EnergyBreakdown& operator+=(const EnergyBreakdown& o);
 };
 
 /// Pure-function energy model: Work x MachineModel x core count ->
-/// duration + dynamic energy. Static/idle power is charged per elapsed
-/// wall time by the EnergyMeter, so that a present-but-unused accelerator
-/// still costs energy (the paper's Table 3 AutoGluon-on-GPU effect).
+/// duration + busy core/GPU seconds. The EnergyMeter prices those as
+/// dynamic energy and charges static/idle power per elapsed wall time,
+/// so that a present-but-unused accelerator still costs energy (the
+/// paper's Table 3 AutoGluon-on-GPU effect).
 class EnergyModel {
  public:
   explicit EnergyModel(const MachineModel& machine) : machine_(machine) {}

@@ -8,7 +8,6 @@
 #include "green/ml/models/adaboost.h"
 #include "green/ml/models/attention_few_shot.h"
 #include "green/ml/models/decision_tree.h"
-#include "green/ml/models/extra_trees.h"
 #include "green/ml/models/gradient_boosting.h"
 #include "green/ml/models/knn.h"
 #include "green/ml/models/logistic_regression.h"
@@ -48,9 +47,9 @@ double LogN(double n) { return std::log2(std::max(2.0, n)); }
 /// Forest training work. `kScale` is the share of an exhaustive split
 /// search each split costs (extra trees draw random thresholds); a
 /// max_features_fraction that is absent or 0 means sqrt(d)/d.
-template <typename ForestParams, double kScale>
+template <double kScale>
 double ForestTrainCost(const Params& p, double n, double d, double) {
-  constexpr ForestParams kDefault;
+  constexpr RandomForestParams kDefault;
   const double sqrt_frac = std::sqrt(d) / std::max(1.0, d);
   const double frac =
       Get(p, "max_features_fraction", kDefault.max_features_fraction);
@@ -59,9 +58,8 @@ double ForestTrainCost(const Params& p, double n, double d, double) {
          Get(p, "max_depth", kDefault.max_depth) * kScale;
 }
 
-template <typename ForestParams>
 double ForestPredictCost(const Params& p, double, double, double k) {
-  constexpr ForestParams kDefault;
+  constexpr RandomForestParams kDefault;
   return Get(p, "num_trees", kDefault.num_trees) *
          (2.0 * Get(p, "max_depth", kDefault.max_depth) + k);
 }
@@ -112,19 +110,18 @@ constexpr ModelFamily kFamilies[] = {
        rf.seed = seed;
        return std::make_unique<RandomForest>(rf);
      },
-     ForestTrainCost<RandomForestParams, 1.0>,
-     ForestPredictCost<RandomForestParams>},
+     ForestTrainCost<1.0>, ForestPredictCost},
     {"extra_trees", true, [](const Params& p, uint64_t seed) -> Built {
-       ExtraTreesParams et;
+       RandomForestParams et;
+       et.random_thresholds = true;
        Read(p, "num_trees", &et.num_trees);
        Read(p, "max_depth", &et.max_depth);
        Read(p, "min_samples_leaf", &et.min_samples_leaf);
        Read(p, "max_features_fraction", &et.max_features_fraction);
        et.seed = seed;
-       return std::make_unique<ExtraTrees>(et);
+       return std::make_unique<RandomForest>(et);
      },
-     ForestTrainCost<ExtraTreesParams, 0.25>,
-     ForestPredictCost<ExtraTreesParams>},
+     ForestTrainCost<0.25>, ForestPredictCost},
     {"gradient_boosting", true, [](const Params& p, uint64_t seed) -> Built {
        GradientBoostingParams gb;
        Read(p, "num_rounds", &gb.num_rounds);

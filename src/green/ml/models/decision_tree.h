@@ -58,7 +58,7 @@ class DecisionTree : public Estimator {
   double mean_leaf_depth_ = 0.0;
 };
 
-/// Bagged-ensemble predict shared by RandomForest and ExtraTrees: the
+/// Bagged-ensemble predict of RandomForest (and its extra-trees mode): the
 /// mean of the trees' leaf distributions (k wide), streamed through one
 /// flat rows x k accumulator. Charges each tree's walk plus rows * k adds
 /// per tree.

@@ -13,13 +13,20 @@ namespace green {
 /// charged work carries a high parallel fraction — this is the property
 /// that makes forest-heavy systems (AutoGluon) profit from multi-core
 /// execution in the paper's Fig. 5.
+///
+/// With `random_thresholds` it is an extremely randomized forest
+/// ("extra_trees"): no bootstrap, every tree sees all rows in order, and
+/// split thresholds are drawn at random. Cheaper to train (no per-split
+/// exact search) at slightly higher bias — a useful point on the
+/// cost/quality spectrum the AutoML systems search over.
 struct RandomForestParams {
   int num_trees = 32;
   int max_depth = 10;
   int min_samples_leaf = 2;
   double max_features_fraction = 0.0;  ///< 0 = sqrt(d)/d heuristic.
-  double bootstrap_fraction = 1.0;
+  double bootstrap_fraction = 1.0;     ///< Ignored by extra trees.
   uint64_t seed = 1;
+  bool random_thresholds = false;
 };
 
 class RandomForest : public Estimator {
@@ -30,7 +37,9 @@ class RandomForest : public Estimator {
   Status Fit(const Dataset& train, ExecutionContext* ctx) override;
   Result<ProbaMatrix> PredictProba(const Dataset& data,
                                    ExecutionContext* ctx) const override;
-  std::string Name() const override { return "random_forest"; }
+  std::string Name() const override {
+    return params_.random_thresholds ? "extra_trees" : "random_forest";
+  }
   double InferenceFlopsPerRow(size_t num_features) const override;
   double ComplexityProxy() const override;
 

@@ -19,7 +19,7 @@ struct ArtifactTier {
   std::string name;
   FittedArtifact artifact;             ///< Empty for the constant tier.
   std::vector<double> constant_proba;  ///< Class priors; constant tier only.
-  /// Probed per-row inference cost, measured off-ledger on a scratch
+  /// Probed per-row inference cost, measured on a scratch meter and
   /// context at build time. The serving layer uses these to preselect the
   /// best tier that satisfies a per-request energy SLO.
   double est_seconds_per_row = 0.0;
@@ -43,7 +43,7 @@ class ArtifactLadder {
  public:
   /// Builds the ladder and probes each tier's per-row cost by predicting
   /// on up to `probe_rows` rows of `train` with a scratch clock + meter
-  /// (nothing lands on any caller-visible ledger). The single tier is
+  /// (nothing lands on any caller-visible meter). The single tier is
   /// dropped when the artifact already is one pipeline.
   static Result<ArtifactLadder> Build(const FittedArtifact& artifact,
                                       const Dataset& train,

@@ -41,8 +41,8 @@ struct RequestResult {
 };
 
 /// Everything one Replay produced: per-request results, tallies, and the
-/// meter reading (callers file it into a StageLedger under
-/// Stage::kServing, which lands the serve/... scope subtree at
+/// meter reading. The reading is the serving stage's energy account: its
+/// scopes are the serve/... subtree (the CLI prints them as
 /// serving/serve/...).
 struct ServeReport {
   std::vector<RequestResult> results;  ///< Indexed by request.

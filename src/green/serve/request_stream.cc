@@ -132,6 +132,9 @@ Result<std::vector<ServeRequest>> LoadTraceCsv(const std::string& path,
     }
     out.push_back(request);
   }
+  // A path that opens but cannot be read (a directory) ends the loop
+  // with badbit set, not at end of file.
+  if (in.bad()) return Status::IoError("trace: read failed: " + path);
   std::stable_sort(out.begin(), out.end(),
                    [](const ServeRequest& a, const ServeRequest& b) {
                      return a.arrival_seconds < b.arrival_seconds;

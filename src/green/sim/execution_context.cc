@@ -56,7 +56,6 @@ double ExecutionContext::Charge(const Work& work) {
   partial_exec.seconds *= fraction;
   partial_exec.busy_core_seconds *= fraction;
   partial_exec.gpu_busy_seconds *= fraction;
-  partial_exec.dynamic_joules *= fraction;
   if (meter_ != nullptr) meter_->Record(partial_work, partial_exec, scope_path_);
   return clock_->Now() - start;
 }

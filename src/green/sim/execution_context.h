@@ -119,7 +119,6 @@ class ExecutionContext {
   void SetMeter(EnergyMeter* meter) { meter_ = meter; }
   EnergyMeter* meter() const { return meter_; }
 
-  void SetCores(int cores) { cores_ = cores; }
   int cores() const { return cores_; }
 
   bool HasGpu() const { return model_->machine().has_gpu; }

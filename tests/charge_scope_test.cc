@@ -1,7 +1,7 @@
 // Tests for the scoped charge tree: ChargeScope paths, sliced charges
 // (bit-identity and truncation), mid-fit cancellation, per-scope energy
-// conservation, the StageLedger scope rollups, GREEN_TRACE, the ASKL
-// meta-store cache, journal compaction, and the RunRecord scope surface.
+// conservation, GREEN_TRACE, the ASKL meta-store cache, journal
+// compaction, and the RunRecord scope surface.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "green/bench_util/record_io.h"
 #include "green/common/cancel.h"
 #include "green/data/synthetic.h"
-#include "green/energy/stage_ledger.h"
 #include "green/ml/models/random_forest.h"
 #include "green/sim/charge_trace.h"
 #include "green/sim/execution_context.h"
@@ -399,51 +398,6 @@ TEST_F(ChargeScopeTest, DirectFitScopesConserveAndNestUnderSystemName) {
   EXPECT_TRUE(has_operator_path);
   const double dynamic = DynamicJoules(reading.breakdown);
   EXPECT_NEAR(SumScopeJoules(reading), dynamic, 1e-9 * dynamic);
-}
-
-// --- StageLedger scope tree ------------------------------------------
-
-TEST_F(ChargeScopeTest, LedgerScopeRowsRollupAndAttribution) {
-  EnergyMeter meter(&energy_model_);
-  meter.Start(clock_.Now());
-  ctx_.SetMeter(&meter);
-  {
-    ChargeScope sys(&ctx_, "caml");
-    {
-      ChargeScope search(&ctx_, "search");
-      ctx_.ChargeCpu(1e6, 0.0);
-    }
-    {
-      ChargeScope search_like(&ctx_, "searchmore");
-      ctx_.ChargeCpu(1e6, 0.0);
-    }
-  }
-  EnergyReading reading = meter.Stop(clock_.Now());
-
-  StageLedger ledger;
-  ledger.Add("caml", Stage::kExecution, reading);
-
-  const std::vector<ScopeRow> rows = ledger.ScopeRows("caml");
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].path, "execution/caml/search");
-  EXPECT_EQ(rows[1].path, "execution/caml/searchmore");
-
-  // Rollup respects the '/' boundary: "search" must not match
-  // "searchmore".
-  const ScopeCharge search_only =
-      ledger.Rollup("caml", "execution/caml/search");
-  EXPECT_EQ(search_only.charges, 1u);
-  const ScopeCharge subtree = ledger.Rollup("caml", "execution/caml");
-  EXPECT_EQ(subtree.charges, 2u);
-
-  // Attribution + flat totals: attributed kWh is the dynamic part; the
-  // flat Get() keeps the full reading (baseline included).
-  const double attributed = ledger.Rollup("caml", "execution").kwh();
-  EXPECT_NEAR(attributed * 3.6e6, DynamicJoules(reading.breakdown),
-              1e-9 * DynamicJoules(reading.breakdown));
-  EXPECT_DOUBLE_EQ(ledger.Get("caml", Stage::kExecution).kwh(),
-                   reading.kwh());
-  EXPECT_GE(ledger.TotalKwh("caml"), attributed);
 }
 
 // --- GREEN_TRACE ------------------------------------------------------

@@ -6,7 +6,6 @@
 #include "green/energy/energy_meter.h"
 #include "green/energy/energy_model.h"
 #include "green/energy/machine_model.h"
-#include "green/energy/stage_ledger.h"
 
 namespace green {
 namespace {
@@ -47,11 +46,20 @@ Work CpuWork(double flops, double pf = 0.9) {
   return w;
 }
 
+/// Dynamic Joules of `work` on `cores`, priced by a meter (the model only
+/// times work; the meter is what turns it into energy).
+double DynamicJoules(const EnergyModel& model, const Work& work, int cores) {
+  EnergyMeter meter(&model);
+  meter.Start(0.0);
+  meter.Record(work, model.Execute(work, cores), "work");
+  return meter.dynamic_joules();
+}
+
 TEST(EnergyModelTest, ZeroWorkIsFree) {
   EnergyModel model(MachineModel::Minimal());
   const WorkExecution exec = model.Execute(Work{}, 1);
   EXPECT_EQ(exec.seconds, 0.0);
-  EXPECT_EQ(exec.dynamic_joules, 0.0);
+  EXPECT_EQ(DynamicJoules(model, Work{}, 1), 0.0);
 }
 
 TEST(EnergyModelTest, DurationMatchesThroughputSingleCore) {
@@ -87,7 +95,7 @@ TEST(EnergyModelTest, DynamicEnergyMonotoneInWork) {
   EnergyModel model(MachineModel::Minimal());
   double prev = 0.0;
   for (double flops = 1e5; flops <= 1e7; flops *= 2) {
-    const double j = model.Execute(CpuWork(flops), 1).dynamic_joules;
+    const double j = DynamicJoules(model, CpuWork(flops), 1);
     EXPECT_GT(j, prev);
     prev = j;
   }
@@ -118,24 +126,22 @@ TEST(EnergyModelTest, DramEnergyCharged) {
   EnergyModel model(MachineModel::Minimal());
   Work w = CpuWork(1e6);
   w.bytes = 1e9;
-  const double with_bytes = model.Execute(w, 1).dynamic_joules;
+  const double with_bytes = DynamicJoules(model, w, 1);
   w.bytes = 0;
-  const double without = model.Execute(w, 1).dynamic_joules;
+  const double without = DynamicJoules(model, w, 1);
   EXPECT_NEAR(with_bytes - without,
               MachineModel::Minimal().dram_joules_per_byte * 1e9, 1e-9);
 }
 
 // --- EnergyBreakdown ---
 
-TEST(EnergyBreakdownTest, TotalsAndAccumulate) {
+TEST(EnergyBreakdownTest, Totals) {
   EnergyBreakdown a;
   a.cpu_dynamic_j = 1.0;
   a.cpu_static_j = 2.0;
   a.dram_j = 3.0;
-  EnergyBreakdown b;
-  b.gpu_dynamic_j = 4.0;
-  b.gpu_idle_j = 5.0;
-  a += b;
+  a.gpu_dynamic_j = 4.0;
+  a.gpu_idle_j = 5.0;
   EXPECT_DOUBLE_EQ(a.TotalJoules(), 15.0);
   EXPECT_DOUBLE_EQ(a.TotalKwh(), 15.0 / 3.6e6);
 }
@@ -158,7 +164,7 @@ TEST(EnergyMeterTest, DynamicAttribution) {
   EnergyMeter meter(&model);
   meter.Start(0.0);
   Work w = CpuWork(1e6);
-  meter.Record(w, model.Execute(w, 1));
+  meter.Record(w, model.Execute(w, 1), "fit");
   const EnergyReading r = meter.Stop(1.0);
   EXPECT_GT(r.breakdown.cpu_dynamic_j, 0.0);
 }
@@ -183,15 +189,20 @@ TEST(EnergyMeterTest, GpuIdleChargedOnGpuMachine) {
 }
 
 TEST(EnergyMeterTest, ReadingAccumulates) {
-  EnergyReading a;
-  a.seconds = 1.0;
-  a.breakdown.cpu_static_j = 10.0;
-  EnergyReading b;
-  b.seconds = 2.0;
-  b.breakdown.cpu_static_j = 20.0;
-  a += b;
-  EXPECT_DOUBLE_EQ(a.seconds, 3.0);
-  EXPECT_DOUBLE_EQ(a.joules(), 30.0);
+  // Records on one path add up in the reading's flat breakdown and in
+  // that path's scope charge alike.
+  EnergyModel model(MachineModel::Minimal());
+  EnergyMeter meter(&model);
+  meter.Start(0.0);
+  const Work w = CpuWork(1e6);
+  meter.Record(w, model.Execute(w, 1), "fit");
+  const double once = meter.dynamic_joules();
+  meter.Record(w, model.Execute(w, 1), "fit");
+  const EnergyReading r = meter.Stop(0.0);
+  EXPECT_DOUBLE_EQ(r.joules(), 2.0 * once);
+  ASSERT_EQ(r.scopes.size(), 1u);
+  EXPECT_DOUBLE_EQ(r.scopes.at("fit").joules, 2.0 * once);
+  EXPECT_EQ(r.scopes.at("fit").charges, 2u);
 }
 
 // --- CO2 ---
@@ -210,34 +221,11 @@ TEST(Co2Test, ImpactEstimate) {
   EXPECT_NEAR(impact.eur, 80929.8, 1.0);
 }
 
-// --- StageLedger ---
-
-TEST(StageLedgerTest, AccumulatesPerStage) {
-  StageLedger ledger;
-  EnergyReading r;
-  r.seconds = 1.0;
-  r.breakdown.cpu_static_j = 3.6e6;  // 1 kWh.
-  ledger.Add("caml", Stage::kExecution, r);
-  ledger.Add("caml", Stage::kExecution, r);
-  ledger.Add("caml", Stage::kInference, r);
-  EXPECT_NEAR(ledger.Get("caml", Stage::kExecution).kwh(), 2.0, 1e-9);
-  EXPECT_NEAR(ledger.TotalKwh("caml"), 3.0, 1e-9);
-  EXPECT_EQ(ledger.Get("caml", Stage::kDevelopment).kwh(), 0.0);
-  EXPECT_EQ(ledger.Get("unknown", Stage::kExecution).kwh(), 0.0);
-}
-
-TEST(StageLedgerTest, StageNames) {
-  EXPECT_STREQ(StageName(Stage::kDevelopment), "development");
-  EXPECT_STREQ(StageName(Stage::kExecution), "execution");
-  EXPECT_STREQ(StageName(Stage::kInference), "inference");
-}
-
-TEST(StageLedgerTest, AmortizationMatchesPaper) {
+TEST(Co2Test, AmortizationMatchesPaper) {
   // §3.7: 21 kWh of development amortize over ~885 runs, i.e. the tuned
   // system must save ~0.0237 kWh per run.
-  EXPECT_NEAR(StageLedger::AmortizationRuns(21.0, 21.0 / 885.0), 885.0,
-              1e-6);
-  EXPECT_TRUE(std::isinf(StageLedger::AmortizationRuns(21.0, 0.0)));
+  EXPECT_NEAR(AmortizationRuns(21.0, 21.0 / 885.0), 885.0, 1e-6);
+  EXPECT_TRUE(std::isinf(AmortizationRuns(21.0, 0.0)));
 }
 
 // --- Parameterized property: energy monotone in work for any machine ---
@@ -257,9 +245,10 @@ TEST_P(EnergyMonotoneTest, MoreWorkNeverCheaper) {
       w.flops = flops;
       w.parallel_fraction = parallel_fraction;
       const WorkExecution exec = model.Execute(w, m.num_cores);
-      EXPECT_GT(exec.dynamic_joules, prev_j);
+      const double joules = DynamicJoules(model, w, m.num_cores);
+      EXPECT_GT(joules, prev_j);
       EXPECT_GT(exec.seconds, prev_s);
-      prev_j = exec.dynamic_joules;
+      prev_j = joules;
       prev_s = exec.seconds;
     }
   }

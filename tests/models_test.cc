@@ -16,7 +16,6 @@
 #include "green/ml/models/adaboost.h"
 #include "green/ml/models/attention_few_shot.h"
 #include "green/ml/models/decision_tree.h"
-#include "green/ml/models/extra_trees.h"
 #include "green/ml/models/gradient_boosting.h"
 #include "green/ml/models/knn.h"
 #include "green/ml/models/logistic_regression.h"
@@ -74,9 +73,10 @@ const std::vector<ModelCase>& AllModels() {
                    0.9});
   cases.push_back({"extra_trees",
                    [] {
-                     ExtraTreesParams p;
+                     RandomForestParams p;
                      p.num_trees = 16;
-                     return std::make_unique<ExtraTrees>(p);
+                     p.random_thresholds = true;
+                     return std::make_unique<RandomForest>(p);
                    },
                    0.9});
   cases.push_back({"gradient_boosting",
@@ -834,10 +834,11 @@ TEST(TreeKernelTest, FitsMatchPinnedDigest) {
   }
   {
     BitHash d;
-    ExtraTreesParams p;
+    RandomForestParams p;
     p.num_trees = 6;
     p.max_depth = 8;
-    ExtraTrees forest(p);
+    p.random_thresholds = true;
+    RandomForest forest(p);
     FitAndDigestFlops(&forest, KernelTask(3, 300, 16), &d);
     for (size_t t = 0; t < forest.num_trees(); ++t) {
       AddTree(forest.tree(t).flat_tree(), &d);

@@ -160,6 +160,13 @@ TEST_F(ServeTest, TraceCsvRejectsMalformedLines) {
   std::remove(path.c_str());
 }
 
+TEST_F(ServeTest, TraceCsvReadErrorIsIoError) {
+  // A directory opens as a stream but every read of it fails.
+  const auto trace = LoadTraceCsv(::testing::TempDir(), 10);
+  ASSERT_FALSE(trace.ok());
+  EXPECT_EQ(trace.status().code(), Status::Code::kIoError);
+}
+
 // --- Artifact ladder --------------------------------------------------
 
 TEST_F(ServeTest, LadderTiersAreOrderedCheapestLast) {

@@ -5,11 +5,14 @@
 #   tools/dead_code.sh [BUILD_DIR]        # default BUILD_DIR: build-deadcode
 #
 # Builds every bench/ and examples/ binary (BUILD_TESTING=OFF) and perf_bench
-# (perfbench/CMakeLists.txt) at -O0 with one section per function, and links
-# them with --gc-sections. A strong green:: text symbol that is defined in a
-# libgreen_*.a archive but present in no binary is unreached. -O0 matters: an
-# optimized build inlines a function into its only caller, so the function
-# would look unreached when it is not.
+# (perfbench/CMakeLists.txt) at -O0 with one section per function and with
+# warnings as errors, and links them with --gc-sections. A strong green:: text
+# symbol that is defined in a libgreen_*.a archive but present in no binary is
+# unreached. -O0 matters: an optimized build inlines a function into its only
+# caller, so the function would look unreached when it is not. Functions
+# defined in a header (inline, or member functions written in the class body)
+# are weak symbols, emitted only where something calls them, so this check
+# cannot see an unreached one: look for those by hand.
 #
 # Exits 1 and prints a diff when the unreached list differs from the keep
 # list: a new line (+) is a function to delete or to justify in the keep
@@ -22,7 +25,7 @@ out=${1:-$root/build-deadcode}
 mkdir -p "$out"
 out=$(cd "$out" && pwd)
 flags=(-DCMAKE_BUILD_TYPE=None
-       "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections"
+       "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections -Werror"
        "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
 
 # Build output goes to build.log; it is printed only when a step fails.
